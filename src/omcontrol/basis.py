@@ -36,6 +36,9 @@ class MonomialBasis:
             key=lambda e: (sum(e), e),
         )
         self.exponents = np.array(exps, dtype=np.int64)
+        # Row-major position of each exponent in the (d+1,)*m coefficient tensor.
+        self._tensor_index = np.ravel_multi_index(
+            tuple(self.exponents.T), (self.max_degree + 1,) * self.dim)
 
     @property
     def count(self) -> int:
@@ -49,19 +52,51 @@ class MonomialBasis:
             raise KeyError(f"exponent {exponent} not in basis")
         return int(hits[0])
 
-    def evaluate(self, y) -> np.ndarray:
-        """Evaluate all monomials at y: (N,) for one point, (K, N) for a batch."""
+    def evaluate(self, y, coef=None):
+        """Evaluate all monomials at y: (N,) for one point, (K, N) for a batch.
+
+        With a coefficient vector ``coef`` of length N, evaluate the
+        polynomial sum_k coef[k] * phi_k(y) instead: a numpy float64 scalar
+        for one point, (K,) for a batch.  That path never forms the (K, N)
+        matrix.
+        """
         pts = np.asarray(y, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points of dimension {pts.shape[1]}, basis has {self.dim}")
+        if coef is not None:
+            out = self._horner(pts, np.asarray(coef, dtype=float))
+            return out[0] if single else out
         out = np.ones((pts.shape[0], self.count))
         degs = np.arange(self.max_degree + 1)
         for a in range(self.dim):
             powers = pts[:, a][:, None] ** degs[None, :]
             out *= powers[:, self.exponents[:, a]]
         return out[0] if single else out
+
+    def _horner(self, pts: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Polynomial values at (K, m) points by Horner's rule, one axis at a time.
+
+        The coefficients are scattered into the (d+1,)*m tensor, kept as
+        (remaining tensor entries, K) so every update runs over contiguous
+        rows.  The last axis is contracted first; the widest intermediate is
+        ((d+1)**(m-1), K), and only multiplications and additions are used.
+        """
+        if coef.shape != (self.count,):
+            raise ValueError(f"coefficient vector of shape {coef.shape}, basis has {self.count}")
+        n = self.max_degree + 1
+        acc = np.zeros((self.count, 1))
+        acc[self._tensor_index, 0] = coef
+        for a in range(self.dim - 1, -1, -1):
+            terms = acc.reshape(acc.shape[0] // n, n, acc.shape[1])
+            x = pts[:, a]
+            acc = np.empty((terms.shape[0], pts.shape[0]))
+            acc[...] = terms[:, n - 1, :]
+            for j in range(n - 2, -1, -1):
+                acc *= x
+                acc += terms[:, j, :]
+        return acc[0]
 
     def __repr__(self) -> str:
         return f"MonomialBasis(dim={self.dim}, max_degree={self.max_degree}, count={self.count})"

@@ -111,6 +111,15 @@ def _per_axis_counts(counts, dim: int) -> tuple[int, ...]:
     return counts
 
 
+def grid_steps(points: np.ndarray) -> np.ndarray:
+    """Smallest spacing between distinct values on each axis; 0 for a single value."""
+    steps = np.zeros(points.shape[1])
+    for a in range(points.shape[1]):
+        vals = np.unique(points[:, a])
+        steps[a] = np.diff(vals).min() if vals.size > 1 else 0.0
+    return steps
+
+
 def tensor_points(axes) -> np.ndarray:
     """Cartesian product of 1-D axes, first axis varying slowest."""
     mesh = np.meshgrid(*axes, indexing="ij")

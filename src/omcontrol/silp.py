@@ -128,11 +128,9 @@ class DualCertificate:
     lam: np.ndarray
     mu: float
 
-    def psi(self, basis: MonomialBasis, y) -> np.ndarray:
-        return basis.evaluate(y) @ self.lam
-
-    def psi_fn(self, basis: MonomialBasis):
-        return lambda y: basis.evaluate(y) @ self.lam
+    def psi(self, basis: MonomialBasis, y):
+        """Surrogate psi = sum_k lam[k] * phi_k: a scalar for one point, (K,) for a batch."""
+        return basis.evaluate(y, self.lam)
 
 
 def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
@@ -161,17 +159,9 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
         cost=problem.g(states, controls),
         matrix=matrix,
         rhs=rhs,
-        state_step=_axis_steps(s_pts),
-        control_step=_axis_steps(c_pts),
+        state_step=model.grid_steps(s_pts),
+        control_step=model.grid_steps(c_pts),
     )
-
-
-def _axis_steps(points: np.ndarray) -> Optional[np.ndarray]:
-    steps = np.empty(points.shape[1])
-    for a in range(points.shape[1]):
-        vals = np.unique(points[:, a])
-        steps[a] = np.diff(vals).min() if vals.size > 1 else 0.0
-    return steps
 
 
 def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
@@ -207,13 +197,13 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     a = problem.discount
     lam = certificate.lam
-    psi_y0 = float(basis.evaluate(problem.initial_state) @ lam)
+    psi_y0 = basis.evaluate(problem.initial_state, lam)
     out = np.empty(states.shape[0])
     for s in range(0, states.shape[0], _SCAN_CHUNK):
         sl = slice(s, min(s + _SCAN_CHUNK, states.shape[0]))
         ys, us = states[sl], controls[sl]
-        psi_y = basis.evaluate(ys) @ lam
-        psi_f = basis.evaluate(problem.f(ys, us)) @ lam
+        psi_y = basis.evaluate(ys, lam)
+        psi_f = basis.evaluate(problem.f(ys, us), lam)
         out[sl] = (problem.g(ys, us) + a * (psi_f - psi_y)
                    + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
     return out

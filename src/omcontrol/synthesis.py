@@ -22,7 +22,7 @@ from .basis import MonomialBasis
 from .errors import (AssumptionIIViolation, AssumptionIViolation,
                      InadmissibleTransition, RolloutAborted)
 from .model import (Box, DiscreteControlProblem, admissible_controls,
-                    admissible_mask, control_grid_points, step)
+                    admissible_mask, control_grid_points, grid_steps, step)
 from .silp import AtomicMeasure, DualCertificate
 
 _TIE_TOL = 1e-9
@@ -73,18 +73,10 @@ def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
     pick = tied[np.lexsort(tuple(grid[tied, a] for a in range(grid.shape[1] - 1, -1, -1)))[0]]
     best = grid[pick].copy()
     if polish and isinstance(problem.control_region, Box):
-        cells = _grid_cells(grid)
+        cells = grid_steps(grid)
         if np.all(cells > 0):
             best = _polish_control(problem, basis, certificate, y, best, cells, polish_iters)
     return best
-
-
-def _grid_cells(grid: np.ndarray) -> np.ndarray:
-    cells = np.zeros(grid.shape[1])
-    for a in range(grid.shape[1]):
-        vals = np.unique(grid[:, a])
-        cells[a] = np.diff(vals).min() if vals.size > 1 else 0.0
-    return cells
 
 
 def _polish_control(problem, basis, certificate, y, u0, cells, iters):
@@ -95,7 +87,7 @@ def _polish_control(problem, basis, certificate, y, u0, cells, iters):
     def objective(u):
         if not admissible_mask(problem, y[None, :], u[None, :])[0]:
             return np.inf
-        psi_f = float(certificate.psi(basis, problem.f(y[None, :], u[None, :])[0]))
+        psi_f = certificate.psi(basis, problem.f(y[None, :], u[None, :])[0])
         return float(problem.g(y[None, :], u[None, :])[0]) + problem.discount * psi_f
 
     u = u0.copy()

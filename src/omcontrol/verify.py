@@ -12,6 +12,7 @@ return residual magnitudes and the caller compares against slacks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -230,7 +231,7 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     (1 - alpha) * (V(y0) - psi(y0)) at every visited state.
     """
     alpha = problem.discount
-    psi = certificate.psi_fn(basis)
+    psi = functools.partial(certificate.psi, basis)
 
     nodes = model.tensor_points(value_grid.axes)
     cg = control_grid_points(problem, control_grid)
@@ -252,11 +253,11 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     value_std = float(np.std(diff))
 
     v0 = value_grid(problem.initial_state)
-    psi0 = float(psi(problem.initial_state))
+    psi0 = psi(problem.initial_state)
     target = (1.0 - alpha) * (v0 - psi0)
     ham = np.array([
         hamiltonian_min(problem, psi, roll.states[t], cg)
-        - (1.0 - alpha) * float(psi(roll.states[t])) - target
+        - (1.0 - alpha) * psi(roll.states[t]) - target
         for t in range(roll.horizon + 1)
     ])
     return OptimalityReport(stationarity=stationarity, value_agreement_std=value_std,
@@ -275,8 +276,7 @@ def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
     nodes = model.tensor_points(value_grid.axes)
     psi = certificate.psi(basis, nodes)
     v = value_grid(nodes)
-    anchor = float(certificate.psi(basis, problem.initial_state)) \
-        - value_grid(problem.initial_state)
+    anchor = certificate.psi(basis, problem.initial_state) - value_grid(problem.initial_state)
     return float((psi - v - anchor).max())
 
 
@@ -291,15 +291,15 @@ def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
     expression, so only the anchoring constant matters.  The check passes
     when the returned violation is at most ``slack``.
     """
-    psi = certificate.psi_fn(basis)
-    psi0 = float(certificate.psi(basis, problem.initial_state))
+    psi = functools.partial(certificate.psi, basis)
+    psi0 = psi(problem.initial_state)
     shift = value_at_y0 - psi0
     states = grid if isinstance(grid, np.ndarray) else problem.state_region.grid(grid)
     alpha = problem.discount
     worst = -np.inf
     for y in states:
         h = hamiltonian_min(problem, psi, y, control_grid)
-        expr = h - (1.0 - alpha) * (float(psi(y)) + shift)
+        expr = h - (1.0 - alpha) * (psi(y) + shift)
         worst = max(worst, -expr)
     return float(worst)
 

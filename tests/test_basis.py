@@ -122,3 +122,42 @@ class TestConstraintCoefficient:
         a = constraint_columns(b, p, pts, us)
         c = constraint_columns(b, p, pts, us)
         assert np.array_equal(a, c)
+
+
+class TestEvaluateCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_matrix_product(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        deg = data.draw(st.integers(0, 8), label="deg")
+        b = MonomialBasis(dim, deg)
+        coord = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-1, 1))
+        point = st.lists(coord, min_size=dim, max_size=dim)
+        coef = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=b.count,
+                                           max_size=b.count), label="coef"))
+        tol = 1e-12 * (1.0 + np.abs(coef).sum())
+        pts = np.array(data.draw(st.lists(point, min_size=1, max_size=20), label="pts"))
+        np.testing.assert_allclose(b.evaluate(pts, coef), b.evaluate(pts) @ coef,
+                                   rtol=0, atol=tol)
+        assert abs(b.evaluate(pts[0], coef) - b.evaluate(pts[0]) @ coef) <= tol
+
+    def test_single_point_returns_scalar(self):
+        b = MonomialBasis(2, 3)
+        val = b.evaluate(np.array([0.5, -0.25]), np.arange(b.count, dtype=float))
+        assert isinstance(val, float) and np.ndim(val) == 0
+        batch = b.evaluate(np.array([[0.5, -0.25]]), np.arange(b.count, dtype=float))
+        assert batch.shape == (1,)
+
+    def test_wrong_coefficient_length_rejected(self):
+        b = MonomialBasis(2, 3)
+        with pytest.raises(ValueError):
+            b.evaluate(np.zeros(2), np.ones(b.count - 1))
+        with pytest.raises(ValueError):
+            b.evaluate(np.zeros((4, 2)), np.ones(b.count + 1))
+
+    def test_wrong_point_dimension_rejected(self):
+        b = MonomialBasis(2, 3)
+        with pytest.raises(ValueError):
+            b.evaluate(np.zeros(3), np.ones(b.count))
+        with pytest.raises(ValueError):
+            b.evaluate(np.zeros((4, 1)), np.ones(b.count))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from omcontrol import cli
+from omcontrol import cli, silp
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -84,6 +84,19 @@ class TestPipeline:
         cli.main(["solve", "--config", shift_config(tmp_path, out1)])
         cli.main(["solve", "--config", shift_config(tmp_path, out2)])
         assert (out1 / "solution.json").read_bytes() == (out2 / "solution.json").read_bytes()
+
+    def test_recorded_violation_matches_fresh_scan(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["solve", "--problem", "shift", "--out", str(out)]) == 0
+        cfg = cli.RunConfig(problem="shift").resolved()
+        problem, basis = cli._build(cfg)
+        grid, cand = cli._grid_specs(cfg)
+        measure, certificate, doc = silp.solution_from_json(
+            (out / "solution.json").read_text())
+        lp = silp.assemble(problem, basis, grid)
+        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp,
+                                            cand, cfg.tol, measure)
+        assert doc["max_dual_violation"] == max(0.0, -min_rc)
 
     def test_heuristic_rollout(self, tmp_path):
         out = tmp_path / "run"
