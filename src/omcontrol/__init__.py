@@ -14,13 +14,12 @@ from .model import (Box, DiscreteControlProblem, FiniteSet, StateActionPoint,
                     admissible_controls, builtin_problem, step)
 from .silp import (AtomicMeasure, CandidateSpec, DualCertificate, FiniteLP,
                    GridSpec, assemble, discard_small_atoms, reduced_costs,
-                   refine, solve, solve_refined)
+                   solve, solve_refined)
 from .synthesis import (Rollout, control_pattern, gap_certificate,
                         heuristic_control, heuristic_policy, minimizer_control,
                         minimizer_policy, rollout)
-from .verify import (OccupationalMeasureApprox, ValueFunctionGrid,
-                     check_optimality_conditions, check_psi_bound,
-                     check_shifted_inequality, hamiltonian_min,
-                     measure_residuals, occupational_measure, value_iteration)
+from .verify import (ValueFunctionGrid, check_optimality_conditions, check_psi_bound,
+                     check_shifted_inequality, hamiltonian_min, measure_residuals,
+                     occupational_measure, value_iteration)
 
 __version__ = "0.1.0"

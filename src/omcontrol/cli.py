@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,17 +38,19 @@ _PROBLEM_DEFAULTS = {
 
 @dataclass
 class RunConfig:
+    """The config keys, each annotated with the type its value parses to; None is unset."""
+
     problem: str = "example1"
     alpha: Optional[float] = None
-    y0: Optional[tuple] = None
+    y0: Optional[tuple[float, ...]] = None
     degree: Optional[int] = None
-    state_grid: Optional[tuple] = None
-    control_grid: Optional[tuple] = None
-    candidate_state: Optional[tuple] = None
-    candidate_control: Optional[tuple] = None
-    rollout_control_grid: Optional[tuple] = None
-    vi_state_grid: Optional[tuple] = None
-    vi_control_grid: Optional[tuple] = None
+    state_grid: Optional[tuple[int, ...]] = None
+    control_grid: Optional[tuple[int, ...]] = None
+    candidate_state: Optional[tuple[int, ...]] = None
+    candidate_control: Optional[tuple[int, ...]] = None
+    rollout_control_grid: Optional[tuple[int, ...]] = None
+    vi_state_grid: Optional[tuple[int, ...]] = None
+    vi_control_grid: Optional[tuple[int, ...]] = None
     tol: float = 1e-6
     pivot_tol: float = 1e-9
     epsilon: Optional[float] = None
@@ -61,56 +63,31 @@ class RunConfig:
     psi_slack: Optional[float] = None
     gap_slack: Optional[float] = None
     out: str = "out"
-    seed: int = 0  # reserved; the pipeline is deterministic
 
     def resolved(self) -> "RunConfig":
-        """Fill unset fields from the per-problem defaults."""
-        defaults = _PROBLEM_DEFAULTS.get(self.problem, _PROBLEM_DEFAULTS["example1"])
-        cfg = self
-        for key, val in defaults.items():
-            if getattr(cfg, key, None) is None:
-                cfg = replace(cfg, **{key: val})
-        return cfg
+        """Fill unset fields from the per-problem defaults.
+
+        With ``epsilon`` set and ``steps`` unset, ``steps`` stays unset so
+        that the rollout horizon follows ``epsilon``.
+        """
+        defaults = dict(_PROBLEM_DEFAULTS.get(self.problem, _PROBLEM_DEFAULTS["example1"]))
+        if self.epsilon is not None:
+            del defaults["steps"]
+        return replace(self, **{key: val for key, val in defaults.items()
+                                if getattr(self, key) is None})
 
 
-def _parse_counts(text) -> tuple:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in str(text).split(","))
+def _parser(hint):
+    """Text -> value for one annotated field: a scalar type or a comma-separated tuple."""
+    if get_origin(hint) is Union:
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return lambda text: tuple(item(v) for v in text.split(","))
+    return hint
 
 
-def _parse_floats(text) -> tuple:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v) for v in str(text).split(","))
-
-
-_CONFIG_PARSERS = {
-    "problem": str,
-    "alpha": float,
-    "y0": _parse_floats,
-    "degree": int,
-    "state_grid": _parse_counts,
-    "control_grid": _parse_counts,
-    "candidate_state": _parse_counts,
-    "candidate_control": _parse_counts,
-    "rollout_control_grid": _parse_counts,
-    "vi_state_grid": _parse_counts,
-    "vi_control_grid": _parse_counts,
-    "tol": float,
-    "pivot_tol": float,
-    "epsilon": float,
-    "steps": int,
-    "policy": str,
-    "discard": float,
-    "batch": int,
-    "max_rounds": int,
-    "slack": float,
-    "psi_slack": float,
-    "gap_slack": float,
-    "out": str,
-    "seed": int,
-}
+_PARSERS = {key: _parser(hint) for key, hint in get_type_hints(RunConfig).items()}
 
 
 def read_config_file(path) -> RunConfig:
@@ -124,39 +101,31 @@ def read_config_file(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg = replace(cfg, **{key: _CONFIG_PARSERS[key](val.strip())})
+        cfg = replace(cfg, **{key: _PARSERS[key](val.strip())})
     return cfg
 
 
 def _apply_flags(cfg: RunConfig, args) -> RunConfig:
-    mapping = {
-        "problem": "problem", "alpha": "alpha", "degree": "degree",
-        "tol": "tol", "epsilon": "epsilon", "steps": "steps",
-        "policy": "policy", "discard": "discard", "out": "out",
-        "batch": "batch", "max_rounds": "max_rounds",
-    }
-    for flag, key in mapping.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg = replace(cfg, **{key: val})
-    if getattr(args, "y0", None) is not None:
-        cfg = replace(cfg, y0=_parse_floats(args.y0))
-    if getattr(args, "state_grid", None) is not None:
-        cfg = replace(cfg, state_grid=_parse_counts(args.state_grid))
-    if getattr(args, "control_grid", None) is not None:
-        key = "rollout_control_grid" if args.command == "rollout" else "control_grid"
-        cfg = replace(cfg, **{key: _parse_counts(args.control_grid)})
-    if getattr(args, "candidate_grid", None) is not None:
-        txt = str(args.candidate_grid)
-        if ":" in txt:
-            s_txt, c_txt = txt.split(":", 1)
-            cfg = replace(cfg, candidate_state=_parse_counts(s_txt),
-                          candidate_control=_parse_counts(c_txt))
-        else:
-            cfg = replace(cfg, candidate_state=_parse_counts(txt))
-    return cfg
+    """Override config fields with the flags given on the command line.
+
+    ``--control-grid`` sets the policy's search grid under ``rollout``, and
+    ``--candidate-grid STATE[:CONTROL]`` sets one or both candidate grids.
+    """
+    updates = {}
+    for key, val in vars(args).items():
+        if val is None or key not in _PARSERS:
+            continue
+        if key == "control_grid" and args.command == "rollout":
+            key = "rollout_control_grid"
+        updates[key] = _PARSERS[key](val)
+    if args.candidate_grid is not None:
+        state, sep, control = args.candidate_grid.partition(":")
+        updates["candidate_state"] = _PARSERS["candidate_state"](state)
+        if sep:
+            updates["candidate_control"] = _PARSERS["candidate_control"](control)
+    return replace(cfg, **updates)
 
 
 def _build(cfg: RunConfig):
@@ -263,7 +232,7 @@ def cmd_rollout(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
-    measure, certificate, doc = _load_solution(cfg)
+    measure, certificate, _ = _load_solution(cfg)
     states, controls, meta = synthesis.read_trajectory_csv(Path(cfg.out) / "trajectory.csv")
     roll = synthesis.Rollout(states=states, controls=controls,
                              truncated_value=meta["truncated_value"],
@@ -273,7 +242,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     alpha = problem.discount
     checks = []
 
-    gap_duality = abs(doc["value"] - certificate.mu)
+    gap_duality = abs(measure.value(problem) - certificate.mu)
     checks.append(("strong duality |value - mu|", gap_duality, 1e-6))
 
     support_ok = len(measure) <= basis.count + 1

@@ -2,10 +2,9 @@
 
 A :class:`DiscreteControlProblem` bundles the transition map ``f``, the
 running cost ``g``, the state box ``Y``, the control region ``U`` (a box or
-an explicit finite set, optionally narrowed by a state-dependent predicate),
-a discount factor in (0, 1) and the initial state.  A state-control pair is
-*admissible* when the control is allowed at the state and the successor
-``f(y, u)`` stays inside ``Y``; every downstream module (LP assembly, policy
+an explicit finite set), a discount factor in (0, 1) and the initial state.
+A state-control pair is *admissible* when the successor ``f(y, u)`` stays
+inside ``Y``; every downstream module (LP assembly, policy
 synthesis, value iteration) works on grids of admissible pairs.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
@@ -16,7 +15,7 @@ numpy expressions satisfy this automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -154,8 +153,6 @@ class DiscreteControlProblem:
     control_region : box or finite set of raw controls.
     discount : discount factor in (0, 1).
     initial_state : starting state, must lie in Y.
-    control_predicate : optional batched mask (y, u) -> bool narrowing the
-        control region per state.
     """
 
     state_dim: int
@@ -165,7 +162,6 @@ class DiscreteControlProblem:
     control_region: Union[Box, FiniteSet]
     discount: float
     initial_state: np.ndarray
-    control_predicate: Optional[Callable] = None
     name: str = ""
 
     def __post_init__(self):
@@ -219,11 +215,7 @@ def admissible_mask(problem: DiscreteControlProblem, states, controls) -> np.nda
     """Admissibility of aligned (K, m)/(K, d) state-control pairs."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    ok = problem.state_region.contains(problem.f(states, controls))
-    ok = np.atleast_1d(ok)
-    if problem.control_predicate is not None:
-        ok = ok & np.asarray(problem.control_predicate(states, controls), dtype=bool)
-    return ok
+    return np.atleast_1d(problem.state_region.contains(problem.f(states, controls)))
 
 
 def admissible_controls(problem: DiscreteControlProblem, y, control_grid) -> np.ndarray:
@@ -317,9 +309,3 @@ def builtin_problem(name: str, alpha: float | None = None, y0=None) -> DiscreteC
     if y0 is not None:
         kwargs["y0"] = y0
     return factory(**kwargs)
-
-
-def check_assumption_i(problem: DiscreteControlProblem, state_grid, control_grid) -> None:
-    """Verify every sampled state has an admissible control (hard error)."""
-    for y in state_grid_points(problem, state_grid):
-        admissible_controls(problem, y, control_grid)

@@ -5,24 +5,24 @@ form LP: one row per nonconstant test function (the constant row is
 identically zero and omitted) plus a probability-normalization row.
 ``solve`` runs the dense simplex and extracts the primal atomic measure
 together with the dual certificate (the coefficient vector of the
-polynomial surrogate and the optimal value).  ``refine`` prices a dense
-candidate set against the certificate and appends the most-violating
-admissible points, and ``solve_refined`` alternates the two until the
-certificate is dually feasible on the candidate set.
+polynomial surrogate and the optimal value).  ``solve_refined`` is the
+cutting-plane loop: it prices a dense candidate set against the
+certificate, appends the most-violating admissible points and re-solves
+until the certificate is dually feasible on the candidate set.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import model
 from .basis import MonomialBasis, constraint_columns
 from .errors import EmptyMeasure, InsufficientGrid, NonConverged
-from .model import DiscreteControlProblem, StateActionPoint, admissible_mask
+from .model import DiscreteControlProblem, admissible_mask
 from .simplex import solve_equality_lp
 
 _SCAN_CHUNK = 1 << 16
@@ -41,15 +41,13 @@ class GridSpec:
 class CandidateSpec:
     """Candidate set the refinement pass prices against the certificate.
 
-    A uniform tensor grid (typically 2-4x the base resolution) plus, when
-    ``perturb_atoms`` is set, axis-aligned offsets of one base cell around
-    every current atom.  At most ``max_new_columns`` points are appended
-    per pass.
+    A uniform tensor grid (typically 2-4x the base resolution) plus
+    axis-aligned offsets of one base cell around every current atom.  At
+    most ``max_new_columns`` points are appended per pass.
     """
 
     state: object = 17
     control: object = 17
-    perturb_atoms: bool = True
     max_new_columns: int = 8
 
 
@@ -62,8 +60,8 @@ class FiniteLP:
     cost: np.ndarray          # (K,)
     matrix: np.ndarray        # (R, K); rows = nonconstant test functions, then normalization
     rhs: np.ndarray           # (R,)
-    state_step: Optional[np.ndarray] = None    # base cell sizes, for atom perturbation
-    control_step: Optional[np.ndarray] = None
+    state_step: np.ndarray    # base cell sizes, for atom perturbation
+    control_step: np.ndarray
 
     @property
     def n_columns(self) -> int:
@@ -72,9 +70,6 @@ class FiniteLP:
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
-
-    def point(self, k: int) -> StateActionPoint:
-        return StateActionPoint.of(self.states[k], self.controls[k])
 
     def extended(self, problem: DiscreteControlProblem, basis: MonomialBasis,
                  states, controls) -> "FiniteLP":
@@ -108,10 +103,6 @@ class AtomicMeasure:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    def atoms(self) -> Iterator[tuple[StateActionPoint, float]]:
-        for k in range(len(self)):
-            yield StateActionPoint.of(self.states[k], self.controls[k]), float(self.weights[k])
 
     def value(self, problem: DiscreteControlProblem) -> float:
         return float(self.weights @ problem.g(self.states, self.controls))
@@ -164,16 +155,14 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     )
 
 
-def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
-          stall_limit: int = 1000) -> tuple[AtomicMeasure, DualCertificate]:
+def solve(lp: FiniteLP, pivot_tol: float = 1e-9) -> tuple[AtomicMeasure, DualCertificate]:
     """Solve the finite LP; atoms are the positive basic variables.
 
     The dual of the normalization row is the optimal value ``mu``; the
     duals of the test-function rows give the surrogate coefficients (sign
     flipped so that the reduced cost reads g + shifted surrogate - mu).
     """
-    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost,
-                            pivot_tol=pivot_tol, stall_limit=stall_limit)
+    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol)
     x = np.where(np.abs(res.x) < _WEIGHT_CLIP, 0.0, res.x)
     support = np.nonzero(x > 0.0)[0]
     measure = AtomicMeasure(
@@ -218,7 +207,7 @@ def _candidate_blocks(problem, lp, measure, spec):
     for start in range(0, total, _SCAN_CHUNK):
         idx = np.arange(start, min(start + _SCAN_CHUNK, total))
         yield s_pts[idx // kc], c_pts[idx % kc]
-    if spec.perturb_atoms and measure is not None and len(measure):
+    if measure is not None and len(measure):
         yield _atom_perturbations(problem, lp, measure)
 
 
@@ -226,8 +215,7 @@ def _atom_perturbations(problem, lp, measure):
     """Axis-aligned offsets of one base cell around every atom, clipped to the boxes."""
     states, controls = [], []
     m, d = measure.states.shape[1], measure.controls.shape[1]
-    s_step = lp.state_step if lp.state_step is not None else np.zeros(m)
-    c_step = lp.control_step if lp.control_step is not None else np.zeros(d)
+    s_step, c_step = lp.state_step, lp.control_step
     control_is_box = isinstance(problem.control_region, model.Box)
     for k in range(len(measure)):
         y, u = measure.states[k], measure.controls[k]
@@ -303,23 +291,12 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     return min_rc, ys[picked], us[picked]
 
 
-def refine(problem: DiscreteControlProblem, basis: MonomialBasis, lp: FiniteLP,
-           certificate: DualCertificate, candidate_spec: CandidateSpec,
-           tol: float, measure: Optional[AtomicMeasure] = None) -> Optional[FiniteLP]:
-    """One cutting-plane pass: augmented LP, or None when dually feasible."""
-    min_rc, ys, us = scan_candidates(problem, basis, certificate, lp,
-                                     candidate_spec, tol, measure)
-    if min_rc >= -tol:
-        return None
-    return lp.extended(problem, basis, ys, us)
-
-
 def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                   grid_spec: GridSpec, candidate_spec: CandidateSpec,
                   tol: float = 1e-6, max_rounds: int = 50,
                   pivot_tol: float = 1e-9,
                   history: Optional[list] = None) -> tuple[AtomicMeasure, DualCertificate, int]:
-    """Alternate solve and refine until the candidate set certifies the dual.
+    """Solve, append the worst candidate violators and re-solve until none is left.
 
     ``history``, when given, collects one record per round with the primal
     value, dual value, atom count and the scan's worst violation.
@@ -370,7 +347,7 @@ def solution_to_json(measure: AtomicMeasure, certificate: DualCertificate,
                      meta: Optional[dict] = None) -> str:
     doc = {
         "atoms": [[list(map(float, y)), list(map(float, u)), float(w)]
-                  for (y, u), w in _atom_rows(measure)],
+                  for y, u, w in zip(measure.states, measure.controls, measure.weights)],
         "lambda": [float(v) for v in certificate.lam],
         "mu": float(certificate.mu),
         "value": float(value),
@@ -380,11 +357,6 @@ def solution_to_json(measure: AtomicMeasure, certificate: DualCertificate,
     if meta:
         doc.update(meta)
     return json.dumps(doc, indent=2)
-
-
-def _atom_rows(measure: AtomicMeasure):
-    for k in range(len(measure)):
-        yield (measure.states[k], measure.controls[k]), float(measure.weights[k])
 
 
 def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]:

@@ -4,7 +4,7 @@ Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small
 (tens of rows, up to ~1e5 columns).  Feasibility comes from a Phase-I with
 artificial variables; redundant rows discovered there are dropped and get
 zero duals.  Pricing is Dantzig's rule with smallest-index tie-breaks; a
-degeneracy counter switches to Bland's rule after a configurable number of
+degeneracy counter switches to Bland's rule after ``_STALL_LIMIT``
 pivots without objective progress, which guarantees termination, and
 switches back once the objective moves again.  The basis system is
 re-solved from scratch every pivot (cheap at these sizes, and it avoids
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import LpInfeasible, LpUnbounded, SolverStalled
 
 _PROGRESS_TOL = 1e-12
+_STALL_LIMIT = 1000  # pivots without progress before Bland's rule engages
 
 
 @dataclass
@@ -31,7 +32,7 @@ class LpResult:
     pivots: int
 
 
-def _iterate(A, b, c, basis, n_enterable, pivot_tol, stall_limit, max_pivots, pivots_done):
+def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     """Run simplex pivots until optimality over the first n_enterable columns.
 
     ``basis`` is modified in place.  Returns (x_B, duals, pivots_done).
@@ -53,7 +54,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, stall_limit, max_pivots, pi
             use_bland = False
         else:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= _STALL_LIMIT:
                 use_bland = True
         prev_obj = obj
 
@@ -85,8 +86,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, stall_limit, max_pivots, pi
             raise SolverStalled(f"pivot budget {max_pivots} exhausted")
 
 
-def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, stall_limit: int = 1000,
-                      max_pivots: int = 200_000) -> LpResult:
+def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_000) -> LpResult:
     """Solve min c@x s.t. A@x = b, x >= 0 by the two-phase dense simplex."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -103,7 +103,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, stall_limit: int = 1000,
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    xB, _, pivots = _iterate(A1, b, c1, basis, n, pivot_tol, stall_limit, max_pivots, 0)
+    xB, _, pivots = _iterate(A1, b, c1, basis, n, pivot_tol, max_pivots, 0)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
         raise LpInfeasible(f"phase-I residual {infeas:.3e}")
@@ -136,7 +136,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, stall_limit: int = 1000,
         flip_kept = flip
 
     # Phase II on structural columns only.
-    xB, y, pivots = _iterate(A, b, c, basis, n, pivot_tol, stall_limit, max_pivots, pivots)
+    xB, y, pivots = _iterate(A, b, c, basis, n, pivot_tol, max_pivots, pivots)
 
     # One step of iterative refinement for the final basic solution.
     B = A[:, basis]

@@ -28,6 +28,10 @@ from .silp import AtomicMeasure, DualCertificate
 _TIE_TOL = 1e-9
 _DISTANCE_TIE_TOL = 1e-12
 _MAX_HORIZON = 100_000
+_POLISH_ITERS = 32      # golden-section steps per axis and sweep
+_COST_SAMPLE = 9        # points per axis of the tensor sample behind cost_bound
+_SVG_SIZE = 480
+_SVG_MARGIN = 24.0
 
 
 @dataclass
@@ -45,15 +49,10 @@ class Rollout:
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
-    @property
-    def steps(self) -> list:
-        return [(t, self.states[t].copy(), self.controls[t].copy())
-                for t in range(self.states.shape[0])]
-
 
 def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
                       certificate: DualCertificate, y, control_grid,
-                      polish: bool = False, polish_iters: int = 32) -> np.ndarray:
+                      polish: bool = False) -> np.ndarray:
     """Exhaustive argmin of g(y, u) + alpha * psi(f(y, u)) over the grid.
 
     Values within an absolute tie tolerance of the minimum count as tied
@@ -75,11 +74,11 @@ def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
     if polish and isinstance(problem.control_region, Box):
         cells = grid_steps(grid)
         if np.all(cells > 0):
-            best = _polish_control(problem, basis, certificate, y, best, cells, polish_iters)
+            best = _polish_control(problem, basis, certificate, y, best, cells)
     return best
 
 
-def _polish_control(problem, basis, certificate, y, u0, cells, iters):
+def _polish_control(problem, basis, certificate, y, u0, cells):
     """Two coordinatewise golden-section sweeps inside the winning cell."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     region = problem.control_region
@@ -102,7 +101,7 @@ def _polish_control(problem, basis, certificate, y, u0, cells, iters):
             uc, ud = u.copy(), u.copy()
             uc[axis], ud[axis] = c, d
             fc, fd = objective(uc), objective(ud)
-            for _ in range(iters):
+            for _ in range(_POLISH_ITERS):
                 if fc <= fd:
                     b, d, fd = d, c, fc
                     c = b - invphi * (b - a)
@@ -161,10 +160,10 @@ def heuristic_policy(measure: AtomicMeasure) -> Callable:
     return lambda y: heuristic_control(measure, y)
 
 
-def cost_bound(problem: DiscreteControlProblem, sample: int = 9) -> float:
+def cost_bound(problem: DiscreteControlProblem) -> float:
     """max |g| over a coarse state-control tensor sample, computed once."""
-    s_pts = problem.state_region.grid(sample)
-    c_pts = control_grid_points(problem, sample)
+    s_pts = problem.state_region.grid(_COST_SAMPLE)
+    c_pts = control_grid_points(problem, _COST_SAMPLE)
     states = np.repeat(s_pts, len(c_pts), axis=0)
     controls = np.tile(c_pts, (len(s_pts), 1))
     return float(np.abs(problem.g(states, controls)).max())
@@ -182,8 +181,7 @@ def truncation_horizon(alpha: float, g_max: float, epsilon: float) -> int:
 
 
 def rollout(problem: DiscreteControlProblem, policy: Callable,
-            epsilon: Optional[float] = None, steps: Optional[int] = None,
-            g_max: Optional[float] = None) -> Rollout:
+            epsilon: Optional[float] = None, steps: Optional[int] = None) -> Rollout:
     """Simulate the feedback rule from the initial state.
 
     The horizon is ``steps`` when given, otherwise the smallest T whose
@@ -192,8 +190,7 @@ def rollout(problem: DiscreteControlProblem, policy: Callable,
     policy failure aborts with the partial trajectory attached.
     """
     alpha = problem.discount
-    if g_max is None:
-        g_max = cost_bound(problem)
+    g_max = cost_bound(problem)
     if steps is not None:
         horizon = int(steps)
         if horizon < 0:
@@ -205,15 +202,14 @@ def rollout(problem: DiscreteControlProblem, policy: Callable,
 
     states, controls = [], []
     y = problem.initial_state.copy()
-    partial = []
-    for t in range(horizon + 1):
+    for _ in range(horizon + 1):
         try:
             u = np.atleast_1d(np.asarray(policy(y), dtype=float))
             states.append(y.copy())
             controls.append(u.copy())
-            partial.append((t, y.copy(), u.copy()))
             y = step(problem, y, u)
         except (AssumptionIViolation, AssumptionIIViolation, InadmissibleTransition) as exc:
+            partial = [(t, s, c) for t, (s, c) in enumerate(zip(states, controls))]
             raise RolloutAborted(partial, exc) from exc
 
     states = np.array(states)
@@ -295,8 +291,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     return states, controls, meta
 
 
-def write_trajectory_svg(path, roll: Rollout, measure: Optional[AtomicMeasure] = None,
-                         size: int = 480, margin: float = 24.0) -> None:
+def write_trajectory_svg(path, roll: Rollout, measure: Optional[AtomicMeasure] = None) -> None:
     """State trajectory as an SVG polyline with atoms as weight-scaled circles.
 
     Two-dimensional states plot as (y1, y2); one-dimensional states plot
@@ -322,6 +317,7 @@ def write_trajectory_svg(path, roll: Rollout, measure: Optional[AtomicMeasure] =
     lo_y, hi_y = float(all_y.min()), float(all_y.max())
     span_x = hi_x - lo_x or 1.0
     span_y = hi_y - lo_y or 1.0
+    size, margin = _SVG_SIZE, _SVG_MARGIN
     inner = size - 2 * margin
 
     def sx(v):

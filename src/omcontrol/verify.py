@@ -23,7 +23,7 @@ from . import model
 from .basis import MonomialBasis, constraint_columns
 from .errors import AssumptionIViolation, NotConverged
 from .model import DiscreteControlProblem, admissible_mask, control_grid_points
-from .silp import DualCertificate, GridSpec, assemble, solve
+from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
 from .synthesis import Rollout
 
 
@@ -145,27 +145,9 @@ def hamiltonian_min(problem: DiscreteControlProblem, psi: Callable, y,
     return float(vals.min())
 
 
-@dataclass
-class OccupationalMeasureApprox:
-    """Discounted visitation weights of a finite rollout, merged exactly."""
-
-    states: np.ndarray
-    controls: np.ndarray
-    weights: np.ndarray
-    horizon: int
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
-
-def occupational_measure(roll: Rollout, alpha: float) -> OccupationalMeasureApprox:
+def occupational_measure(roll: Rollout, alpha: float) -> AtomicMeasure:
     """Weights (1 - alpha) * alpha^t on visited pairs; bit-identical visits merge."""
-    merged: dict = {}
-    order: list = []
+    merged: dict = {}  # first-visit order
     for t in range(roll.horizon + 1):
         key = (roll.states[t].tobytes(), roll.controls[t].tobytes())
         w = (1.0 - alpha) * alpha ** t
@@ -173,12 +155,10 @@ def occupational_measure(roll: Rollout, alpha: float) -> OccupationalMeasureAppr
             merged[key][2] += w
         else:
             merged[key] = [roll.states[t].copy(), roll.controls[t].copy(), w]
-            order.append(key)
-    states = np.array([merged[k][0] for k in order])
-    controls = np.array([merged[k][1] for k in order])
-    weights = np.array([merged[k][2] for k in order])
-    return OccupationalMeasureApprox(states=states, controls=controls,
-                                     weights=weights, horizon=roll.horizon)
+    states = np.array([s for s, _, _ in merged.values()])
+    controls = np.array([u for _, u, _ in merged.values()])
+    weights = np.array([w for _, _, w in merged.values()])
+    return AtomicMeasure(states=states, controls=controls, weights=weights)
 
 
 def measure_residuals(measure, basis: MonomialBasis,
@@ -265,13 +245,11 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
 
 
 def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
-                    problem: DiscreteControlProblem, basis: MonomialBasis,
-                    slack: float = 0.0) -> float:
+                    problem: DiscreteControlProblem, basis: MonomialBasis) -> float:
     """Worst violation of psi(y) <= V(y) + psi(y0) - V(y0) over the grid nodes.
 
-    The check passes when the returned violation is at most ``slack``
-    (zero only for exact max-min solutions; finite bases and grid
-    interpolation both contribute).
+    Zero only for exact max-min solutions; finite bases and grid
+    interpolation both contribute, so callers compare it against a slack.
     """
     nodes = model.tensor_points(value_grid.axes)
     psi = certificate.psi(basis, nodes)
@@ -282,14 +260,12 @@ def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
 
 def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
                              problem: DiscreteControlProblem, grid,
-                             basis: MonomialBasis, control_grid,
-                             slack: float = 0.0) -> float:
+                             basis: MonomialBasis, control_grid) -> float:
     """Worst negativity of the one-step inequality after anchoring at y0.
 
     The surrogate is re-anchored so its value at the initial state equals
     ``value_at_y0``; constant shifts cancel inside the minimized
-    expression, so only the anchoring constant matters.  The check passes
-    when the returned violation is at most ``slack``.
+    expression, so only the anchoring constant matters.
     """
     psi = functools.partial(certificate.psi, basis)
     psi0 = psi(problem.initial_state)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -44,6 +46,36 @@ class TestConfigParsing:
         p = tmp_path / "c.cfg"
         p.write_text("nonsense = 1\n")
         with pytest.raises(ValueError):
+            cli.read_config_file(p)
+
+    @pytest.mark.parametrize("field", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name)
+    def test_every_field_is_a_config_key(self, tmp_path, field):
+        hint = typing.get_type_hints(cli.RunConfig)[field.name]
+        scalar = {int: "7", float: "0.5", str: "shift"}
+        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            text, expected = f"{scalar[item]}, {scalar[item]}", (item(scalar[item]),) * 2
+        else:
+            text, expected = scalar[kind], kind(scalar[kind])
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{field.name} = {text}\n")
+        value = getattr(cli.read_config_file(p), field.name)
+        assert repr(value) == repr(expected)  # repr tells 7 from 7.0 and tuple from list
+
+    def test_every_flag_is_a_field(self):
+        fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        for sub in commands.values():
+            dests |= {a.dest for a in sub._actions if a.dest != "help"}
+        assert dests - fields == {"config", "command", "candidate_grid"}
+
+    def test_seed_is_not_a_key(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 0\n")
+        with pytest.raises(ValueError, match="unknown key"):
             cli.read_config_file(p)
 
     def test_defaults_resolved_per_problem(self):
@@ -97,6 +129,29 @@ class TestPipeline:
         min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp,
                                             cand, cfg.tol, measure)
         assert doc["max_dual_violation"] == max(0.0, -min_rc)
+
+    def test_epsilon_sets_horizon_unless_steps_given(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        base = ["--problem", "shift", "--out", out]
+        assert cli.main(["solve"] + base) == 0
+        assert cli.main(["rollout"] + base + ["--epsilon", "1e-12"]) == 0
+        assert "horizon 40," in capsys.readouterr().out
+        assert cli.main(["rollout"] + base + ["--epsilon", "1e-12", "--steps", "7"]) == 0
+        assert "horizon 7," in capsys.readouterr().out
+
+    def test_strong_duality_rederived_from_atoms(self, tmp_path):
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve"] + base) == 0
+        assert cli.main(["rollout"] + base) == 0
+        sol = json.loads((out / "solution.json").read_text())
+        for atom in sol["atoms"]:
+            if atom[0][0] > 0:
+                atom[2] *= 1.5
+        (out / "solution.json").write_text(json.dumps(sol))
+        assert cli.main(["verify"] + base) == 1
+        report = (out / "report.txt").read_text()
+        assert "FAIL strong duality" in report
 
     def test_heuristic_rollout(self, tmp_path):
         out = tmp_path / "run"

@@ -6,7 +6,7 @@ import pytest
 from omcontrol import (AtomicMeasure, CandidateSpec, EmptyMeasure, GridSpec,
                        InsufficientGrid, MonomialBasis, NonConverged,
                        assemble, builtin_problem, discard_small_atoms,
-                       reduced_costs, refine, solve, solve_refined)
+                       reduced_costs, solve, solve_refined)
 from omcontrol.silp import solution_from_json, solution_to_json
 
 
@@ -121,10 +121,12 @@ class TestRefine:
     def test_converged_when_tolerance_huge(self):
         p = shift_problem()
         b = MonomialBasis(1, 3)
-        lp = assemble(p, b, GridSpec(state=(21,), control=(21,)))
-        _, cert = solve(lp)
-        assert refine(p, b, lp, cert, CandidateSpec(state=(41,), control=(41,)),
-                      tol=np.inf) is None
+        history = []
+        _, _, rounds = solve_refined(p, b, GridSpec(state=(21,), control=(21,)),
+                                     CandidateSpec(state=(41,), control=(41,)),
+                                     tol=np.inf, history=history)
+        assert rounds == 1  # the first scan appends no column
+        assert len(history) == 1
 
     def test_refinement_recovers_missing_initial_atom(self):
         # coarse states miss y0 = 0.4; the candidate lattice contains it and the
@@ -132,17 +134,13 @@ class TestRefine:
         p = shift_problem()
         b = MonomialBasis(1, 3)
         coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        lp = assemble(p, b, GridSpec(state=coarse, control=coarse))
-        values = []
         cand = CandidateSpec(state=(41,), control=(41,), max_new_columns=8)
-        for _ in range(20):
-            measure, cert = solve(lp)
-            values.append(measure.value(p))
-            nxt = refine(p, b, lp, cert, cand, tol=1e-9, measure=measure)
-            if nxt is None:
-                break
-            lp = nxt
-        assert nxt is None, "refinement did not converge"
+        history = []
+        # raises NonConverged unless the candidate set certifies within 20 rounds
+        measure, _, _ = solve_refined(p, b, GridSpec(state=coarse, control=coarse), cand,
+                                      tol=1e-9, max_rounds=20, history=history)
+        values = [record["value"] for record in history]
+        assert history[-1]["max_violation"] <= 1e-9
         assert values[0] > 0.2 + 1e-6          # the coarse grid is strictly worse
         assert values[-1] == pytest.approx(0.2, abs=1e-9)
         assert np.all(np.diff(values) <= 1e-9)  # column addition never increases the min
