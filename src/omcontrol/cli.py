@@ -191,8 +191,6 @@ def _load_solution(cfg: RunConfig):
 
 def cmd_rollout(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
-    if cfg.steps is not None and cfg.steps < 1:
-        raise ValueError("steps must be at least 1")
     problem, basis = _build(cfg)
     measure, certificate, _ = _load_solution(cfg)
 

@@ -155,14 +155,17 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     )
 
 
-def solve(lp: FiniteLP, pivot_tol: float = 1e-9) -> tuple[AtomicMeasure, DualCertificate]:
+def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
+          sift: bool = False) -> tuple[AtomicMeasure, DualCertificate]:
     """Solve the finite LP; atoms are the positive basic variables.
 
     The dual of the normalization row is the optimal value ``mu``; the
     duals of the test-function rows give the surrogate coefficients (sign
     flipped so that the reduced cost reads g + shifted surrogate - mu).
+    ``sift`` selects the sifted Phase II of ``solve_equality_lp``: the same
+    ``mu``, but not necessarily the same optimal vertex or certificate.
     """
-    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol)
+    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, sift=sift)
     x = np.where(np.abs(res.x) < _WEIGHT_CLIP, 0.0, res.x)
     support = np.nonzero(x > 0.0)[0]
     measure = AtomicMeasure(

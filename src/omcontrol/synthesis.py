@@ -186,19 +186,20 @@ def rollout(problem: DiscreteControlProblem, policy: Callable,
 
     The horizon is ``steps`` when given, otherwise the smallest T whose
     discounted-tail bound drops below ``epsilon`` (default 1e-3 of the
-    worst-case total cost).  Admissibility is re-verified at every step; a
-    policy failure aborts with the partial trajectory attached.
+    worst-case total cost); either way it must be at least 1.
+    Admissibility is re-verified at every step; a policy failure aborts
+    with the partial trajectory attached.
     """
     alpha = problem.discount
     g_max = cost_bound(problem)
     if steps is not None:
         horizon = int(steps)
-        if horizon < 0:
-            raise ValueError("steps must be nonnegative")
     else:
         if epsilon is None:
             epsilon = 1e-3 * g_max / (1.0 - alpha)
         horizon = truncation_horizon(alpha, g_max, epsilon)
+    if horizon < 1:
+        raise ValueError(f"rollout horizon must be at least 1, got {horizon}")
 
     states, controls = [], []
     y = problem.initial_state.copy()

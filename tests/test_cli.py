@@ -228,6 +228,14 @@ class TestErrorPaths:
         assert cli.main(["rollout", "--config", cfg_path, "--steps", "0"]) == 1
         assert "at least 1" in capsys.readouterr().err
 
+    def test_horizon_zero_from_epsilon_rejected(self, tmp_path, capsys):
+        # epsilon large enough for a zero truncation horizon meets the same floor as --steps
+        out = str(tmp_path / "run")
+        base = ["--problem", "shift", "--out", out]
+        assert cli.main(["solve"] + base) == 0
+        assert cli.main(["rollout"] + base + ["--epsilon", "10"]) == 1
+        assert "at least 1" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path):
         out = tmp_path / "run"
         cfg_path = shift_config(tmp_path, out)

@@ -84,9 +84,15 @@ class TestSmallFixtures:
             solve_equality_lp(A, b, c, max_pivots=0)
 
 
+def seed_cases(seeds):
+    """(seed, sift) cases: full pricing under the bare seed id, sifting under "<seed>-sift"."""
+    return ([pytest.param(s, False, id=str(s)) for s in seeds]
+            + [pytest.param(s, True, id=f"{s}-sift") for s in seeds])
+
+
 class TestAgainstScipy:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_random_feasible_instances(self, seed):
+    @pytest.mark.parametrize("seed, sift", seed_cases(range(25)))
+    def test_random_feasible_instances(self, seed, sift):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 8))
         n = int(rng.integers(m + 1, 40))
@@ -95,7 +101,7 @@ class TestAgainstScipy:
         c = rng.normal(size=n)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         try:
-            mine = solve_equality_lp(A, b, c)
+            mine = solve_equality_lp(A, b, c, sift=sift)
         except LpUnbounded:
             assert ref.status == 3
             return
@@ -104,8 +110,8 @@ class TestAgainstScipy:
         np.testing.assert_allclose(A @ mine.x, b, atol=1e-8)
         assert mine.x.min() >= -1e-12
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_normalized_instances(self, seed):
+    @pytest.mark.parametrize("seed, sift", seed_cases(range(10)))
+    def test_random_normalized_instances(self, seed, sift):
         # the shape used by the measure LPs: zero rows plus a sum-to-one row
         rng = np.random.default_rng(100 + seed)
         m, n = 6, 60
@@ -115,10 +121,31 @@ class TestAgainstScipy:
         c = rng.normal(size=n)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         try:
-            mine = solve_equality_lp(A, b, c)
+            mine = solve_equality_lp(A, b, c, sift=sift)
         except LpInfeasible:
             assert ref.status == 2
             return
         assert ref.status == 0
         assert mine.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
         assert mine.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSifting:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_lp_matches_full_pricing(self, seed):
+        # far more columns than rows, the shape sifting is for: several
+        # working-set passes before full pricing finds no negative reduced cost
+        rng = np.random.default_rng(200 + seed)
+        m, n = 6, 5_000
+        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        full = solve_equality_lp(A, b, c)
+        sifted = solve_equality_lp(A, b, c, sift=True)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert sifted.value == pytest.approx(full.value, abs=1e-9)
+        assert sifted.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+        assert (c - sifted.duals @ A).min() >= -1e-9  # dual feasible on every column
+        np.testing.assert_allclose(A @ sifted.x, b, atol=1e-8)
+        assert sifted.x.min() >= 0.0

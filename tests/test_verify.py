@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from omcontrol import (AssumptionIViolation, AtomicMeasure, Box,
                        check_psi_bound, check_shifted_inequality,
                        hamiltonian_min, measure_residuals,
                        occupational_measure, rollout, solve, value_iteration)
-from omcontrol.model import tensor_points
-from omcontrol.verify import trajectory_residual_bound
+from omcontrol import verify
+from omcontrol.model import admissible_controls, tensor_points
+from omcontrol.verify import estimate_kappa, trajectory_residual_bound
 
 
 def shift_problem(alpha=0.5, y0=0.4):
@@ -100,6 +103,30 @@ class TestHamiltonian:
         for y in tensor_points(grid.axes)[::5]:
             h = hamiltonian_min(p, grid, y, (21,))
             assert h - (1 - p.discount) * grid(y) == pytest.approx(0.0, abs=1e-9)
+
+
+    def test_batch_matches_per_state_loop(self):
+        # the per-state formula over admissible_controls is the reference, bit for bit
+        p = builtin_problem("example1")
+        b = MonomialBasis(2, 4)
+        lam = np.random.default_rng(3).normal(size=b.count)
+        psi = functools.partial(DualCertificate(lam=lam, mu=0.0).psi, b)
+        states = p.state_region.grid((9, 9))
+        expected = []
+        for y in states:
+            u = admissible_controls(p, y, (7, 7))
+            ys = np.broadcast_to(y, u.shape)
+            expected.append((p.g(ys, u) + p.discount * (psi(p.f(ys, u)) - psi(y))).min())
+        np.testing.assert_array_equal(hamiltonian_min(p, psi, states, (7, 7)), expected)
+
+    def test_batch_with_stuck_state_raises(self):
+        p = DiscreteControlProblem(
+            state_dim=1, dynamics=lambda y, u: y + u, cost=lambda y, u: y[..., 0],
+            state_region=Box([0.0], [1.0]), control_region=Box([0.5], [1.0]),
+            discount=0.5, initial_state=[0.0])
+        with pytest.raises(AssumptionIViolation) as err:
+            hamiltonian_min(p, lambda y: np.zeros(len(y)), [[0.0], [0.8], [0.9]], (3,))
+        assert err.value.state == (0.8,)
 
 
 class TestOccupationalMeasure:
@@ -266,3 +293,28 @@ class TestOracleBracket:
         _, cert = solve(assemble(p, b, GridSpec(state=(21,), control=(21,))))
         oracle = value_iteration(p, (21,), (21,), tol=1e-10)
         assert abs(cert.mu / (1 - p.discount) - oracle(p.initial_state)) <= 1e-9
+
+
+class TestKappa:
+    @pytest.mark.parametrize("name, degree, grid, vi_grid", [
+        ("shift", 3, (21,), (21,)),   # CLI defaults
+        ("example1", 3, (7,), (11,)),
+    ], ids=["shift", "example1"])
+    def test_sifted_estimate_matches_full_resolve(self, monkeypatch, name, degree,
+                                                  grid, vi_grid):
+        p = builtin_problem(name)
+        b = MonomialBasis(p.state_dim, degree)
+        spec = GridSpec(state=grid, control=grid)
+        _, cert = solve(assemble(p, b, spec))
+        oracle_value = value_iteration(p, vi_grid, vi_grid, tol=1e-8)(p.initial_state)
+        sifted = estimate_kappa(p, b, spec, cert.mu, oracle_value)
+
+        full_solve = verify.solve
+
+        def full_pricing(lp, pivot_tol, sift):
+            assert sift
+            return full_solve(lp, pivot_tol=pivot_tol)
+
+        monkeypatch.setattr(verify, "solve", full_pricing)
+        full = estimate_kappa(p, b, spec, cert.mu, oracle_value)
+        assert sifted == pytest.approx(full, abs=1e-9)
