@@ -83,6 +83,24 @@ def _interp_table(axes, pts, interpolation):
     return idx, wgt
 
 
+def _distinct_rows(points):
+    """Distinct rows of a (K, m) float array by bit pattern, and the (K,) inverse map.
+
+    Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
+    ``distinct[inverse]`` has exactly the bytes of ``points``.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    bits = points.view(np.uint64)
+    order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return points[order[first]], inverse
+
+
 def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
                     tol: float = 1e-8, max_iter: int = 20_000,
                     interpolation: str = "multilinear") -> ValueFunctionGrid:
@@ -91,6 +109,13 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     Sweeps are synchronous; iteration stops once the sup-norm successive
     difference falls below tol * (1 - alpha) / alpha, which bounds the
     distance to the fixed point by tol via the contraction rate alpha.
+
+    Many (node, control) pairs share a successor f(y, u) (on example1's
+    41^2 x 21^2 grid, 36,100 distinct successors serve 741,321 pairs), so
+    each sweep interpolates every distinct successor once and scatters the
+    result to its pairs.  Every pair still gets the same products, the same
+    summation order and the same additions as a per-pair sweep, so values
+    and sweep_diffs match it bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -107,13 +132,14 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     rep_states = np.repeat(nodes, kc, axis=0)
     rep_controls = np.tile(controls, (kn, 1))
     mask = admissible_mask(problem, rep_states, rep_controls).reshape(kn, kc)
-    for i in range(kn):
-        if not mask[i].any():
-            raise AssumptionIViolation(tuple(nodes[i]))
-    successors = problem.f(rep_states, rep_controls)
+    stuck = np.nonzero(~mask.any(axis=1))[0]
+    if stuck.size:
+        raise AssumptionIViolation(tuple(nodes[stuck[0]]))
+    distinct, inverse = _distinct_rows(problem.f(rep_states, rep_controls))
+    inverse = inverse.reshape(kn, kc)
     stage = problem.g(rep_states, rep_controls).reshape(kn, kc)
     stage = np.where(mask, stage, np.inf)
-    idx, wgt = _interp_table(axes, successors, interpolation)
+    idx, wgt = _interp_table(axes, distinct, interpolation)
 
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(kn)
@@ -121,9 +147,12 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     threshold = tol * (1.0 - alpha) / alpha
     grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape),
                              interpolation=interpolation, sweep_diffs=diffs)
+    backup = np.empty((kn, kc))
     for _ in range(max_iter):
-        cont = (values[idx] * wgt).sum(axis=1).reshape(kn, kc)
-        new = np.min(stage + alpha * cont, axis=1)
+        cont = alpha * (values[idx] * wgt).sum(axis=1)
+        np.take(cont, inverse, out=backup)
+        np.add(stage, backup, out=backup)
+        new = backup.min(axis=1)
         diff = float(np.abs(new - values).max())
         diffs.append(diff)
         values = new
@@ -232,25 +261,27 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     scan_states = np.repeat(nodes, len(cg), axis=0)
     scan_controls = np.tile(cg, (len(nodes), 1))
     mask = admissible_mask(problem, scan_states, scan_controls)
+    psi_roll = psi(roll.states)
+    # psi is evaluated pointwise, so one value per node serves all its controls
+    scan_psi_y = np.concatenate([np.repeat(psi(nodes), len(cg))[mask], psi_roll])
     scan_states = np.vstack([scan_states[mask], roll.states])
     scan_controls = np.vstack([scan_controls[mask], roll.controls])
 
-    def one_step(states, controls):
+    def one_step(states, controls, psi_y):
         psi_f = psi(problem.f(states, controls))
-        psi_y = psi(states)
         return problem.g(states, controls) + alpha * psi_f - psi_y
 
-    scan_min = float(one_step(scan_states, scan_controls).min())
-    stationarity = one_step(roll.states, roll.controls) - scan_min
+    scan_min = float(one_step(scan_states, scan_controls, scan_psi_y).min())
+    stationarity = one_step(roll.states, roll.controls, psi_roll) - scan_min
 
-    diff = psi(roll.states) - value_grid(roll.states)
+    diff = psi_roll - value_grid(roll.states)
     value_std = float(np.std(diff))
 
     v0 = value_grid(problem.initial_state)
     psi0 = psi(problem.initial_state)
     target = (1.0 - alpha) * (v0 - psi0)
     ham = hamiltonian_min(problem, psi, roll.states, cg) \
-        - (1.0 - alpha) * psi(roll.states) - target
+        - (1.0 - alpha) * psi_roll - target
     return OptimalityReport(stationarity=stationarity, value_agreement_std=value_std,
                             hamiltonian=np.abs(ham), kappa_tol=kappa_tol)
 

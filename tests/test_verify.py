@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omcontrol import (AssumptionIViolation, AtomicMeasure, Box,
+from omcontrol import (AssumptionIViolation, AtomicMeasure, Box, CandidateSpec,
                        DiscreteControlProblem, DualCertificate, GridSpec,
                        MonomialBasis, NotConverged, Rollout, assemble,
                        builtin_problem, check_optimality_conditions,
                        check_psi_bound, check_shifted_inequality,
-                       hamiltonian_min, measure_residuals,
-                       occupational_measure, rollout, solve, value_iteration)
-from omcontrol import verify
-from omcontrol.model import admissible_controls, tensor_points
+                       hamiltonian_min, measure_residuals, minimizer_policy,
+                       occupational_measure, rollout, solve, solve_refined,
+                       value_iteration)
+from omcontrol import cli, verify
+from omcontrol.model import (admissible_controls, admissible_mask,
+                             control_grid_points, tensor_points)
 from omcontrol.verify import estimate_kappa, trajectory_residual_bound
 
 
@@ -30,6 +32,61 @@ def shift_exact_certificate(alpha=0.5, y0=0.4, degree=3):
 
 def optimal_shift_rollout(p, steps=20):
     return rollout(p, lambda y: np.array([0.0]), steps=steps)
+
+
+def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000,
+                             interpolation="multilinear"):
+    """Reference sweep: every (node, control) pair interpolates its successor every sweep."""
+    axes = tuple(p.state_region.axes(state_grid))
+    nodes = tensor_points(axes)
+    controls = control_grid_points(p, control_grid)
+    kn, kc = len(nodes), len(controls)
+    states = np.repeat(nodes, kc, axis=0)
+    pair_controls = np.tile(controls, (kn, 1))
+    mask = admissible_mask(p, states, pair_controls).reshape(kn, kc)
+    stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
+    idx, wgt = verify._interp_table(axes, p.f(states, pair_controls), interpolation)
+    values, diffs = np.zeros(kn), []
+    threshold = tol * (1.0 - p.discount) / p.discount
+    for _ in range(max_iter):
+        cont = (values[idx] * wgt).sum(axis=1).reshape(kn, kc)
+        new = np.min(stage + p.discount * cont, axis=1)
+        diffs.append(float(np.abs(new - values).max()))
+        values = new
+        if diffs[-1] <= threshold:
+            break
+    return values, diffs
+
+
+def one_d_problem(dynamics, controls=(-0.5, 0.5), states=(0.0, 1.0)):
+    return DiscreteControlProblem(
+        state_dim=1, dynamics=dynamics,
+        cost=lambda y, u: (y[..., 0] - 0.3) ** 2 + 0.1 * u[..., 0],
+        state_region=Box([states[0]], [states[1]]),
+        control_region=Box([controls[0]], [controls[1]]),
+        discount=0.8, initial_state=[0.5])
+
+
+def per_pair_optimality_residuals(p, roll, cert, value_grid, basis, control_grid):
+    """Reference stationarity and one-step identity: psi(y) evaluated for every scanned pair."""
+    alpha = p.discount
+    psi = functools.partial(cert.psi, basis)
+    nodes = tensor_points(value_grid.axes)
+    cg = control_grid_points(p, control_grid)
+    scan_states = np.repeat(nodes, len(cg), axis=0)
+    scan_controls = np.tile(cg, (len(nodes), 1))
+    mask = admissible_mask(p, scan_states, scan_controls)
+    scan_states = np.vstack([scan_states[mask], roll.states])
+    scan_controls = np.vstack([scan_controls[mask], roll.controls])
+
+    def one_step(states, controls):
+        return p.g(states, controls) + alpha * psi(p.f(states, controls)) - psi(states)
+
+    stationarity = one_step(roll.states, roll.controls) \
+        - float(one_step(scan_states, scan_controls).min())
+    target = (1.0 - alpha) * (value_grid(p.initial_state) - psi(p.initial_state))
+    ham = hamiltonian_min(p, psi, roll.states, cg) - (1.0 - alpha) * psi(roll.states) - target
+    return stationarity, np.abs(ham)
 
 
 class TestValueIteration:
@@ -81,6 +138,40 @@ class TestValueIteration:
         p = shift_problem()
         grid = value_iteration(p, (21,), (21,), tol=1e-8, interpolation="nearest")
         assert grid(p.initial_state) == pytest.approx(0.4, abs=1e-8)
+
+    @pytest.mark.parametrize("problem, state_grid, control_grid, interpolation", [
+        (lambda: builtin_problem("example1"), (11, 11), (5, 5), "multilinear"),
+        (shift_problem, (21,), (21,), "multilinear"),
+        (shift_problem, (21,), (21,), "nearest"),
+        # y + u leaves [0, 1] for some pairs; u = 0 keeps every node admissible
+        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), "multilinear"),
+        # successors 0.0 for y > 0 and -0.0 otherwise
+        (lambda: one_d_problem(lambda y, u: np.where(y > 0, u, -u), controls=(-1.0, 1.0),
+                               states=(-1.0, 1.0)), (11,), (5,), "multilinear"),
+    ], ids=["example1", "shift", "shift-nearest", "inadmissible-pairs", "signed-zero"])
+    def test_matches_per_pair_sweep_bitwise(self, problem, state_grid, control_grid,
+                                            interpolation):
+        p = problem()
+        grid = value_iteration(p, state_grid, control_grid, tol=1e-8,
+                               interpolation=interpolation)
+        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8,
+                                                 interpolation=interpolation)
+        assert grid.values.tobytes() == values.tobytes()
+        assert grid.sweep_diffs == diffs
+
+    def test_not_converged_iterate_matches_per_pair_sweep_bitwise(self):
+        p = builtin_problem("example1")
+        with pytest.raises(NotConverged) as err:
+            value_iteration(p, (11, 11), (5, 5), tol=1e-10, max_iter=3)
+        values, diffs = per_pair_value_iteration(p, (11, 11), (5, 5), 1e-10, max_iter=3)
+        assert err.value.grid.values.tobytes() == values.tobytes()
+        assert err.value.grid.sweep_diffs == diffs
+
+    def test_distinct_rows_keep_signed_zeros_apart(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
+        distinct, inverse = verify._distinct_rows(pts)
+        assert len(distinct) == 4
+        assert distinct[inverse].tobytes() == pts.tobytes()
 
 
 class TestHamiltonian:
@@ -240,6 +331,36 @@ class TestOptimalityConditions:
                                           (21,), kappa_tol=1e-9)
         assert rep.stationarity[3] > base.stationarity[3] + 0.1
         assert rep.stationarity[3] > max(rep.stationarity[2], rep.stationarity[4])
+
+    def test_shift_cli_defaults_match_per_pair_psi_bitwise(self):
+        cfg = cli.RunConfig(problem="shift").resolved()
+        p = builtin_problem("shift", alpha=cfg.alpha, y0=cfg.y0)
+        b = MonomialBasis(1, cfg.degree)
+        _, cert, _ = solve_refined(
+            p, b, GridSpec(state=cfg.state_grid, control=cfg.control_grid),
+            CandidateSpec(state=cfg.candidate_state, control=cfg.candidate_control,
+                          max_new_columns=cfg.batch),
+            tol=cfg.tol, max_rounds=cfg.max_rounds, pivot_tol=cfg.pivot_tol)
+        roll = rollout(p, minimizer_policy(p, b, cert, cfg.rollout_control_grid),
+                       steps=cfg.steps)
+        oracle = value_iteration(p, cfg.vi_state_grid, cfg.vi_control_grid, tol=1e-8)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b, cfg.vi_control_grid,
+                                          cfg.slack)
+        stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b,
+                                                          cfg.vi_control_grid)
+        assert rep.stationarity.tobytes() == stationarity.tobytes()
+        assert rep.hamiltonian.tobytes() == ham.tobytes()
+
+    def test_example1_matches_per_pair_psi_bitwise(self):
+        p = builtin_problem("example1")
+        b = MonomialBasis(2, 3)
+        _, cert = solve(assemble(p, b, GridSpec(state=(7, 7), control=(7, 7))))
+        roll = rollout(p, minimizer_policy(p, b, cert, (21, 21)), steps=20)
+        oracle = value_iteration(p, (11, 11), (5, 5), tol=1e-6)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b, (5, 5), 0.25)
+        stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b, (5, 5))
+        assert rep.stationarity.tobytes() == stationarity.tobytes()
+        assert rep.hamiltonian.tobytes() == ham.tobytes()
 
 
 class TestPsiBound:
