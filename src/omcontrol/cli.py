@@ -151,6 +151,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         pivot_tol=cfg.pivot_tol, history=history)
     value = measure.value(problem)
     violation = history[-1]["max_violation"]
+    margin = history[-1]["margin"]
+    pivots = sum(record["pivots"] + record["selection_pivots"] for record in history)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,6 +178,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"value / (1-alpha)  {value * scale:.6f}",
         f"atoms              {len(measure)}",
         f"max dual violation {violation:.3e}",
+        f"lp pivots          {pivots}",
+        "certificate margin " + ("n/a (unique dual)" if margin is None else f"{margin:.3e}"),
     ]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))

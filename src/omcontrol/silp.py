@@ -6,9 +6,17 @@ identically zero and omitted) plus a probability-normalization row.
 ``solve`` runs the dense simplex and extracts the primal atomic measure
 together with the dual certificate (the coefficient vector of the
 polynomial surrogate and the optimal value).  ``solve_refined`` is the
-cutting-plane loop: it prices a dense candidate set against the
-certificate, appends the most-violating admissible points and re-solves
-until the certificate is dually feasible on the candidate set.
+cutting-plane loop (column generation): it prices a dense candidate set
+against the certificate, appends the most-violating admissible points
+and re-solves, each round resuming Phase II from the previous optimal
+basis, until the certificate is dually feasible on the candidate set.
+
+When the dual is degenerate, the vertex the simplex stops at is one of
+many optimal duals, and its surrogate can be dually infeasible between
+the candidate points.  ``select_certificate`` therefore replaces it by
+the dual on the optimal face with the largest margin off the support,
+so the certificate does not depend on the pivot path; the candidates are
+priced again against that choice before it is accepted.
 """
 
 from __future__ import annotations
@@ -23,10 +31,11 @@ from . import model
 from .basis import MonomialBasis, constraint_columns
 from .errors import EmptyMeasure, InsufficientGrid, NonConverged
 from .model import DiscreteControlProblem, admissible_mask
-from .simplex import solve_equality_lp
+from .simplex import LpResult, solve_equality_lp
 
 _SCAN_CHUNK = 1 << 16
 _WEIGHT_CLIP = 1e-12
+_SUPPORT_TOL = 1e-9  # selection pins rc = 0 above this weight; atoms of 1e-12 are round-off
 
 
 @dataclass(frozen=True)
@@ -155,8 +164,8 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     )
 
 
-def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
-          sift: bool = False) -> tuple[AtomicMeasure, DualCertificate]:
+def solve(lp: FiniteLP, pivot_tol: float = 1e-9, sift: bool = False, start=None,
+          results: Optional[list] = None) -> tuple[AtomicMeasure, DualCertificate]:
     """Solve the finite LP; atoms are the positive basic variables.
 
     The dual of the normalization row is the optimal value ``mu``; the
@@ -164,8 +173,13 @@ def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
     flipped so that the reduced cost reads g + shifted surrogate - mu).
     ``sift`` selects the sifted Phase II of ``solve_equality_lp``: the same
     ``mu``, but not necessarily the same optimal vertex or certificate.
+    ``start`` is a basis to resume Phase II from (see ``solve_equality_lp``),
+    and ``results``, when given, receives the solver's ``LpResult``.
     """
-    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, sift=sift)
+    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, sift=sift,
+                            start=start)
+    if results is not None:
+        results.append(res)
     x = np.where(np.abs(res.x) < _WEIGHT_CLIP, 0.0, res.x)
     support = np.nonzero(x > 0.0)[0]
     measure = AtomicMeasure(
@@ -176,6 +190,50 @@ def solve(lp: FiniteLP, pivot_tol: float = 1e-9,
     lam = np.concatenate([[0.0], -res.duals[:-1]])
     certificate = DualCertificate(lam=lam, mu=float(res.duals[-1]))
     return measure, certificate
+
+
+def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate,
+                       pivot_tol: float = 1e-9) -> tuple[DualCertificate, Optional[float], int]:
+    """The max-margin certificate on the optimal face of the solved ``lp``.
+
+    With S the columns of weight above ``_SUPPORT_TOL`` in ``res`` and
+    ``mu`` fixed, it solves  max t  s.t.  rc_j = 0 on S, rc_j >= t off S,
+    t <= 1, which aims at a strictly complementary dual (Goldman-Tucker),
+    so that the reduced cost vanishes only on the support.  Returns
+    (certificate, t*, pivots); when |S| equals the row count the dual is
+    unique and ``certificate`` comes back unchanged with t* = None.
+
+    The LP solved is the dual of that problem, in equality form over the
+    rows of ``lp``: the test-function rows keep their coefficients and the
+    normalization row becomes the row of t.  Its columns are the LP's
+    columns (coefficient 1 in the t row off S, 0 on S), a negated copy of
+    the S columns (the free multipliers of the equalities) and a column w
+    for t <= 1.  Every variable at 0 except w = 1 is feasible, so it starts
+    from the LP's basis with its heaviest column swapped for w, with no
+    Phase I.  That swap keeps the basis nonsingular: the normalization row
+    is the LP's only nonzero right-hand side, so a basic weight is the
+    column's cofactor in that row over det B, nonzero when positive.
+    """
+    support = np.nonzero(res.x > _SUPPORT_TOL)[0]
+    rows, n, s = lp.n_rows, lp.n_columns, support.size
+    if s == rows:
+        return certificate, None, 0
+    shifted = lp.cost - certificate.mu * lp.matrix[-1]
+    matrix = np.empty((rows, n + s + 1))
+    matrix[:-1, :n] = lp.matrix[:-1]
+    matrix[-1, :n] = 1.0
+    matrix[-1, support] = 0.0
+    matrix[:-1, n:n + s] = -lp.matrix[:-1, support]
+    matrix[:-1, -1] = 0.0
+    matrix[-1, n:] = 0.0
+    matrix[-1, -1] = 1.0
+    cost = np.concatenate([shifted, -shifted[support], [1.0]])
+    start = res.basis.copy()
+    start[np.argmax(res.x[start])] = n + s
+    sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, sift=True,
+                            start=start)
+    lam = np.concatenate([[0.0], -sel.duals[:-1]])
+    return DualCertificate(lam=lam, mu=certificate.mu), float(sel.duals[-1]), sel.pivots
 
 
 def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
@@ -301,17 +359,36 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                   history: Optional[list] = None) -> tuple[AtomicMeasure, DualCertificate, int]:
     """Solve, append the worst candidate violators and re-solve until none is left.
 
-    ``history``, when given, collects one record per round with the primal
-    value, dual value, atom count and the scan's worst violation.
+    Each round resumes Phase II from the previous round's optimal basis,
+    which stays feasible because a round only appends columns.  When the
+    scan finds no violator, ``select_certificate`` picks the max-margin
+    dual on the optimal face and the candidates are priced again against
+    it; violators found then are appended and the loop goes on, so the
+    certificate returned is always one the scan passed.
+
+    ``history``, when given, collects one record per round: the primal
+    value, dual value, atom count, LP columns, the worst violation of the
+    last scan, the LP's pivots, whether its start basis was accepted
+    (``warm``), and the selection's ``margin`` t* and ``selection_pivots``
+    (None and 0 when no selection ran or the dual was unique).
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     lp = assemble(problem, basis, grid_spec)
-    measure = certificate = None
+    measure = certificate = start = None
     for rounds in range(1, max_rounds + 1):
-        measure, certificate = solve(lp, pivot_tol=pivot_tol)
+        results: list = []
+        measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
+        res = results[0]
         min_rc, ys, us = scan_candidates(problem, basis, certificate, lp,
                                          candidate_spec, tol, measure)
+        margin, selection_pivots = None, 0
+        if min_rc >= -tol:
+            certificate, margin, selection_pivots = select_certificate(
+                lp, res, certificate, pivot_tol)
+            if margin is not None:
+                min_rc, ys, us = scan_candidates(problem, basis, certificate, lp,
+                                                 candidate_spec, tol, measure)
         if history is not None:
             history.append({
                 "round": rounds,
@@ -320,10 +397,15 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                 "atoms": len(measure),
                 "columns": lp.n_columns,
                 "max_violation": max(0.0, -min_rc),
+                "pivots": res.pivots,
+                "warm": res.warm,
+                "margin": margin,
+                "selection_pivots": selection_pivots,
             })
         if min_rc >= -tol:
             return measure, certificate, rounds
         lp = lp.extended(problem, basis, ys, us)
+        start = res.basis
     raise NonConverged(measure, certificate, max_rounds)
 
 

@@ -10,15 +10,24 @@ switches back once the objective moves again.  The basis system is
 re-solved from scratch every pivot (cheap at these sizes, and it avoids
 accumulated update error).
 
+A caller that already holds a primal feasible basis, such as the optimal
+basis of an LP whose columns it has since appended to, passes it as
+``start``: when it has one distinct column per row, is numerically
+nonsingular and is primal feasible, Phase II resumes from it with no
+Phase I.  Any other start, including the basis of a solve whose Phase I
+dropped a redundant row (it is one column short), falls back to the cold
+two-phase solve, which returns exactly what it would without a start.
+
 With ``sift=True`` Phase II runs by sifting (working-set pricing; Bixby
 et al., Oper. Res. 40(5), 1992): the pivots price only a working set of
 columns, every column is priced once each time the working set is
 optimal, and the most negative ones join it.  It stops on the same test
 as the full Phase II (no reduced cost below ``-pivot_tol`` over all
 columns), so the optimal value agrees, but the pivot path, and with it
-the optimal vertex and duals reached on a degenerate LP, differ.  Callers
-that use the duals as a certificate therefore keep full pricing; sifting
-suits LPs with far more columns than rows whose value alone is wanted.
+the optimal vertex and duals reached on a degenerate LP, differ.  It
+suits LPs with far more columns than rows whose value alone is wanted,
+or whose duals are chosen by a later step (the max-margin certificate
+selection in ``silp``).
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ class LpResult:
     value: float
     basis: np.ndarray    # structural column indices of the final basis
     pivots: int
+    warm: bool = False   # Phase II resumed from the given start basis
 
 
 def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
@@ -119,26 +129,31 @@ def _sift(A, b, c, basis, pivot_tol, max_pivots, pivots_done):
         work = np.union1d(work, entering)
 
 
-def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_000,
-                      sift: bool = False) -> LpResult:
-    """Solve min c@x s.t. A@x = b, x >= 0 by the two-phase dense simplex.
+def _feasible_start(A, b, start, pivot_tol):
+    """``start`` as an index array if it is a usable Phase-II start, else None.
 
-    ``sift`` runs Phase II by sifting (see the module docstring): the same
-    optimal value on wide LPs in far fewer column pricings, but not the
-    same optimal vertex or duals as the full Phase II on a degenerate LP.
+    Usable means one distinct column per row, a numerically nonsingular
+    basis matrix and basic values no lower than ``-pivot_tol``.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP shapes")
+    basis = np.asarray(start, dtype=np.int64).ravel()
+    if basis.size != m or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n:
+        return None
+    B = A[:, basis]
+    if np.linalg.matrix_rank(B) < m:
+        return None
+    xB = np.linalg.solve(B, b)
+    return basis.copy() if xB.min() >= -pivot_tol else None
 
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
 
-    # Phase I over [A | I] with artificial costs.
+def _phase_one(A, b, pivot_tol, max_pivots):
+    """Phase I over [A | I] with artificial costs: (basis, kept rows, pivots).
+
+    The basis holds structural columns only.  Rows that no structural column
+    can be pivoted on are redundant; they are dropped, with their basis
+    positions, and get zero duals.
+    """
+    m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
@@ -147,8 +162,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
         raise LpInfeasible(f"phase-I residual {infeas:.3e}")
 
-    # Drive remaining artificials out of the basis; rows that cannot be
-    # pivoted on are redundant and dropped (their duals are zero).
+    # Drive remaining artificials out of the basis.
     keep_rows = np.ones(m, dtype=bool)
     for k in range(m):
         if basis[k] < n:
@@ -162,17 +176,41 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
             basis[k] = int(candidates[0])
         else:
             keep_rows[k] = False
+    return basis[keep_rows], np.nonzero(keep_rows)[0], pivots
 
-    if not keep_rows.all():
-        rows = np.nonzero(keep_rows)[0]
-        drop_positions = np.nonzero(~keep_rows)[0]
-        basis = np.delete(basis, drop_positions)
-        A = A[rows]
-        b = b[rows]
-        flip_kept = flip[rows]
+
+def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_000,
+                      sift: bool = False, start=None) -> LpResult:
+    """Solve min c@x s.t. A@x = b, x >= 0 by the two-phase dense simplex.
+
+    ``sift`` runs Phase II by sifting (see the module docstring): the same
+    optimal value on wide LPs in far fewer column pricings, but not the
+    same optimal vertex or duals as the full Phase II on a degenerate LP.
+    ``start``, a basis of one column index per row, skips Phase I when it
+    is nonsingular and primal feasible (``LpResult.warm`` says so); any
+    other start falls back to the cold two-phase solve.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    m, n = A.shape
+    if b.shape != (m,) or c.shape != (n,):
+        raise ValueError("inconsistent LP shapes")
+
+    flip = b < 0
+    if flip.any():  # A is only read below, so it is copied only to flip rows
+        A = A.copy()
+        A[flip] *= -1.0
+        b[flip] *= -1.0
+
+    basis = None if start is None else _feasible_start(A, b, start, pivot_tol)
+    warm = basis is not None
+    if warm:
+        rows, pivots = np.arange(m), 0
     else:
-        rows = np.arange(m)
-        flip_kept = flip
+        basis, rows, pivots = _phase_one(A, b, pivot_tol, max_pivots)
+        if rows.size < m:
+            A, b = A[rows], b[rows]
 
     # Phase II on structural columns only.
     if sift:
@@ -188,5 +226,6 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     x = np.zeros(n)
     x[basis] = xB
     duals = np.zeros(m)
-    duals[rows] = np.where(flip_kept, -y, y)
-    return LpResult(x=x, duals=duals, value=float(c @ x), basis=basis.copy(), pivots=pivots)
+    duals[rows] = np.where(flip[rows], -y, y)
+    return LpResult(x=x, duals=duals, value=float(c @ x), basis=basis.copy(), pivots=pivots,
+                    warm=warm)

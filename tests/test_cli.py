@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from omcontrol import cli, silp
+from omcontrol import cli, silp, synthesis
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -162,6 +162,59 @@ class TestPipeline:
             out / "trajectory.csv")
         np.testing.assert_allclose(controls, 0.0, atol=1e-12)
         assert meta["truncated_value"] == pytest.approx(0.4, abs=1e-6)
+
+
+class TestVertexChoice:
+    """Shift at degree 8 has a degenerate dual: the optimal vertex the simplex
+    reaches decides the certificate unless one is selected on the optimal face.
+    Without selection the minimizer rollout read 1.313 (cold rounds) or 1.159
+    (warm-started rounds) against the exact 0.4, and verify failed 4 checks.
+    """
+
+    def config(self, tmp_path, out):
+        return shift_config(tmp_path, out, "degree = 8\n"
+                            "rollout_control_grid = 1001\n"
+                            "vi_state_grid = 21\n"
+                            "vi_control_grid = 21\n"
+                            "tol = 1e-6\n"
+                            "pivot_tol = 1e-9\n"
+                            "steps = 50\n"
+                            "slack = 1e-6\n"
+                            "psi_slack = 1e-6\n"
+                            "gap_slack = 1e-6\n")
+
+    def run_pipeline(self, tmp_path, monkeypatch):
+        margins = []
+        select = silp.select_certificate
+
+        def counting(*args, **kwargs):
+            out = select(*args, **kwargs)
+            margins.append(out[1])
+            return out
+
+        monkeypatch.setattr(silp, "select_certificate", counting)
+        out = tmp_path / "run"
+        cfg_path = self.config(tmp_path, out)
+        assert cli.main(["solve", "--config", cfg_path]) == 0
+        assert cli.main(["rollout", "--config", cfg_path]) == 0
+        _, _, meta = synthesis.read_trajectory_csv(out / "trajectory.csv")
+        assert meta["truncated_value"] == pytest.approx(0.4, abs=1e-9)
+        assert cli.main(["verify", "--config", cfg_path]) == 0
+        assert "FAIL" not in (out / "report.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "lp pivots" in summary and "certificate margin" in summary
+        return margins
+
+    def test_warm_started_vertex_passes_verify(self, tmp_path, monkeypatch):
+        margins = self.run_pipeline(tmp_path, monkeypatch)
+        assert margins and all(m > 0.0 for m in margins)
+
+    def test_cold_vertex_passes_verify(self, tmp_path, monkeypatch):
+        # every round solved cold: its vertex needs more than one select-and-rescan pass
+        solve = silp.solve
+        monkeypatch.setattr(silp, "solve", lambda lp, **kw: solve(lp, **{**kw, "start": None}))
+        margins = self.run_pipeline(tmp_path, monkeypatch)
+        assert len(margins) >= 2 and all(m > 0.0 for m in margins)
 
 
 class TestExample1Pipeline:

@@ -7,7 +7,7 @@ from omcontrol import (AtomicMeasure, CandidateSpec, EmptyMeasure, GridSpec,
                        InsufficientGrid, MonomialBasis, NonConverged,
                        assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
-from omcontrol.silp import solution_from_json, solution_to_json
+from omcontrol.silp import select_certificate, solution_from_json, solution_to_json
 
 
 def shift_problem():
@@ -176,6 +176,67 @@ class TestRefine:
                           tol=1e-12, max_rounds=1)
         assert err.value.rounds == 1
         assert err.value.certificate is not None
+
+    def test_history_records_pivots_warm_start_and_margin(self):
+        p = shift_problem()
+        b = MonomialBasis(1, 3)
+        coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        history = []
+        solve_refined(p, b, GridSpec(state=coarse, control=coarse),
+                      CandidateSpec(state=(41,), control=(41,)), tol=1e-9,
+                      max_rounds=20, history=history)
+        assert len(history) > 1
+        assert [r["warm"] for r in history] == [False] + [True] * (len(history) - 1)
+        assert all(isinstance(r["pivots"], int) for r in history)
+        assert history[-1]["margin"] > 0.0  # two atoms for four rows: selection ran
+
+
+def solved(lp):
+    results = []
+    _, certificate = solve(lp, results=results)
+    return results[0], certificate
+
+
+def lp_reduced_costs(lp, certificate):
+    duals = np.concatenate([-certificate.lam[1:], [certificate.mu]])
+    return lp.cost - duals @ lp.matrix
+
+
+class TestSelectCertificate:
+    def test_unique_dual_is_kept(self):
+        # example1 at degree 2: nine positive atoms for nine rows
+        lp = assemble(builtin_problem("example1"), MonomialBasis(2, 2),
+                      GridSpec(state=(5, 5), control=(5, 5)))
+        res, cert = solved(lp)
+        assert np.count_nonzero(res.x > 1e-9) == lp.n_rows
+        selected, margin, pivots = select_certificate(lp, res, cert)
+        assert selected is cert and margin is None and pivots == 0
+
+    def test_degenerate_dual_gets_positive_margin_off_support(self):
+        # shift at degree 3: two atoms for four rows, so the dual is not unique
+        p = shift_problem()
+        lp = assemble(p, MonomialBasis(1, 3), GridSpec(state=(21,), control=(21,)))
+        res, cert = solved(lp)
+        support = res.x > 1e-9
+        assert np.count_nonzero(support) < lp.n_rows
+        selected, margin, pivots = select_certificate(lp, res, cert)
+        assert pivots > 0 and margin > 0.0
+        assert selected.mu == cert.mu
+        rc = lp_reduced_costs(lp, selected)
+        assert np.abs(rc[support]).max() <= 1e-12
+        assert rc[~support].min() >= margin - 1e-12
+        # the same max-margin LP, solved by HiGHS in its primal form
+        from scipy.optimize import linprog
+        shifted = lp.cost - cert.mu * lp.matrix[-1]
+        tests = lp.matrix[:-1].T
+        ref = linprog(np.r_[np.zeros(lp.n_rows - 1), -1.0],
+                      A_ub=np.hstack([tests[~support], np.ones((np.count_nonzero(~support), 1))]),
+                      b_ub=shifted[~support],
+                      A_eq=np.hstack([tests[support], np.zeros((np.count_nonzero(support), 1))]),
+                      b_eq=shifted[support],
+                      bounds=[(None, None)] * (lp.n_rows - 1) + [(None, 1.0)], method="highs")
+        assert ref.status == 0
+        assert margin == pytest.approx(-ref.fun, abs=1e-9)
 
 
 class TestDiscard:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -149,3 +151,80 @@ class TestSifting:
         assert (c - sifted.duals @ A).min() >= -1e-9  # dual feasible on every column
         np.testing.assert_allclose(A @ sifted.x, b, atol=1e-8)
         assert sifted.x.min() >= 0.0
+
+
+def same_result(a, b):
+    """Bitwise equality of two LpResults."""
+    return (a.x.tobytes() == b.x.tobytes() and a.duals.tobytes() == b.duals.tobytes()
+            and a.value == b.value and a.basis.tobytes() == b.basis.tobytes()
+            and a.pivots == b.pivots and a.warm == b.warm)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_appended_columns_resume_from_previous_basis(self, seed):
+        # column generation's pattern: solve, append columns, re-solve from the old basis
+        rng = np.random.default_rng(300 + seed)
+        m, n, extra = 6, 40, 30
+        A = np.vstack([rng.normal(size=(m - 1, n + extra)), np.ones(n + extra)])
+        b = A[:, :n] @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n + extra)
+        first = solve_equality_lp(A[:, :n], b, c[:n])
+        warm = solve_equality_lp(A, b, c, start=first.basis)
+        cold = solve_equality_lp(A, b, c)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert warm.warm and not cold.warm
+        assert ref.status == 0
+        assert warm.value == pytest.approx(cold.value, abs=1e-9)
+        assert warm.value == pytest.approx(ref.fun, abs=1e-9)
+        assert (c - warm.duals @ A).min() >= -1e-9
+        np.testing.assert_allclose(A @ warm.x, b, atol=1e-8)
+        assert warm.pivots < cold.pivots
+
+    def test_sifted_phase_two_resumes_too(self):
+        rng = np.random.default_rng(310)
+        m, n = 6, 3_000
+        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+        b = A[:, :100] @ rng.dirichlet(np.ones(100))
+        c = rng.normal(size=n)
+        first = solve_equality_lp(A[:, :100], b, c[:100])
+        warm = solve_equality_lp(A, b, c, sift=True, start=first.basis)
+        assert warm.warm
+        assert warm.value == pytest.approx(solve_equality_lp(A, b, c).value, abs=1e-9)
+        assert (c - warm.duals @ A).min() >= -1e-9
+
+    def lp(self):
+        # column 1 is zero, so any basis holding it is singular
+        rng = np.random.default_rng(320)
+        A = np.vstack([rng.normal(size=(3, 12)), np.ones(12)])
+        A[:, 1] = 0.0
+        b = A @ rng.dirichlet(np.ones(12))
+        c = rng.normal(size=12)
+        c[1] = abs(c[1])
+        return A, b, c
+
+    def infeasible_basis(self, A, b):
+        for cols in map(list, itertools.combinations(range(2, 12), 4)):
+            if np.linalg.solve(A[:, cols], b).min() < -1e-3:
+                return cols
+        raise AssertionError("no infeasible basis")
+
+    @pytest.mark.parametrize("kind", ["singular", "repeated", "infeasible", "short",
+                                      "out-of-range"])
+    def test_unusable_start_falls_back_to_cold_solve(self, kind):
+        A, b, c = self.lp()
+        start = {"singular": [0, 1, 2, 3], "repeated": [2, 2, 3, 4],
+                 "infeasible": self.infeasible_basis(A, b), "short": [2, 3, 4],
+                 "out-of-range": [2, 3, 4, 12]}[kind]
+        cold = solve_equality_lp(A, b, c)
+        assert same_result(solve_equality_lp(A, b, c, start=start), cold)
+
+    def test_basis_after_dropped_row_falls_back(self):
+        # Phase I drops the redundant row, so the returned basis is one short
+        A = np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]])
+        b = np.array([1.0, 2.0])
+        c = np.array([1.0, 3.0, 1.0])
+        first = solve_equality_lp(A, b, c)
+        assert first.basis.size == 1
+        again = solve_equality_lp(A, b, c, start=first.basis)
+        assert same_result(again, first)
