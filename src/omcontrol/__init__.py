@@ -5,13 +5,13 @@ extract atomic primal measures and polynomial dual certificates, synthesize
 near-optimal feedback controls, and certify their suboptimality gap.
 """
 
-from .basis import MonomialBasis, constraint_coefficient, constraint_columns
+from .basis import MonomialBasis, constraint_columns
 from .errors import (AssumptionIIViolation, AssumptionIViolation, EmptyMeasure,
                      InadmissibleTransition, InsufficientGrid, LpInfeasible,
                      LpUnbounded, NonConverged, NotConverged, RolloutAborted,
                      SolverError, SolverStalled, UnknownProblem)
-from .model import (Box, DiscreteControlProblem, FiniteSet, StateActionPoint,
-                    admissible_controls, builtin_problem, step)
+from .model import (Box, DiscreteControlProblem, FiniteSet, admissible_controls,
+                    builtin_problem, one_step, step)
 from .silp import (AtomicMeasure, CandidateSpec, DualCertificate, FiniteLP,
                    GridSpec, assemble, discard_small_atoms, reduced_costs,
                    solve, solve_refined)

@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .model import DiscreteControlProblem, StateActionPoint
+from .model import DiscreteControlProblem
 
 
 class MonomialBasis:
@@ -118,13 +118,3 @@ def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,
     cols = a * (phi_f - phi_y) + (1.0 - a) * (phi_y0[None, :] - phi_y)
     return cols.T
 
-
-def constraint_coefficient(basis: MonomialBasis, problem: DiscreteControlProblem,
-                           p: StateActionPoint, i: int) -> float:
-    """Coefficient of one admissible pair against test function i (0-based)."""
-    if not 0 <= i < basis.count:
-        raise IndexError(f"basis index {i} out of range 0..{basis.count - 1}")
-    cols = constraint_columns(basis, problem,
-                              np.asarray(p.state, dtype=float)[None, :],
-                              np.asarray(p.control, dtype=float)[None, :])
-    return float(cols[i, 0])

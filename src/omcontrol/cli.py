@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model, silp, synthesis, verify
 from .basis import MonomialBasis
-from .errors import SolverError
+from .errors import NonConverged, SolverError
 from .model import builtin_problem
 from .silp import CandidateSpec, GridSpec
 
@@ -146,9 +146,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     problem, basis = _build(cfg)
     grid, cand = _grid_specs(cfg)
     history: list = []
-    measure, certificate, rounds = silp.solve_refined(
-        problem, basis, grid, cand, tol=cfg.tol, max_rounds=cfg.max_rounds,
-        pivot_tol=cfg.pivot_tol, history=history)
+    try:
+        measure, certificate, rounds = silp.solve_refined(
+            problem, basis, grid, cand, tol=cfg.tol, max_rounds=cfg.max_rounds,
+            pivot_tol=cfg.pivot_tol, history=history)
+        failure = None
+    except NonConverged as exc:
+        measure, certificate, rounds = exc.measure, exc.certificate, exc.rounds
+        failure = exc
     value = measure.value(problem)
     violation = history[-1]["max_violation"]
     margin = history[-1]["margin"]
@@ -162,6 +167,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "y0": [float(v) for v in problem.initial_state],
         "degree": basis.max_degree,
     }
+    if failure is not None:
+        meta["converged"] = False
     (out / "solution.json").write_text(
         silp.solution_to_json(measure, certificate, value, rounds, violation, meta) + "\n")
 
@@ -181,8 +188,12 @@ def cmd_solve(cfg: RunConfig) -> int:
         f"lp pivots          {pivots}",
         "certificate margin " + ("n/a (unique dual)" if margin is None else f"{margin:.3e}"),
     ]
+    if failure is not None:
+        lines.append(f"converged          no (round limit of {rounds} reached)")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
+    if failure is not None:
+        raise failure
     return 0
 
 
@@ -274,9 +285,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks.append(("gap certificate", gap, cfg.gap_slack))
 
     grid, _ = _grid_specs(cfg)
-    kappa = verify.estimate_kappa(problem, basis, grid, certificate.mu,
-                                  oracle(problem.initial_state),
-                                  pivot_tol=cfg.pivot_tol)
+    try:
+        kappa = verify.estimate_kappa(problem, basis, grid, certificate.mu,
+                                      oracle(problem.initial_state),
+                                      pivot_tol=cfg.pivot_tol)
+        kappa_text = f"{kappa:.3e}"
+    except SolverError as exc:  # the estimate is INFO only: the checks set the exit status
+        kappa_text = f"n/a ({exc})"
 
     lines = []
     all_ok = True
@@ -284,7 +299,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ok = residual <= threshold
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {residual:.3e} (tol {threshold:.3e})")
-    lines.append(f"INFO kappa estimate: {kappa:.3e}")
+    lines.append(f"INFO kappa estimate: {kappa_text}")
     lines.append(f"INFO oracle value at y0: {oracle(problem.initial_state):.6f}")
     lines.append(f"INFO mu/(1-alpha): {certificate.mu / (1.0 - alpha):.6f}")
     text = "\n".join(lines) + "\n"

@@ -126,21 +126,6 @@ def tensor_points(axes) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateActionPoint:
-    """An admissible pair (y, u) of the graph of the admissible-action map."""
-
-    state: tuple
-    control: tuple
-
-    @staticmethod
-    def of(state, control) -> "StateActionPoint":
-        return StateActionPoint(
-            tuple(float(v) for v in np.atleast_1d(state)),
-            tuple(float(v) for v in np.atleast_1d(control)),
-        )
-
-
-@dataclass(frozen=True)
 class DiscreteControlProblem:
     """Immutable description of one discounted control problem.
 
@@ -216,6 +201,17 @@ def admissible_mask(problem: DiscreteControlProblem, states, controls) -> np.nda
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     return np.atleast_1d(problem.state_region.contains(problem.f(states, controls)))
+
+
+def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
+             psi_y=0.0) -> np.ndarray:
+    """g(y, u) + alpha * (psi(f(y, u)) - psi_y) at aligned pairs, psi a batched callable.
+
+    The one-step integrand of the max-min dual: minimal on the support of
+    an optimal measure, and its argmin over u is the near-optimal control.
+    """
+    psi_f = psi(problem.f(states, controls))
+    return problem.g(states, controls) + problem.discount * (psi_f - psi_y)
 
 
 def admissible_controls(problem: DiscreteControlProblem, y, control_grid) -> np.ndarray:

@@ -21,6 +21,7 @@ priced again against that choice before it is accepted.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -237,39 +238,40 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
 
 
 def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
-                  certificate: DualCertificate, states, controls) -> np.ndarray:
+                  certificate: DualCertificate, states, controls, psi_y=None) -> np.ndarray:
     """g + shifted surrogate terms - mu at aligned admissible pairs.
 
     Negative values identify points the current certificate misprices;
-    at atoms of the optimal measure the value is zero.
+    at atoms of the optimal measure the value is zero.  ``psi_y``, when
+    given, is psi at ``states``, already evaluated by the caller.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    psi = functools.partial(certificate.psi, basis)
+    if psi_y is None:
+        psi_y = psi(states)
     a = problem.discount
-    lam = certificate.lam
-    psi_y0 = basis.evaluate(problem.initial_state, lam)
-    out = np.empty(states.shape[0])
-    for s in range(0, states.shape[0], _SCAN_CHUNK):
-        sl = slice(s, min(s + _SCAN_CHUNK, states.shape[0]))
-        ys, us = states[sl], controls[sl]
-        psi_y = basis.evaluate(ys, lam)
-        psi_f = basis.evaluate(problem.f(ys, us), lam)
-        out[sl] = (problem.g(ys, us) + a * (psi_f - psi_y)
-                   + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
-    return out
+    return (model.one_step(problem, psi, states, controls, psi_y)
+            + (1.0 - a) * (psi(problem.initial_state) - psi_y) - certificate.mu)
 
 
-def _candidate_blocks(problem, lp, measure, spec):
-    """Yield (states, controls) blocks of the candidate set, admissibility unfiltered."""
+def _candidate_blocks(problem, lp, measure, spec, psi):
+    """Yield (states, controls, psi(states)) candidate blocks, admissibility unfiltered.
+
+    psi is evaluated once per lattice state, not once per pair.
+    """
     s_pts = model.state_grid_points(problem, spec.state)
     c_pts = model.control_grid_points(problem, spec.control)
+    psi_s = psi(s_pts)
     ks, kc = len(s_pts), len(c_pts)
     total = ks * kc
     for start in range(0, total, _SCAN_CHUNK):
         idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-        yield s_pts[idx // kc], c_pts[idx % kc]
+        rows = idx // kc
+        yield s_pts[rows], c_pts[idx % kc], psi_s[rows]
     if measure is not None and len(measure):
-        yield _atom_perturbations(problem, lp, measure)
+        ys, us = _atom_perturbations(problem, lp, measure)
+        yield ys, us, psi(ys)
 
 
 def _atom_perturbations(problem, lp, measure):
@@ -316,14 +318,13 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
     cap = candidate_spec.max_new_columns
-    for ys, us in _candidate_blocks(problem, lp, measure, candidate_spec):
-        if ys.shape[0] == 0:
-            continue
+    psi = functools.partial(certificate.psi, basis)
+    for ys, us, psi_y in _candidate_blocks(problem, lp, measure, candidate_spec, psi):
         mask = admissible_mask(problem, ys, us)
         ys, us = ys[mask], us[mask]
         if ys.shape[0] == 0:
             continue
-        rc = reduced_costs(problem, basis, certificate, ys, us)
+        rc = reduced_costs(problem, basis, certificate, ys, us, psi_y[mask])
         min_rc = min(min_rc, float(rc.min()))
         viol = np.nonzero(rc < -tol)[0]
         if viol.size:

@@ -1,18 +1,20 @@
 """Near-optimal feedback synthesis and trajectory simulation.
 
 Two feedback rules are provided: the surrogate minimizer, which picks the
-control minimizing g(y, u) + alpha * psi(f(y, u)) over an admissible
-control grid by exhaustive search (the inner problem is generally not
-convex, and the control spaces here are low-dimensional), and the
-nearest-atom heuristic, which copies the control of the concentration
-point whose state component is closest to the current state, breaking
-distance ties by weight.  ``rollout`` simulates either rule for long
-enough that the discounted tail is below a requested truncation error,
-and the gap against the LP value certifies near-optimality.
+grid control minimizing g(y, u) + alpha * psi(f(y, u)) (``model.one_step``
+with psi_y = 0; inadmissible controls score +inf) by exhaustive search
+(the inner problem is generally not convex, and the control spaces here
+are low-dimensional), and the nearest-atom heuristic, which copies the
+control of the concentration point whose state component is closest to
+the current state, breaking distance ties by weight.  ``rollout``
+simulates either rule for long enough that the discounted tail is below a
+requested truncation error, and the gap against the LP value certifies
+near-optimality.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,14 +23,13 @@ import numpy as np
 from .basis import MonomialBasis
 from .errors import (AssumptionIIViolation, AssumptionIViolation,
                      InadmissibleTransition, RolloutAborted)
-from .model import (Box, DiscreteControlProblem, admissible_controls,
-                    admissible_mask, control_grid_points, grid_steps, step)
+from .model import (DiscreteControlProblem, admissible_mask, control_grid_points,
+                    one_step, step)
 from .silp import AtomicMeasure, DualCertificate
 
 _TIE_TOL = 1e-9
 _DISTANCE_TIE_TOL = 1e-12
 _MAX_HORIZON = 100_000
-_POLISH_ITERS = 32      # golden-section steps per axis and sweep
 _COST_SAMPLE = 9        # points per axis of the tensor sample behind cost_bound
 _SVG_SIZE = 480
 _SVG_MARGIN = 24.0
@@ -51,73 +52,26 @@ class Rollout:
 
 
 def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
-                      certificate: DualCertificate, y, control_grid,
-                      polish: bool = False) -> np.ndarray:
+                      certificate: DualCertificate, y, control_grid) -> np.ndarray:
     """Exhaustive argmin of g(y, u) + alpha * psi(f(y, u)) over the grid.
 
-    Values within an absolute tie tolerance of the minimum count as tied
-    and the lexicographically smallest control wins, so corner optima and
-    exact symmetric ties resolve deterministically.  With ``polish`` the
-    grid argmin is refined by coordinatewise golden-section search within
-    one grid cell (the objective is generally nonconvex globally, so the
-    search never leaves the winning cell); inadmissible probes are scored
-    +inf, and polishing is skipped for finite control sets.
+    Inadmissible controls score +inf.  Values within an absolute tie
+    tolerance of the minimum count as tied and the lexicographically
+    smallest control wins, so corner optima and exact symmetric ties
+    resolve deterministically.  Raises :class:`AssumptionIViolation` when
+    no grid control is admissible at y.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    grid = admissible_controls(problem, y, control_grid)
+    grid = control_grid_points(problem, control_grid)
     tiled = np.broadcast_to(y, (len(grid), y.size))
-    psi_f = certificate.psi(basis, problem.f(tiled, grid))
-    vals = problem.g(tiled, grid) + problem.discount * psi_f
+    mask = admissible_mask(problem, tiled, grid)
+    if not mask.any():
+        raise AssumptionIViolation(tuple(y))
+    psi = functools.partial(certificate.psi, basis)
+    vals = np.where(mask, one_step(problem, psi, tiled, grid), np.inf)
     tied = np.nonzero(vals <= vals.min() + _TIE_TOL)[0]
     pick = tied[np.lexsort(tuple(grid[tied, a] for a in range(grid.shape[1] - 1, -1, -1)))[0]]
-    best = grid[pick].copy()
-    if polish and isinstance(problem.control_region, Box):
-        cells = grid_steps(grid)
-        if np.all(cells > 0):
-            best = _polish_control(problem, basis, certificate, y, best, cells)
-    return best
-
-
-def _polish_control(problem, basis, certificate, y, u0, cells):
-    """Two coordinatewise golden-section sweeps inside the winning cell."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    region = problem.control_region
-
-    def objective(u):
-        if not admissible_mask(problem, y[None, :], u[None, :])[0]:
-            return np.inf
-        psi_f = certificate.psi(basis, problem.f(y[None, :], u[None, :])[0])
-        return float(problem.g(y[None, :], u[None, :])[0]) + problem.discount * psi_f
-
-    u = u0.copy()
-    f_u = objective(u)
-    for _ in range(2):
-        for axis in range(u.size):
-            lo = max(u[axis] - cells[axis], region.lower[axis])
-            hi = min(u[axis] + cells[axis], region.upper[axis])
-            a, b = lo, hi
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            uc, ud = u.copy(), u.copy()
-            uc[axis], ud[axis] = c, d
-            fc, fd = objective(uc), objective(ud)
-            for _ in range(_POLISH_ITERS):
-                if fc <= fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    uc[axis] = c
-                    fc = objective(uc)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    ud[axis] = d
-                    fd = objective(ud)
-            mid = u.copy()
-            mid[axis] = 0.5 * (a + b)
-            f_mid = objective(mid)
-            if f_mid < f_u:
-                u, f_u = mid, f_mid
-    return u
+    return grid[pick].copy()
 
 
 def heuristic_control(measure: AtomicMeasure, y) -> np.ndarray:

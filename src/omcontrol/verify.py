@@ -1,13 +1,15 @@
 """Independent oracles and property checks for solved problems.
 
-Value iteration on a tensor state grid (with multilinear or nearest
-interpolation of off-grid successors) provides a surrogate-free estimate
-of the value function.  The remaining checks certify a solution pipeline:
+Value iteration on a tensor state grid (with multilinear interpolation
+of off-grid successors) provides a surrogate-free estimate of the value
+function.  The remaining checks certify a solution pipeline:
 residuals of a measure against every test function, stationarity and
 value-agreement of a rollout under a dual certificate, the pointwise bound
 of the surrogate by the value function, and the nonnegativity of the
-shifted one-step inequality.  Everything here is report-oriented: checks
-return residual magnitudes and the caller compares against slacks.
+shifted one-step inequality.  Every scan of the one-step expression
+g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``,
+with psi evaluated once per state.  Everything here is report-oriented:
+checks return residual magnitudes and the caller compares against slacks.
 """
 
 from __future__ import annotations
@@ -33,20 +35,19 @@ class ValueFunctionGrid:
 
     axes: tuple
     values: np.ndarray
-    interpolation: str = "multilinear"
     sweep_diffs: list = field(default_factory=list)
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        idx, w = _interp_table(self.axes, pts, self.interpolation)
+        idx, w = _interp_table(self.axes, pts)
         out = (self.values.ravel()[idx] * w).sum(axis=1)
         return float(out[0]) if single else out
 
 
-def _interp_table(axes, pts, interpolation):
-    """Flat corner indices and weights for batched grid interpolation."""
+def _interp_table(axes, pts):
+    """Flat corner indices and weights for batched multilinear interpolation."""
     m = len(axes)
     k = pts.shape[0]
     shape = tuple(len(ax) for ax in axes)
@@ -64,11 +65,6 @@ def _interp_table(axes, pts, interpolation):
         j = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
         base[:, a] = j
         frac[:, a] = (x - ax[j]) / (ax[j + 1] - ax[j])
-    if interpolation == "nearest":
-        nearest = base + (frac >= 0.5)
-        return (nearest * strides).sum(axis=1)[:, None], np.ones((k, 1))
-    if interpolation != "multilinear":
-        raise ValueError(f"unknown interpolation mode {interpolation!r}")
     corners = list(itertools.product((0, 1), repeat=m))
     idx = np.empty((k, len(corners)), dtype=np.int64)
     wgt = np.empty((k, len(corners)))
@@ -102,8 +98,7 @@ def _distinct_rows(points):
 
 
 def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
-                    tol: float = 1e-8, max_iter: int = 20_000,
-                    interpolation: str = "multilinear") -> ValueFunctionGrid:
+                    tol: float = 1e-8, max_iter: int = 20_000) -> ValueFunctionGrid:
     """Fixed point of the one-step minimization operator on a state grid.
 
     Sweeps are synchronous; iteration stops once the sup-norm successive
@@ -139,14 +134,13 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     inverse = inverse.reshape(kn, kc)
     stage = problem.g(rep_states, rep_controls).reshape(kn, kc)
     stage = np.where(mask, stage, np.inf)
-    idx, wgt = _interp_table(axes, distinct, interpolation)
+    idx, wgt = _interp_table(axes, distinct)
 
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(kn)
     diffs = []
     threshold = tol * (1.0 - alpha) / alpha
-    grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape),
-                             interpolation=interpolation, sweep_diffs=diffs)
+    grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), sweep_diffs=diffs)
     backup = np.empty((kn, kc))
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
@@ -180,10 +174,8 @@ def hamiltonian_min(problem: DiscreteControlProblem, psi: Callable, states,
     stuck = np.nonzero(~mask.any(axis=1))[0]
     if stuck.size:
         raise AssumptionIViolation(tuple(states[stuck[0]]))
-    psi_f = psi(problem.f(pair_states, pair_controls)).reshape(k, kc)
-    psi_y = np.reshape(psi(states), (k, 1))
-    vals = problem.g(pair_states, pair_controls).reshape(k, kc) \
-        + problem.discount * (psi_f - psi_y)
+    psi_y = np.repeat(psi(states), kc)
+    vals = model.one_step(problem, psi, pair_states, pair_controls, psi_y).reshape(k, kc)
     out = np.where(mask, vals, np.inf).min(axis=1)
     return float(out[0]) if single else out
 
@@ -267,12 +259,9 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     scan_states = np.vstack([scan_states[mask], roll.states])
     scan_controls = np.vstack([scan_controls[mask], roll.controls])
 
-    def one_step(states, controls, psi_y):
-        psi_f = psi(problem.f(states, controls))
-        return problem.g(states, controls) + alpha * psi_f - psi_y
-
-    scan_min = float(one_step(scan_states, scan_controls, scan_psi_y).min())
-    stationarity = one_step(roll.states, roll.controls, psi_roll) - scan_min
+    scan_min = float((model.one_step(problem, psi, scan_states, scan_controls)
+                      - scan_psi_y).min())
+    stationarity = model.one_step(problem, psi, roll.states, roll.controls) - psi_roll - scan_min
 
     diff = psi_roll - value_grid(roll.states)
     value_std = float(np.std(diff))

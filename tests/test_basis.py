@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omcontrol import MonomialBasis, builtin_problem, constraint_coefficient
+from omcontrol import MonomialBasis, builtin_problem
 from omcontrol.basis import constraint_columns
-from omcontrol.model import StateActionPoint
 
 
 class TestEnumeration:
@@ -73,12 +72,17 @@ class TestEvaluate:
         assert v[k] == pytest.approx(v[i] * v[j], rel=1e-12, abs=1e-12)
 
 
+def coefficient(b, p, y, u, i):
+    """Coefficient of the single pair (y, u) against test function i."""
+    return constraint_columns(b, p, np.array([y], dtype=float), np.array([u], dtype=float))[i, 0]
+
+
 class TestConstraintCoefficient:
     def test_constant_row_is_zero(self):
         p = builtin_problem("example1")
         b = MonomialBasis(2, 3)
         for y, u in [((0.5, 0.25), (-1, 1)), ((0.1, -0.9), (0.3, 0.4))]:
-            assert constraint_coefficient(b, p, StateActionPoint.of(y, u), 0) == 0.0
+            assert coefficient(b, p, y, u, 0) == 0.0
 
     def test_reference_value(self):
         # alpha*(phi(f)-phi(y)) + (1-alpha)*(phi(y0)-phi(y)) with phi = y1:
@@ -86,7 +90,7 @@ class TestConstraintCoefficient:
         p = builtin_problem("example1")
         b = MonomialBasis(2, 3)
         i = b.index_of((1, 0))
-        val = constraint_coefficient(b, p, StateActionPoint.of((0.5, 0.25), (-1.0, 1.0)), i)
+        val = coefficient(b, p, (0.5, 0.25), (-1.0, 1.0), i)
         assert val == pytest.approx(0.225, abs=1e-15)
 
     def test_fixed_point_at_initial_state_vanishes(self):
@@ -96,23 +100,13 @@ class TestConstraintCoefficient:
         cols = constraint_columns(b, p, np.array([[0.5, 0.25]]), np.array([[-0.5, -0.25]]))
         np.testing.assert_allclose(cols[:, 0], 0.0, atol=1e-15)
 
-    def test_columns_match_scalar_api(self):
-        p = builtin_problem("shift")
-        b = MonomialBasis(1, 3)
-        cols = constraint_columns(b, p, np.array([[0.4]]), np.array([[0.0]]))
-        for i in range(b.count):
-            pt = StateActionPoint.of((0.4,), (0.0,))
-            assert cols[i, 0] == constraint_coefficient(b, p, pt, i)
-
     def test_shift_reference_coefficients(self):
         # phi = y at (0.4, 0): 0.5*(0 - 0.4) + 0.5*(0.4 - 0.4) = -0.2
         p = builtin_problem("shift", alpha=0.5, y0=0.4)
         b = MonomialBasis(1, 1)
         i = b.index_of((1,))
-        assert constraint_coefficient(b, p, StateActionPoint.of((0.4,), (0.0,)), i) \
-            == pytest.approx(-0.2)
-        assert constraint_coefficient(b, p, StateActionPoint.of((0.0,), (0.0,)), i) \
-            == pytest.approx(0.2)
+        assert coefficient(b, p, (0.4,), (0.0,), i) == pytest.approx(-0.2)
+        assert coefficient(b, p, (0.0,), (0.0,), i) == pytest.approx(0.2)
 
     def test_determinism_bit_for_bit(self):
         p = builtin_problem("example1")

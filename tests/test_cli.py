@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from omcontrol import cli, silp, synthesis
+from omcontrol import LpInfeasible, cli, silp, synthesis, verify
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -273,6 +273,39 @@ class TestErrorPaths:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,y1,u1"
         assert all(l.startswith("#") for l in lines[1:])  # aborted before any step
+
+    def test_nonconverged_solve_writes_marked_solution(self, tmp_path, capsys):
+        # the 5-point base grid leaves violators after one round
+        out = tmp_path / "run"
+        cfg_path = shift_config(tmp_path, out)
+        assert cli.main(["solve", "--config", cfg_path, "--state-grid", "5",
+                         "--control-grid", "5", "--max-rounds", "1"]) == 1
+        assert "not converged after 1 rounds" in capsys.readouterr().err
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["converged"] is False
+        assert doc["rounds"] == 1 and doc["max_dual_violation"] > 1e-9
+        summary = (out / "summary.txt").read_text()
+        assert "converged          no (round limit of 1 reached)" in summary
+        # the marked solution still feeds the rest of the pipeline
+        assert cli.main(["rollout", "--config", cfg_path]) == 0
+        # a converged run carries no converged key
+        assert cli.main(["solve", "--config", cfg_path]) == 0
+        assert "converged" not in json.loads((out / "solution.json").read_text())
+        assert "converged" not in (out / "summary.txt").read_text()
+
+    def test_failed_kappa_resolve_keeps_report(self, tmp_path, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise LpInfeasible("phase-I residual 9.172e-03")
+
+        out = tmp_path / "run"
+        cfg_path = shift_config(tmp_path, out)
+        assert cli.main(["solve", "--config", cfg_path]) == 0
+        assert cli.main(["rollout", "--config", cfg_path]) == 0
+        monkeypatch.setattr(verify, "estimate_kappa", infeasible)
+        assert cli.main(["verify", "--config", cfg_path]) == 0
+        report = (out / "report.txt").read_text()
+        assert "INFO kappa estimate: n/a (phase-I residual 9.172e-03)\n" in report
+        assert "FAIL" not in report
 
     def test_zero_steps_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"

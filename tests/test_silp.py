@@ -7,6 +7,7 @@ from omcontrol import (AtomicMeasure, CandidateSpec, EmptyMeasure, GridSpec,
                        InsufficientGrid, MonomialBasis, NonConverged,
                        assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
+from omcontrol import silp
 from omcontrol.silp import select_certificate, solution_from_json, solution_to_json
 
 
@@ -189,6 +190,42 @@ class TestRefine:
         assert [r["warm"] for r in history] == [False] + [True] * (len(history) - 1)
         assert all(isinstance(r["pivots"], int) for r in history)
         assert history[-1]["margin"] > 0.0  # two atoms for four rows: selection ran
+
+
+def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=None):
+    """Reference pricing: psi(y) evaluated for every pair, ignoring any psi_y passed in."""
+    a = problem.discount
+    psi_y = certificate.psi(basis, states)
+    psi_f = certificate.psi(basis, problem.f(states, controls))
+    psi_y0 = certificate.psi(basis, problem.initial_state)
+    return (problem.g(states, controls) + a * (psi_f - psi_y)
+            + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
+
+
+class TestScan:
+    @pytest.mark.parametrize("name, degree, grid, candidates", [
+        # 88,209 lattice pairs: two scan blocks plus the atom perturbations
+        ("example1", 7, GridSpec(state=(9, 9), control=(9, 9)),
+         CandidateSpec(state=(33, 33), control=(9, 9))),
+        ("shift", 3, GridSpec(state=(5,), control=(5,)),
+         CandidateSpec(state=(41,), control=(41,))),
+    ], ids=["example1", "shift"])
+    def test_scan_matches_per_pair_psi_bitwise(self, monkeypatch, name, degree, grid,
+                                               candidates):
+        # the scan evaluates psi once per lattice state; pricing every pair
+        # from scratch must give the same minimum and violators, bit for bit
+        p = builtin_problem(name)
+        b = MonomialBasis(p.state_dim, degree)
+        lp = assemble(p, b, grid)
+        measure, cert = solve(lp)
+        min_rc, ys, us = silp.scan_candidates(p, b, cert, lp, candidates, 1e-9, measure)
+        monkeypatch.setattr(silp, "reduced_costs", per_pair_reduced_costs)
+        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lp, candidates, 1e-9,
+                                                      measure)
+        assert len(ys) == candidates.max_new_columns  # the first LP is violated
+        assert np.float64(min_rc).tobytes() == np.float64(ref_rc).tobytes()
+        assert ys.tobytes() == ref_ys.tobytes()
+        assert us.tobytes() == ref_us.tobytes()
 
 
 def solved(lp):

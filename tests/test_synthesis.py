@@ -58,34 +58,29 @@ class TestMinimizerControl:
         c = minimizer_control(p, b, cert, [0.3, -0.4], (17, 17))
         np.testing.assert_array_equal(a, c)
 
-    def test_polish_refines_off_grid_minimum(self):
-        # strictly convex in u with minimum at 0.3, off the 5-point grid
+
+    def test_inadmissible_controls_are_skipped(self):
+        # f = y + u on [0, 1]: at y = 0.5 only u in [-0.5, 0.5] is admissible,
+        # so the cost u is least at -0.5, not at the grid's -1
         from omcontrol import Box, DiscreteControlProblem
         p = DiscreteControlProblem(
-            state_dim=1, dynamics=lambda y, u: 0.0 * y,
-            cost=lambda y, u: (u[..., 0] - 0.3) ** 2,
-            state_region=Box([-1.0], [1.0]), control_region=Box([-1.0], [1.0]),
+            state_dim=1, dynamics=lambda y, u: y + u, cost=lambda y, u: u[..., 0],
+            state_region=Box([0.0], [1.0]), control_region=Box([-1.0], [1.0]),
+            discount=0.5, initial_state=[0.5])
+        b = MonomialBasis(1, 1)
+        u = minimizer_control(p, b, zero_certificate(b.count), [0.5], (5,))
+        np.testing.assert_array_equal(u, [-0.5])
+
+    def test_no_admissible_control_raises(self):
+        from omcontrol import AssumptionIViolation, Box, DiscreteControlProblem
+        p = DiscreteControlProblem(
+            state_dim=1, dynamics=lambda y, u: y + u, cost=lambda y, u: u[..., 0],
+            state_region=Box([0.0], [1.0]), control_region=Box([0.5], [1.0]),
             discount=0.5, initial_state=[0.0])
         b = MonomialBasis(1, 1)
-        coarse = minimizer_control(p, b, zero_certificate(b.count), [0.0], (5,))
-        assert coarse[0] == pytest.approx(0.5)  # best grid point
-        polished = minimizer_control(p, b, zero_certificate(b.count), [0.0], (5,),
-                                     polish=True)
-        assert polished[0] == pytest.approx(0.3, abs=1e-3)
-
-    def test_polish_never_worse_than_grid(self):
-        p = builtin_problem("example1")
-        b = MonomialBasis(2, 5)
-        cert = DualCertificate(lam=np.linspace(-0.5, 0.5, b.count), mu=0.0)
-        y = np.array([0.3, -0.4])
-
-        def objective(u):
-            return float(p.g(y[None], u[None])[0]
-                         + p.discount * cert.psi(b, p.f(y[None], u[None]))[0])
-
-        plain = minimizer_control(p, b, cert, y, (9, 9))
-        polished = minimizer_control(p, b, cert, y, (9, 9), polish=True)
-        assert objective(polished) <= objective(plain) + 1e-15
+        with pytest.raises(AssumptionIViolation) as err:
+            minimizer_control(p, b, zero_certificate(b.count), [0.8], (3,))
+        assert err.value.state == (0.8,)
 
 
 class TestHeuristicControl:

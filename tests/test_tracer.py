@@ -1,0 +1,37 @@
+"""The benchmark's span tracer must find every name it patches in the package."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from omcontrol import (DualCertificate, MonomialBasis, basis, builtin_problem, model,
+                       silp, synthesis, verify)
+
+_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_and_restore_against_the_package():
+    modules = (basis, model, silp, synthesis, verify)
+    before = [dict(vars(mod)) for mod in modules]
+    evaluate = MonomialBasis.__dict__["evaluate"]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        p = builtin_problem("shift")
+        b = MonomialBasis(1, 1)
+        synthesis.minimizer_control(p, b, DualCertificate(lam=np.zeros(2), mu=0.0),
+                                    [0.4], (5,))
+    finally:
+        tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert "synthesis.minimizer" in names and "model.admissible_mask" in names
+    assert [dict(vars(mod)) for mod in modules] == before
+    assert MonomialBasis.__dict__["evaluate"] is evaluate

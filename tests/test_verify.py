@@ -34,8 +34,7 @@ def optimal_shift_rollout(p, steps=20):
     return rollout(p, lambda y: np.array([0.0]), steps=steps)
 
 
-def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000,
-                             interpolation="multilinear"):
+def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
     """Reference sweep: every (node, control) pair interpolates its successor every sweep."""
     axes = tuple(p.state_region.axes(state_grid))
     nodes = tensor_points(axes)
@@ -45,7 +44,7 @@ def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000,
     pair_controls = np.tile(controls, (kn, 1))
     mask = admissible_mask(p, states, pair_controls).reshape(kn, kc)
     stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
-    idx, wgt = verify._interp_table(axes, p.f(states, pair_controls), interpolation)
+    idx, wgt = verify._interp_table(axes, p.f(states, pair_controls))
     values, diffs = np.zeros(kn), []
     threshold = tol * (1.0 - p.discount) / p.discount
     for _ in range(max_iter):
@@ -134,28 +133,19 @@ class TestValueIteration:
         with pytest.raises(AssumptionIViolation):
             value_iteration(p, (5,), (3,), tol=1e-8)
 
-    def test_nearest_interpolation_mode(self):
-        p = shift_problem()
-        grid = value_iteration(p, (21,), (21,), tol=1e-8, interpolation="nearest")
-        assert grid(p.initial_state) == pytest.approx(0.4, abs=1e-8)
-
-    @pytest.mark.parametrize("problem, state_grid, control_grid, interpolation", [
-        (lambda: builtin_problem("example1"), (11, 11), (5, 5), "multilinear"),
-        (shift_problem, (21,), (21,), "multilinear"),
-        (shift_problem, (21,), (21,), "nearest"),
+    @pytest.mark.parametrize("problem, state_grid, control_grid", [
+        (lambda: builtin_problem("example1"), (11, 11), (5, 5)),
+        (shift_problem, (21,), (21,)),
         # y + u leaves [0, 1] for some pairs; u = 0 keeps every node admissible
-        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), "multilinear"),
+        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,)),
         # successors 0.0 for y > 0 and -0.0 otherwise
         (lambda: one_d_problem(lambda y, u: np.where(y > 0, u, -u), controls=(-1.0, 1.0),
-                               states=(-1.0, 1.0)), (11,), (5,), "multilinear"),
-    ], ids=["example1", "shift", "shift-nearest", "inadmissible-pairs", "signed-zero"])
-    def test_matches_per_pair_sweep_bitwise(self, problem, state_grid, control_grid,
-                                            interpolation):
+                               states=(-1.0, 1.0)), (11,), (5,)),
+    ], ids=["example1", "shift", "inadmissible-pairs", "signed-zero"])
+    def test_matches_per_pair_sweep_bitwise(self, problem, state_grid, control_grid):
         p = problem()
-        grid = value_iteration(p, state_grid, control_grid, tol=1e-8,
-                               interpolation=interpolation)
-        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8,
-                                                 interpolation=interpolation)
+        grid = value_iteration(p, state_grid, control_grid, tol=1e-8)
+        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8)
         assert grid.values.tobytes() == values.tobytes()
         assert grid.sweep_diffs == diffs
 
