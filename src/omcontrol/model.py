@@ -4,8 +4,11 @@ A :class:`DiscreteControlProblem` bundles the transition map ``f``, the
 running cost ``g``, the state box ``Y``, the control region ``U`` (a box or
 an explicit finite set), a discount factor in (0, 1) and the initial state.
 A state-control pair is *admissible* when the successor ``f(y, u)`` stays
-inside ``Y``; every downstream module (LP assembly, policy
-synthesis, value iteration) works on grids of admissible pairs.
+inside ``Y``.  ``pair_grid`` crosses a state array with a control array
+and masks the pairs by admissibility; every downstream scan (LP assembly,
+policy synthesis, value iteration, the optimality checks) takes its pairs
+from it, and ``require_admissible`` is the one check of Assumption I,
+that every state has an admissible control.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
 ``(K, m)`` / ``(K, d)`` in, ``(K, m)`` / ``(K,)`` out.  Plain elementwise
@@ -83,18 +86,6 @@ class FiniteSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def contains(self, points, tol: float = MEMBERSHIP_TOL):
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        ok = np.array([
-            bool(np.any(np.all(np.abs(self.points - p) <= tol, axis=1))) for p in pts
-        ])
-        return bool(ok[0]) if single else ok
-
-    def grid(self, counts=None) -> np.ndarray:
-        return self.points
 
 
 def _per_axis_counts(counts, dim: int) -> tuple[int, ...]:
@@ -203,6 +194,27 @@ def admissible_mask(problem: DiscreteControlProblem, states, controls) -> np.nda
     return np.atleast_1d(problem.state_region.contains(problem.f(states, controls)))
 
 
+def pair_grid(problem: DiscreteControlProblem, states, controls):
+    """Every (state, control) pair of a (K, m) state and (C, d) control array.
+
+    Returns the (K*C, m) pair states and (K*C, d) pair controls, states
+    varying slowest, and the (K, C) admissibility mask.  For one state both
+    pair arrays are views (of the state row and of ``controls``), not copies.
+    """
+    (k, m), (c, d) = states.shape, controls.shape
+    pair_states = np.broadcast_to(states[:, None, :], (k, c, m)).reshape(k * c, m)
+    pair_controls = np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d)
+    mask = admissible_mask(problem, pair_states, pair_controls).reshape(k, c)
+    return pair_states, pair_controls, mask
+
+
+def require_admissible(states, mask) -> None:
+    """Assumption I on a grid: raise at the first state whose mask row is empty."""
+    stuck = np.nonzero(~mask.any(axis=1))[0]
+    if stuck.size:
+        raise AssumptionIViolation(tuple(states[stuck[0]]))
+
+
 def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
              psi_y=0.0) -> np.ndarray:
     """g(y, u) + alpha * (psi(f(y, u)) - psi_y) at aligned pairs, psi a batched callable.
@@ -212,20 +224,6 @@ def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
     """
     psi_f = psi(problem.f(states, controls))
     return problem.g(states, controls) + problem.discount * (psi_f - psi_y)
-
-
-def admissible_controls(problem: DiscreteControlProblem, y, control_grid) -> np.ndarray:
-    """Grid controls u with f(y, u) in Y, in grid enumeration order.
-
-    Raises :class:`AssumptionIViolation` when the admissible set is empty.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    grid = control_grid_points(problem, control_grid)
-    tiled = np.broadcast_to(y, (len(grid), y.size))
-    mask = admissible_mask(problem, tiled, grid)
-    if not mask.any():
-        raise AssumptionIViolation(tuple(y))
-    return grid[mask]
 
 
 def step(problem: DiscreteControlProblem, y, u) -> np.ndarray:

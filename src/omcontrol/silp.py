@@ -31,7 +31,8 @@ import numpy as np
 from . import model
 from .basis import MonomialBasis, constraint_columns
 from .errors import EmptyMeasure, InsufficientGrid, NonConverged
-from .model import DiscreteControlProblem, admissible_mask
+from .model import DiscreteControlProblem
+from .model import admissible_mask  # perfbench/tracer.py wraps this name here
 from .simplex import LpResult, solve_equality_lp
 
 _SCAN_CHUNK = 1 << 16
@@ -141,11 +142,8 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
         raise ValueError("basis dimension does not match the problem")
     s_pts = model.state_grid_points(problem, grid_spec.state)
     c_pts = model.control_grid_points(problem, grid_spec.control)
-    ks, kc = len(s_pts), len(c_pts)
-    states = np.repeat(s_pts, kc, axis=0)
-    controls = np.tile(c_pts, (ks, 1))
-    mask = admissible_mask(problem, states, controls)
-    states, controls = states[mask], controls[mask]
+    states, controls, mask = model.pair_grid(problem, s_pts, c_pts)
+    states, controls = states[mask.ravel()], controls[mask.ravel()]
     n_rows = basis.count
     if states.shape[0] < n_rows:
         raise InsufficientGrid(

@@ -20,11 +20,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import model
 from .basis import MonomialBasis
 from .errors import (AssumptionIIViolation, AssumptionIViolation,
                      InadmissibleTransition, RolloutAborted)
-from .model import (DiscreteControlProblem, admissible_mask, control_grid_points,
-                    one_step, step)
+from .model import DiscreteControlProblem, control_grid_points, one_step, step
+from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate
 
 _TIE_TOL = 1e-9
@@ -61,14 +62,12 @@ def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
     resolve deterministically.  Raises :class:`AssumptionIViolation` when
     no grid control is admissible at y.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
     grid = control_grid_points(problem, control_grid)
-    tiled = np.broadcast_to(y, (len(grid), y.size))
-    mask = admissible_mask(problem, tiled, grid)
-    if not mask.any():
-        raise AssumptionIViolation(tuple(y))
+    states, controls, mask = model.pair_grid(problem, y, grid)
+    model.require_admissible(y, mask)
     psi = functools.partial(certificate.psi, basis)
-    vals = np.where(mask, one_step(problem, psi, tiled, grid), np.inf)
+    vals = np.where(mask[0], one_step(problem, psi, states, controls), np.inf)
     tied = np.nonzero(vals <= vals.min() + _TIE_TOL)[0]
     pick = tied[np.lexsort(tuple(grid[tied, a] for a in range(grid.shape[1] - 1, -1, -1)))[0]]
     return grid[pick].copy()
@@ -118,8 +117,7 @@ def cost_bound(problem: DiscreteControlProblem) -> float:
     """max |g| over a coarse state-control tensor sample, computed once."""
     s_pts = problem.state_region.grid(_COST_SAMPLE)
     c_pts = control_grid_points(problem, _COST_SAMPLE)
-    states = np.repeat(s_pts, len(c_pts), axis=0)
-    controls = np.tile(c_pts, (len(s_pts), 1))
+    states, controls, _ = model.pair_grid(problem, s_pts, c_pts)
     return float(np.abs(problem.g(states, controls)).max())
 
 

@@ -7,9 +7,10 @@ residuals of a measure against every test function, stationarity and
 value-agreement of a rollout under a dual certificate, the pointwise bound
 of the surrogate by the value function, and the nonnegativity of the
 shifted one-step inequality.  Every scan of the one-step expression
-g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``,
-with psi evaluated once per state.  Everything here is report-oriented:
-checks return residual magnitudes and the caller compares against slacks.
+g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``
+on pairs from ``model.pair_grid``, with psi evaluated once per state.
+Everything here is report-oriented: checks return residual magnitudes and
+the caller compares against slacks.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import numpy as np
 
 from . import model
 from .basis import MonomialBasis, constraint_columns
-from .errors import AssumptionIViolation, NotConverged
-from .model import DiscreteControlProblem, admissible_mask, control_grid_points
+from .errors import NotConverged
+from .model import DiscreteControlProblem, control_grid_points
+from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
 from .synthesis import Rollout
 
@@ -115,24 +117,16 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     if tol <= 0:
         raise ValueError("tol must be positive")
     alpha = problem.discount
-    if isinstance(state_grid, (tuple, list)) and len(state_grid) \
-            and isinstance(state_grid[0], np.ndarray):
-        axes = tuple(state_grid)  # explicit axes
-    else:
-        axes = tuple(problem.state_region.axes(state_grid))
+    axes = tuple(problem.state_region.axes(state_grid))
     nodes = model.tensor_points(axes)
     controls = control_grid_points(problem, control_grid)
     kn, kc = len(nodes), len(controls)
 
-    rep_states = np.repeat(nodes, kc, axis=0)
-    rep_controls = np.tile(controls, (kn, 1))
-    mask = admissible_mask(problem, rep_states, rep_controls).reshape(kn, kc)
-    stuck = np.nonzero(~mask.any(axis=1))[0]
-    if stuck.size:
-        raise AssumptionIViolation(tuple(nodes[stuck[0]]))
-    distinct, inverse = _distinct_rows(problem.f(rep_states, rep_controls))
+    pair_states, pair_controls, mask = model.pair_grid(problem, nodes, controls)
+    model.require_admissible(nodes, mask)
+    distinct, inverse = _distinct_rows(problem.f(pair_states, pair_controls))
     inverse = inverse.reshape(kn, kc)
-    stage = problem.g(rep_states, rep_controls).reshape(kn, kc)
+    stage = problem.g(pair_states, pair_controls).reshape(kn, kc)
     stage = np.where(mask, stage, np.inf)
     idx, wgt = _interp_table(axes, distinct)
 
@@ -168,12 +162,8 @@ def hamiltonian_min(problem: DiscreteControlProblem, psi: Callable, states,
     states = np.atleast_2d(states)
     controls = control_grid_points(problem, control_grid)
     k, kc = len(states), len(controls)
-    pair_states = np.repeat(states, kc, axis=0)
-    pair_controls = np.tile(controls, (k, 1))
-    mask = admissible_mask(problem, pair_states, pair_controls).reshape(k, kc)
-    stuck = np.nonzero(~mask.any(axis=1))[0]
-    if stuck.size:
-        raise AssumptionIViolation(tuple(states[stuck[0]]))
+    pair_states, pair_controls, mask = model.pair_grid(problem, states, controls)
+    model.require_admissible(states, mask)
     psi_y = np.repeat(psi(states), kc)
     vals = model.one_step(problem, psi, pair_states, pair_controls, psi_y).reshape(k, kc)
     out = np.where(mask, vals, np.inf).min(axis=1)
@@ -250,9 +240,8 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
 
     nodes = model.tensor_points(value_grid.axes)
     cg = control_grid_points(problem, control_grid)
-    scan_states = np.repeat(nodes, len(cg), axis=0)
-    scan_controls = np.tile(cg, (len(nodes), 1))
-    mask = admissible_mask(problem, scan_states, scan_controls)
+    scan_states, scan_controls, mask = model.pair_grid(problem, nodes, cg)
+    mask = mask.ravel()
     psi_roll = psi(roll.states)
     # psi is evaluated pointwise, so one value per node serves all its controls
     scan_psi_y = np.concatenate([np.repeat(psi(nodes), len(cg))[mask], psi_roll])
@@ -301,7 +290,7 @@ def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
     psi = functools.partial(certificate.psi, basis)
     psi0 = psi(problem.initial_state)
     shift = value_at_y0 - psi0
-    states = grid if isinstance(grid, np.ndarray) else problem.state_region.grid(grid)
+    states = model.state_grid_points(problem, grid)
     h = hamiltonian_min(problem, psi, states, control_grid)
     expr = h - (1.0 - problem.discount) * (psi(states) + shift)
     return float((-expr).max())

@@ -3,8 +3,9 @@ import pytest
 
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
                        FiniteSet, InadmissibleTransition, UnknownProblem,
-                       admissible_controls, builtin_problem, step)
-from omcontrol.model import admissible_mask, control_grid_points, tensor_points
+                       builtin_problem, step)
+from omcontrol.model import (admissible_mask, control_grid_points, pair_grid,
+                             require_admissible, tensor_points)
 
 
 def make_add_problem(y0=0.5):
@@ -50,10 +51,13 @@ class TestAdmissibility:
     def test_example1_every_grid_control_admissible(self):
         # the dynamics map the box into itself, so A(y) = U on any grid
         p = builtin_problem("example1")
-        y = np.array([0.5, 0.25])
+        y = np.array([[0.5, 0.25]])
         grid = control_grid_points(p, (9, 9))
-        out = admissible_controls(p, y, (9, 9))
-        np.testing.assert_array_equal(out, grid)
+        states, controls, mask = pair_grid(p, y, grid)
+        assert mask.shape == (1, len(grid)) and mask.all()
+        np.testing.assert_array_equal(controls, grid)
+        np.testing.assert_array_equal(states, np.broadcast_to(y, (len(grid), 2)))
+        require_admissible(y, mask)
 
     def test_example1_graph_is_full_box(self):
         p = builtin_problem("example1")
@@ -65,26 +69,32 @@ class TestAdmissibility:
 
     def test_shift_explicit_control_set(self):
         p = builtin_problem("shift")
-        grid = np.array([0.0, 0.5, 1.0])
-        out = admissible_controls(p, [0.3], grid)
-        np.testing.assert_allclose(out[:, 0], [0.0, 0.5, 1.0])
+        grid = control_grid_points(p, np.array([0.0, 0.5, 1.0]))
+        _, controls, mask = pair_grid(p, np.array([[0.3]]), grid)
+        np.testing.assert_allclose(controls[mask[0], 0], [0.0, 0.5, 1.0])
 
     def test_state_dependent_filtering(self):
-        # frozen by direct membership check: f(1, -0.5) = 0.5 in Y, f(1, 0.5) = 1.5 not
+        # frozen by direct membership check: f(1, -0.5) = 0.5 in Y, f(1, 0.5) = 1.5 not,
+        # and the other way round at y = 0
         p = make_add_problem()
-        out = admissible_controls(p, [1.0], np.array([-0.5, 0.5]))
-        np.testing.assert_allclose(out, [[-0.5]])
+        _, _, mask = pair_grid(p, np.array([[1.0], [0.0]]), np.array([[-0.5], [0.5]]))
+        np.testing.assert_array_equal(mask, [[True, False], [False, True]])
 
     def test_empty_admissible_set_is_hard_error(self):
         p = make_add_problem()
+        states = np.array([[0.0], [1.0]])
+        _, _, mask = pair_grid(p, states, np.array([[0.5], [0.75]]))
         with pytest.raises(AssumptionIViolation) as err:
-            admissible_controls(p, [1.0], np.array([0.5, 0.75]))
+            require_admissible(states, mask)
         assert err.value.state == (1.0,)
 
     def test_order_and_determinism(self):
         p = builtin_problem("example1")
-        a = admissible_controls(p, [0.1, -0.3], (5, 5))
-        b = admissible_controls(p, [0.1, -0.3], (5, 5))
+        y = np.array([[0.1, -0.3]])
+        grid = control_grid_points(p, (5, 5))
+        _, ca, ma = pair_grid(p, y, grid)
+        _, cb, mb = pair_grid(p, y, grid)
+        a, b = ca[ma[0]], cb[mb[0]]
         np.testing.assert_array_equal(a, b)
         # tensor enumeration is ascending lexicographic
         assert np.lexsort((a[:, 1], a[:, 0])).tolist() == list(range(len(a)))
@@ -92,8 +102,28 @@ class TestAdmissibility:
     def test_membership_tolerance_band(self):
         # landing within 1e-12 outside a face must not flip admissibility
         p = make_add_problem(y0=0.5)
-        out = admissible_controls(p, [0.5], np.array([0.5 + 5e-13]))
-        assert len(out) == 1
+        _, _, mask = pair_grid(p, np.array([[0.5]]), np.array([[0.5 + 5e-13]]))
+        assert mask.all()
+
+    @pytest.mark.parametrize("problem", ["example1", "add"])
+    def test_pair_grid_matches_repeat_and_tile(self, problem):
+        p = builtin_problem("example1") if problem == "example1" else make_add_problem()
+        states = p.state_region.grid(5)
+        controls = control_grid_points(p, 3)
+        pair_s, pair_c, mask = pair_grid(p, states, controls)
+        rep_s = np.repeat(states, len(controls), axis=0)
+        rep_c = np.tile(controls, (len(states), 1))
+        np.testing.assert_array_equal(pair_s, rep_s)
+        np.testing.assert_array_equal(pair_c, rep_c)
+        np.testing.assert_array_equal(
+            mask, admissible_mask(p, rep_s, rep_c).reshape(len(states), len(controls)))
+
+    def test_one_state_pairs_are_views(self):
+        p = builtin_problem("example1")
+        y = np.array([[0.5, 0.25]])
+        grid = control_grid_points(p, (9, 9))
+        states, controls, _ = pair_grid(p, y, grid)
+        assert np.shares_memory(controls, grid) and np.shares_memory(states, y)
 
 
 class TestStep:
@@ -134,5 +164,5 @@ class TestRegions:
             state_region=Box([0.0], [1.0]), control_region=FiniteSet(np.array([0.9, 0.0, 0.3])),
             discount=0.5, initial_state=[0.5])
         # counts are ignored: the grid is the set itself, lexicographically sorted
-        out = admissible_controls(p, [0.5], None)
-        np.testing.assert_allclose(out[:, 0], [0.0, 0.3, 0.9])
+        _, controls, mask = pair_grid(p, np.array([[0.5]]), control_grid_points(p, None))
+        np.testing.assert_allclose(controls[mask[0], 0], [0.0, 0.3, 0.9])

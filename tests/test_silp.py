@@ -48,6 +48,18 @@ class TestAssemble:
         # (0,0.5), (1,-0.5) admissible; (0,-0.5), (1,0.5) filtered
         assert lp.n_columns == 2
 
+    def test_state_without_admissible_control_is_skipped(self):
+        # at y = 1 no grid control keeps y + u in [0, 1]; the LP is built from y = 0 alone
+        from omcontrol import Box, DiscreteControlProblem
+        p = DiscreteControlProblem(
+            state_dim=1, dynamics=lambda y, u: y + u, cost=lambda y, u: y[..., 0],
+            state_region=Box([0.0], [1.0]), control_region=Box([-1.0], [1.0]),
+            discount=0.5, initial_state=[0.5])
+        lp = assemble(p, MonomialBasis(1, 0),
+                      GridSpec(state=np.array([0.0, 1.0]), control=np.array([0.25, 0.5])))
+        np.testing.assert_array_equal(lp.states[:, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(lp.controls[:, 0], [0.25, 0.5])
+
     def test_deterministic_column_order(self):
         p = builtin_problem("example1")
         a = assemble(p, MonomialBasis(2, 3), GridSpec(state=(5, 5), control=(5, 5)))

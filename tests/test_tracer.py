@@ -35,3 +35,20 @@ def test_install_and_restore_against_the_package():
     assert "synthesis.minimizer" in names and "model.admissible_mask" in names
     assert [dict(vars(mod)) for mod in modules] == before
     assert MonomialBasis.__dict__["evaluate"] is evaluate
+
+
+def test_pair_scans_record_a_nested_admissible_mask_span():
+    # every pair scan asks model.admissible_mask through model's global, where the tracer
+    # wraps it; a module that bypasses it would leave its scan without the nested span
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        p = builtin_problem("shift")
+        verify.value_iteration(p, (5,), (5,), tol=1e-6)
+        silp.assemble(p, MonomialBasis(1, 1), silp.GridSpec(state=(5,), control=(5,)))
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    for scan in ("verify.value_iteration", "silp.assemble"):
+        sid = next(i for i, s in enumerate(spans) if s[0] == scan)
+        assert any(s[0] == "model.admissible_mask" and s[1] == sid for s in spans), scan

@@ -14,8 +14,7 @@ from omcontrol import (AssumptionIViolation, AtomicMeasure, Box, CandidateSpec,
                        occupational_measure, rollout, solve, solve_refined,
                        value_iteration)
 from omcontrol import cli, verify
-from omcontrol.model import (admissible_controls, admissible_mask,
-                             control_grid_points, tensor_points)
+from omcontrol.model import admissible_mask, control_grid_points, tensor_points
 from omcontrol.verify import estimate_kappa, trajectory_residual_bound
 
 
@@ -187,15 +186,16 @@ class TestHamiltonian:
 
 
     def test_batch_matches_per_state_loop(self):
-        # the per-state formula over admissible_controls is the reference, bit for bit
+        # the per-state formula over the admissible grid controls is the reference, bit for bit
         p = builtin_problem("example1")
         b = MonomialBasis(2, 4)
         lam = np.random.default_rng(3).normal(size=b.count)
         psi = functools.partial(DualCertificate(lam=lam, mu=0.0).psi, b)
         states = p.state_region.grid((9, 9))
+        grid = control_grid_points(p, (7, 7))
         expected = []
         for y in states:
-            u = admissible_controls(p, y, (7, 7))
+            u = grid[admissible_mask(p, np.broadcast_to(y, grid.shape), grid)]
             ys = np.broadcast_to(y, u.shape)
             expected.append((p.g(ys, u) + p.discount * (psi(p.f(ys, u)) - psi(y))).min())
         np.testing.assert_array_equal(hamiltonian_min(p, psi, states, (7, 7)), expected)
@@ -395,6 +395,16 @@ class TestShiftedInequality:
             viol = check_shifted_inequality(cert, 0.4 + c, p, (21,),
                                             MonomialBasis(1, 3), (21,))
             assert viol == pytest.approx((1 - p.discount) * c, abs=1e-12)
+
+    def test_one_dimensional_array_grid_is_a_column_of_states(self):
+        # a 1-D array is 21 states of a 1-D problem, not one state of dimension 21
+        p = shift_problem()
+        cert = shift_exact_certificate()
+        b = MonomialBasis(1, 3)
+        by_counts = check_shifted_inequality(cert, 0.5, p, (21,), b, (21,))
+        by_array = check_shifted_inequality(cert, 0.5, p, np.linspace(0.0, 1.0, 21), b, (21,))
+        assert by_array == by_counts
+        assert by_array == pytest.approx((1 - p.discount) * 0.1, abs=1e-12)
 
 
 class TestOracleBracket:
