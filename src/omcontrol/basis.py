@@ -18,6 +18,7 @@ import itertools
 
 import numpy as np
 
+from . import model
 from .model import DiscreteControlProblem
 
 
@@ -107,14 +108,24 @@ def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,
     """(N, K) coefficients of aligned pairs against every test function.
 
     Row 0 belongs to the constant monomial and is identically zero; the LP
-    carries the probability-normalization row instead.
+    carries the probability-normalization row instead.  The monomials are
+    evaluated once per distinct state and once per distinct successor (a
+    grid's pairs share both) and gathered per pair, bit for bit the rows a
+    per-pair evaluation gives.  The expression
+    a * (phi_f - phi_y) + (1 - a) * (phi_y0 - phi_y) is evaluated in place,
+    operation for operation, so at most two (K, N) arrays are alive.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    phi_y = basis.evaluate(states)
-    phi_f = basis.evaluate(problem.f(states, controls))
-    phi_y0 = basis.evaluate(problem.initial_state)
+    ys, y_of = model.distinct_rows(states)
+    fs, f_of = model.distinct_rows(problem.f(states, controls))
+    phi_y = basis.evaluate(ys)[y_of]
+    cols = basis.evaluate(fs)[f_of]
     a = problem.discount
-    cols = a * (phi_f - phi_y) + (1.0 - a) * (phi_y0[None, :] - phi_y)
+    cols -= phi_y
+    cols *= a
+    np.subtract(basis.evaluate(problem.initial_state)[None, :], phi_y, out=phi_y)
+    phi_y *= 1.0 - a
+    cols += phi_y
     return cols.T
 

@@ -187,6 +187,24 @@ def state_grid_points(problem: DiscreteControlProblem, spec) -> np.ndarray:
     return problem.state_region.grid(spec)
 
 
+def distinct_rows(points):
+    """Distinct rows of a (K, m) float array by bit pattern, and the (K,) inverse map.
+
+    Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
+    ``distinct[inverse]`` has exactly the bytes of ``points``.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    bits = points.view(np.uint64)
+    order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    first = np.empty(len(order), dtype=bool)
+    first[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return points[order[first]], inverse
+
+
 def admissible_mask(problem: DiscreteControlProblem, states, controls) -> np.ndarray:
     """Admissibility of aligned (K, m)/(K, d) state-control pairs."""
     states = np.atleast_2d(np.asarray(states, dtype=float))

@@ -163,20 +163,19 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     )
 
 
-def solve(lp: FiniteLP, pivot_tol: float = 1e-9, sift: bool = False, start=None,
+def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
           results: Optional[list] = None) -> tuple[AtomicMeasure, DualCertificate]:
     """Solve the finite LP; atoms are the positive basic variables.
 
     The dual of the normalization row is the optimal value ``mu``; the
     duals of the test-function rows give the surrogate coefficients (sign
     flipped so that the reduced cost reads g + shifted surrogate - mu).
-    ``sift`` selects the sifted Phase II of ``solve_equality_lp``: the same
-    ``mu``, but not necessarily the same optimal vertex or certificate.
+    On a degenerate LP the vertex, and with it the certificate, depend on
+    the pivot path; ``select_certificate`` removes that dependence.
     ``start`` is a basis to resume Phase II from (see ``solve_equality_lp``),
     and ``results``, when given, receives the solver's ``LpResult``.
     """
-    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, sift=sift,
-                            start=start)
+    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, start=start)
     if results is not None:
         results.append(res)
     x = np.where(np.abs(res.x) < _WEIGHT_CLIP, 0.0, res.x)
@@ -211,7 +210,9 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     from the LP's basis with its heaviest column swapped for w, with no
     Phase I.  That swap keeps the basis nonsingular: the normalization row
     is the LP's only nonzero right-hand side, so a basic weight is the
-    column's cofactor in that row over det B, nonzero when positive.
+    column's cofactor in that row over det B, nonzero when positive.  Its
+    Phase II is the simplex's sifted one, like every other LP here: t* is
+    certified over all n + s + 1 columns.
     """
     support = np.nonzero(res.x > _SUPPORT_TOL)[0]
     rows, n, s = lp.n_rows, lp.n_columns, support.size
@@ -229,8 +230,7 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     cost = np.concatenate([shifted, -shifted[support], [1.0]])
     start = res.basis.copy()
     start[np.argmax(res.x[start])] = n + s
-    sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, sift=True,
-                            start=start)
+    sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, start=start)
     lam = np.concatenate([[0.0], -sel.duals[:-1]])
     return DualCertificate(lam=lam, mu=certificate.mu), float(sel.duals[-1]), sel.pivots
 

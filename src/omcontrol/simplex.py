@@ -2,13 +2,23 @@
 
 Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small
 (tens of rows, up to ~1e5 columns).  Feasibility comes from a Phase-I with
-artificial variables; redundant rows discovered there are dropped and get
-zero duals.  Pricing is Dantzig's rule with smallest-index tie-breaks; a
-degeneracy counter switches to Bland's rule after ``_STALL_LIMIT``
-pivots without objective progress, which guarantees termination, and
-switches back once the objective moves again.  The basis system is
-re-solved from scratch every pivot (cheap at these sizes, and it avoids
-accumulated update error).
+artificial variables, priced in full over [A | I]; redundant rows
+discovered there are dropped and get zero duals.  Pricing is Dantzig's
+rule with smallest-index tie-breaks; a degeneracy counter switches to
+Bland's rule after ``_STALL_LIMIT`` pivots without objective progress,
+which guarantees termination, and switches back once the objective moves
+again.  The pivots work from one explicit basis inverse, updated by a
+rank-one (eta) update per pivot (product form; Dantzig and Orchard-Hays,
+1954) and refactorized every m pivots for an LP of m rows.  Optimality is
+confirmed on x_B and duals re-solved from the basis matrix, so the result
+of a final basis does not depend on the updates that led to it.
+
+Phase II runs by sifting (working-set pricing; Bixby et al., Oper. Res.
+40(5), 1992): the pivots price only a working set of columns, every other
+column is priced each time the working set is optimal, and the most
+negative ones join it.  It stops when no reduced cost is below
+``-pivot_tol``, so the optimum is certified over all columns while a
+pivot prices a few columns per row instead of the whole LP.
 
 A caller that already holds a primal feasible basis, such as the optimal
 basis of an LP whose columns it has since appended to, passes it as
@@ -17,17 +27,6 @@ nonsingular and is primal feasible, Phase II resumes from it with no
 Phase I.  Any other start, including the basis of a solve whose Phase I
 dropped a redundant row (it is one column short), falls back to the cold
 two-phase solve, which returns exactly what it would without a start.
-
-With ``sift=True`` Phase II runs by sifting (working-set pricing; Bixby
-et al., Oper. Res. 40(5), 1992): the pivots price only a working set of
-columns, every column is priced once each time the working set is
-optimal, and the most negative ones join it.  It stops on the same test
-as the full Phase II (no reduced cost below ``-pivot_tol`` over all
-columns), so the optimal value agrees, but the pivot path, and with it
-the optimal vertex and duals reached on a degenerate LP, differ.  It
-suits LPs with far more columns than rows whose value alone is wanted,
-or whose duals are chosen by a later step (the max-margin certificate
-selection in ``silp``).
 """
 
 from __future__ import annotations
@@ -53,22 +52,48 @@ class LpResult:
     warm: bool = False   # Phase II resumed from the given start basis
 
 
+def _inverse(B):
+    """The explicit inverse of the basis matrix ``B``."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise SolverStalled("singular working basis") from None
+
+
+def _entering(rc, use_bland, pivot_tol):
+    """Entering column for the reduced costs ``rc``, or None at optimality."""
+    if use_bland:
+        negative = np.nonzero(rc < -pivot_tol)[0]
+        return int(negative[0]) if negative.size else None
+    j = int(np.argmin(rc))
+    return j if rc[j] < -pivot_tol else None
+
+
 def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     """Run simplex pivots until optimality over the first n_enterable columns.
 
-    ``basis`` is modified in place.  Returns (x_B, duals, pivots_done).
+    The pivots read one explicit basis inverse, updated by the rank-one
+    (eta) update of each pivot and refactorized every m pivots.  Optimality
+    is only accepted after x_B and the duals are re-solved from the basis
+    matrix itself and priced again, so the returned values do not depend on
+    the update history.  ``basis`` is modified in place.  Returns (x_B,
+    duals, pivots_done).
     """
     m = A.shape[0]
     use_bland = False
     stall = 0
     prev_obj = np.inf
+
+    def price(y):
+        rc = c[:n_enterable] - y @ A[:, :n_enterable]
+        rc[basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
+        return rc
+
+    inv = _inverse(A[:, basis])
+    age = 0
     while True:
-        B = A[:, basis]
-        try:
-            xB = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            raise SolverStalled("singular working basis") from None
+        xB = inv @ b
+        y = c[basis] @ inv
         obj = float(c[basis] @ xB)
         if obj < prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
             stall = 0
@@ -79,19 +104,20 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
                 use_bland = True
         prev_obj = obj
 
-        rc = c[:n_enterable] - y @ A[:, :n_enterable]
-        rc[basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
-        if use_bland:
-            negative = np.nonzero(rc < -pivot_tol)[0]
-            if negative.size == 0:
+        j = _entering(price(y), use_bland, pivot_tol)
+        if j is None:
+            B = A[:, basis]
+            try:
+                xB = np.linalg.solve(B, b)
+                y = np.linalg.solve(B.T, c[basis])
+            except np.linalg.LinAlgError:
+                raise SolverStalled("singular working basis") from None
+            j = _entering(price(y), use_bland, pivot_tol)
+            if j is None:
                 return np.maximum(xB, 0.0), y, pivots_done
-            j = int(negative[0])
-        else:
-            j = int(np.argmin(rc))
-            if rc[j] >= -pivot_tol:
-                return np.maximum(xB, 0.0), y, pivots_done
+            inv, age = _inverse(B), 0
 
-        d = np.linalg.solve(B, A[:, j])
+        d = inv @ A[:, j]
         pos = d > pivot_tol
         if not pos.any():
             raise LpUnbounded("no blocking row for the entering column")
@@ -105,12 +131,25 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
         pivots_done += 1
         if pivots_done > max_pivots:
             raise SolverStalled(f"pivot budget {max_pivots} exhausted")
+        age += 1
+        if age >= m:
+            inv, age = _inverse(A[:, basis]), 0
+        else:
+            row = inv[leave] / d[leave]
+            inv -= np.outer(d, row)
+            inv[leave] = row
 
 
 def _sift(A, b, c, basis, pivot_tol, max_pivots, pivots_done):
     """Phase II by sifting from the feasible ``basis``: pivot on a working set
-    of columns, grow it by the most negative reduced costs over all columns,
-    and stop when there are none.  Returns (x_B, duals, basis, pivots_done).
+    of columns, grow it by the most negative reduced costs over the other
+    columns, and stop when there are none.  Returns (x_B, duals, basis,
+    pivots_done).
+
+    The working set is already optimal when ``_iterate`` returns, so the
+    full pricing zeroes it: ``y @ A`` rounds differently from the working
+    set's own product, and a working-set column it reads as negative would
+    re-enter a working set that cannot grow, forever.
     """
     n = A.shape[1]
     width = _SIFT_WIDTH * A.shape[0]
@@ -121,7 +160,7 @@ def _sift(A, b, c, basis, pivot_tol, max_pivots, pivots_done):
                                       pivot_tol, max_pivots, pivots_done)
         basis = work[local]
         rc = c - y @ A
-        rc[basis] = 0.0
+        rc[work] = 0.0
         negative = np.nonzero(rc < -pivot_tol)[0]
         if negative.size == 0:
             return xB, y, basis, pivots_done
@@ -180,12 +219,9 @@ def _phase_one(A, b, pivot_tol, max_pivots):
 
 
 def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_000,
-                      sift: bool = False, start=None) -> LpResult:
+                      start=None) -> LpResult:
     """Solve min c@x s.t. A@x = b, x >= 0 by the two-phase dense simplex.
 
-    ``sift`` runs Phase II by sifting (see the module docstring): the same
-    optimal value on wide LPs in far fewer column pricings, but not the
-    same optimal vertex or duals as the full Phase II on a degenerate LP.
     ``start``, a basis of one column index per row, skips Phase I when it
     is nonsingular and primal feasible (``LpResult.warm`` says so); any
     other start falls back to the cold two-phase solve.
@@ -213,10 +249,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
             A, b = A[rows], b[rows]
 
     # Phase II on structural columns only.
-    if sift:
-        xB, y, basis, pivots = _sift(A, b, c, basis, pivot_tol, max_pivots, pivots)
-    else:
-        xB, y, pivots = _iterate(A, b, c, basis, n, pivot_tol, max_pivots, pivots)
+    xB, y, basis, pivots = _sift(A, b, c, basis, pivot_tol, max_pivots, pivots)
 
     # One step of iterative refinement for the final basic solution.
     B = A[:, basis]

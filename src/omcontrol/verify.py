@@ -81,24 +81,6 @@ def _interp_table(axes, pts):
     return idx, wgt
 
 
-def _distinct_rows(points):
-    """Distinct rows of a (K, m) float array by bit pattern, and the (K,) inverse map.
-
-    Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
-    ``distinct[inverse]`` has exactly the bytes of ``points``.
-    """
-    points = np.ascontiguousarray(points, dtype=float)
-    bits = points.view(np.uint64)
-    order = np.lexsort(bits.T[::-1])
-    ordered = bits[order]
-    first = np.empty(len(order), dtype=bool)
-    first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return points[order[first]], inverse
-
-
 def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
                     tol: float = 1e-8, max_iter: int = 20_000) -> ValueFunctionGrid:
     """Fixed point of the one-step minimization operator on a state grid.
@@ -124,7 +106,7 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
 
     pair_states, pair_controls, mask = model.pair_grid(problem, nodes, controls)
     model.require_admissible(nodes, mask)
-    distinct, inverse = _distinct_rows(problem.f(pair_states, pair_controls))
+    distinct, inverse = model.distinct_rows(problem.f(pair_states, pair_controls))
     inverse = inverse.reshape(kn, kc)
     stage = problem.g(pair_states, pair_controls).reshape(kn, kc)
     stage = np.where(mask, stage, np.inf)
@@ -304,13 +286,13 @@ def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
     Exact computation would need the untruncated dual value; this re-solves
     the same grid with the degree cap raised by one and adds the distance
     to the oracle's value scaled by (1 - alpha).  Report-only.  Only the
-    re-solve's optimal value mu' is used, never its vertex or duals, so it
-    runs the sifted Phase II: the base grid has far more columns than rows
-    (160,801 columns for 10 rows on a 401 x 401 grid at degree 9), and
-    sifting prices a small working set per pivot instead of every column.
+    re-solve's optimal value mu' is used, never its vertex or duals.  The
+    base grid has far more columns than rows (160,801 columns for 10 rows on
+    a 401 x 401 grid at degree 9), the shape the simplex's sifted Phase II
+    is for.
     """
     richer = MonomialBasis(basis.dim, basis.max_degree + 1)
-    _, cert = solve(assemble(problem, richer, grid_spec), pivot_tol=pivot_tol, sift=True)
+    _, cert = solve(assemble(problem, richer, grid_spec), pivot_tol=pivot_tol)
     increment = max(0.0, cert.mu - mu)
     oracle_gap = max(0.0, (1.0 - problem.discount) * oracle_value - cert.mu)
     return increment + oracle_gap

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omcontrol import MonomialBasis, builtin_problem
+from omcontrol import MonomialBasis, builtin_problem, model
 from omcontrol.basis import constraint_columns
 
 
@@ -116,6 +116,24 @@ class TestConstraintCoefficient:
         a = constraint_columns(b, p, pts, us)
         c = constraint_columns(b, p, pts, us)
         assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("name, degree, grid", [("example1", 7, (9, 9)),
+                                                    ("shift", 8, (41,))])
+    def test_matches_per_pair_evaluation_bitwise(self, name, degree, grid):
+        # the base grid's admissible pairs, as assemble builds them: each
+        # state and many successors recur, so evaluation per distinct point
+        # must gather exactly the rows a per-pair evaluation gives
+        p = builtin_problem(name)
+        b = MonomialBasis(p.state_dim, degree)
+        states, controls, mask = model.pair_grid(p, model.state_grid_points(p, grid),
+                                                 model.control_grid_points(p, grid))
+        states, controls = states[mask.ravel()], controls[mask.ravel()]
+        succ = p.f(states, controls)
+        assert len(model.distinct_rows(succ)[0]) < len(succ)
+        a = p.discount
+        direct = (a * (b.evaluate(succ) - b.evaluate(states))
+                  + (1.0 - a) * (b.evaluate(p.initial_state)[None, :] - b.evaluate(states))).T
+        assert constraint_columns(b, p, states, controls).tobytes() == direct.tobytes()
 
 
 class TestEvaluateCoefficients:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from omcontrol import simplex
 from omcontrol.errors import LpInfeasible, LpUnbounded
 from omcontrol.simplex import solve_equality_lp
 
@@ -87,14 +88,27 @@ class TestSmallFixtures:
 
 
 def seed_cases(seeds):
-    """(seed, sift) cases: full pricing under the bare seed id, sifting under "<seed>-sift"."""
+    """(seed, wide) cases: the drawn LP under the bare seed id, and under
+    "<seed>-sift" the same LP widened by ``widened``, so that sifting has to
+    grow its working set over several passes."""
     return ([pytest.param(s, False, id=str(s)) for s in seeds]
             + [pytest.param(s, True, id=f"{s}-sift") for s in seeds])
 
 
+def widened(A, c, rng, copies=8):
+    """The LP with ``copies`` * n random convex combinations of column pairs
+    appended, costs combined alike: in exact arithmetic the same optimal
+    value (and the same unboundedness), with a much larger optimal face."""
+    n = A.shape[1]
+    i, j = rng.integers(0, n, size=(2, copies * n))
+    w = rng.uniform(0.0, 1.0, size=copies * n)
+    return (np.hstack([A, w * A[:, i] + (1 - w) * A[:, j]]),
+            np.concatenate([c, w * c[i] + (1 - w) * c[j]]))
+
+
 class TestAgainstScipy:
-    @pytest.mark.parametrize("seed, sift", seed_cases(range(25)))
-    def test_random_feasible_instances(self, seed, sift):
+    @pytest.mark.parametrize("seed, wide", seed_cases(range(25)))
+    def test_random_feasible_instances(self, seed, wide):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 8))
         n = int(rng.integers(m + 1, 40))
@@ -102,8 +116,10 @@ class TestAgainstScipy:
         b = A @ np.abs(rng.normal(size=n))
         c = rng.normal(size=n)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        if wide:
+            A, c = widened(A, c, rng)
         try:
-            mine = solve_equality_lp(A, b, c, sift=sift)
+            mine = solve_equality_lp(A, b, c)
         except LpUnbounded:
             assert ref.status == 3
             return
@@ -112,8 +128,8 @@ class TestAgainstScipy:
         np.testing.assert_allclose(A @ mine.x, b, atol=1e-8)
         assert mine.x.min() >= -1e-12
 
-    @pytest.mark.parametrize("seed, sift", seed_cases(range(10)))
-    def test_random_normalized_instances(self, seed, sift):
+    @pytest.mark.parametrize("seed, wide", seed_cases(range(10)))
+    def test_random_normalized_instances(self, seed, wide):
         # the shape used by the measure LPs: zero rows plus a sum-to-one row
         rng = np.random.default_rng(100 + seed)
         m, n = 6, 60
@@ -122,8 +138,10 @@ class TestAgainstScipy:
         b[-1] = 1.0
         c = rng.normal(size=n)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        if wide:
+            A, c = widened(A, c, rng)
         try:
-            mine = solve_equality_lp(A, b, c, sift=sift)
+            mine = solve_equality_lp(A, b, c)
         except LpInfeasible:
             assert ref.status == 2
             return
@@ -142,15 +160,99 @@ class TestSifting:
         A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
         b = A @ rng.dirichlet(np.ones(n))
         c = rng.normal(size=n)
-        full = solve_equality_lp(A, b, c)
-        sifted = solve_equality_lp(A, b, c, sift=True)
+        sifted = solve_equality_lp(A, b, c)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status == 0
-        assert sifted.value == pytest.approx(full.value, abs=1e-9)
         assert sifted.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
         assert (c - sifted.duals @ A).min() >= -1e-9  # dual feasible on every column
         np.testing.assert_allclose(A @ sifted.x, b, atol=1e-8)
         assert sifted.x.min() >= 0.0
+
+    def test_working_set_columns_are_not_priced_again(self, monkeypatch):
+        # Once the working set is optimal, only the columns outside it are
+        # priced again.  Working-set column j gets the cost at which it reads
+        # just above -pivot_tol in the working set's products y @ A[:, work],
+        # for the duals of the basis inverse and for those solved afresh, but
+        # below it in the full product y @ A.  Were it priced again, it would
+        # enter a working set that already holds it, and sifting would
+        # restart the optimal working set forever.
+        rng = np.random.default_rng(400)
+        m, n, tol = 20, 2_000, 1e-9
+        A = np.vstack([np.abs(rng.normal(size=(m - 1, n))), np.ones(n)])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        basis = solve_equality_lp(A, b, c).basis
+        work = np.union1d(basis, np.linspace(0, n - 1, min(n, simplex._SIFT_WIDTH * m),
+                                             dtype=np.int64))
+        B = A[:, basis]
+        ys = [np.linalg.solve(B.T, c[basis]), c[basis] @ np.linalg.inv(B)]
+        in_work = np.max([y @ A[:, work] for y in ys], axis=0)
+        full = ys[0] @ A
+        k = next(k for k, j in enumerate(work) if j not in basis and full[j] > in_work[k])
+        j = work[k]
+        c[j] = in_work[k] - tol
+        while c[j] - in_work[k] < -tol:
+            c[j] = np.nextafter(c[j], np.inf)
+        assert c[j] - full[j] < -tol  # the full product reads it as entering
+
+        iterate, idle = simplex._iterate, []
+
+        def guarded(*args):
+            out = iterate(*args)
+            idle.append(out[2] == args[-1])  # this call made no pivot
+            if sum(idle[-3:]) == 3:
+                raise AssertionError("three optimal working-set restarts in a row")
+            return out
+
+        monkeypatch.setattr(simplex, "_iterate", guarded)
+        _, _, final, pivots = simplex._sift(A, b, c, basis.copy(), tol, 1_000, 0)
+        assert pivots == 0
+        np.testing.assert_array_equal(final, basis)
+
+
+class TestBasisInverse:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_solves_across_refactorizations(self, monkeypatch, seed):
+        # more than 2m pivots, and at least two refactorizations beyond the
+        # factorization each _iterate call starts from
+        rng = np.random.default_rng(500 + seed)
+        m, n = 24, 400
+        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        calls = {"_iterate": 0, "_inverse": 0}
+
+        def counted(name):
+            original = getattr(simplex, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return original(*args)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(simplex, name, counted(name))
+        res = solve_equality_lp(A, b, c)
+        assert res.pivots > 2 * m
+        assert calls["_inverse"] - calls["_iterate"] >= 2  # beyond one factorization per call
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert res.value == pytest.approx(ref.fun, abs=1e-9)
+        assert (c - res.duals @ A).min() >= -1e-9
+        np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duals_are_solved_from_the_final_basis(self, seed):
+        # optimality is confirmed on duals solved afresh, never on updated ones
+        rng = np.random.default_rng(600 + seed)
+        m, n = 20, 300
+        A = np.vstack([np.abs(rng.normal(size=(m - 1, n))), np.ones(n)])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        assert b.min() >= 0.0
+        res = solve_equality_lp(A, b, c)
+        expected = np.linalg.solve(A[:, res.basis].T, c[res.basis])
+        assert res.duals.tobytes() == expected.tobytes()
 
 
 def same_result(a, b):
@@ -188,9 +290,10 @@ class TestWarmStart:
         b = A[:, :100] @ rng.dirichlet(np.ones(100))
         c = rng.normal(size=n)
         first = solve_equality_lp(A[:, :100], b, c[:100])
-        warm = solve_equality_lp(A, b, c, sift=True, start=first.basis)
-        assert warm.warm
-        assert warm.value == pytest.approx(solve_equality_lp(A, b, c).value, abs=1e-9)
+        warm = solve_equality_lp(A, b, c, start=first.basis)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert warm.warm and ref.status == 0
+        assert warm.value == pytest.approx(ref.fun, abs=1e-9)
         assert (c - warm.duals @ A).min() >= -1e-9
 
     def lp(self):

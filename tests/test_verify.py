@@ -13,7 +13,7 @@ from omcontrol import (AssumptionIViolation, AtomicMeasure, Box, CandidateSpec,
                        hamiltonian_min, measure_residuals, minimizer_policy,
                        occupational_measure, rollout, solve, solve_refined,
                        value_iteration)
-from omcontrol import cli, verify
+from omcontrol import cli, model, verify
 from omcontrol.model import admissible_mask, control_grid_points, tensor_points
 from omcontrol.verify import estimate_kappa, trajectory_residual_bound
 
@@ -158,7 +158,7 @@ class TestValueIteration:
 
     def test_distinct_rows_keep_signed_zeros_apart(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
-        distinct, inverse = verify._distinct_rows(pts)
+        distinct, inverse = model.distinct_rows(pts)
         assert len(distinct) == 4
         assert distinct[inverse].tobytes() == pts.tobytes()
 
@@ -421,8 +421,9 @@ class TestKappa:
         ("shift", 3, (21,), (21,)),   # CLI defaults
         ("example1", 3, (7,), (11,)),
     ], ids=["shift", "example1"])
-    def test_sifted_estimate_matches_full_resolve(self, monkeypatch, name, degree,
-                                                  grid, vi_grid):
+    def test_sifted_estimate_matches_full_resolve(self, name, degree, grid, vi_grid):
+        from scipy.optimize import linprog
+
         p = builtin_problem(name)
         b = MonomialBasis(p.state_dim, degree)
         spec = GridSpec(state=grid, control=grid)
@@ -430,12 +431,10 @@ class TestKappa:
         oracle_value = value_iteration(p, vi_grid, vi_grid, tol=1e-8)(p.initial_state)
         sifted = estimate_kappa(p, b, spec, cert.mu, oracle_value)
 
-        full_solve = verify.solve
-
-        def full_pricing(lp, pivot_tol, sift):
-            assert sift
-            return full_solve(lp, pivot_tol=pivot_tol)
-
-        monkeypatch.setattr(verify, "solve", full_pricing)
-        full = estimate_kappa(p, b, spec, cert.mu, oracle_value)
+        # the degree + 1 LP solved by HiGHS: its optimal value is mu'
+        lp = assemble(p, MonomialBasis(p.state_dim, degree + 1), spec)
+        ref = linprog(lp.cost, A_eq=lp.matrix, b_eq=lp.rhs, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        full = (max(0.0, ref.fun - cert.mu)
+                + max(0.0, (1.0 - p.discount) * oracle_value - ref.fun))
         assert sifted == pytest.approx(full, abs=1e-9)
