@@ -234,13 +234,16 @@ def require_admissible(states, mask) -> None:
 
 
 def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
-             psi_y=0.0) -> np.ndarray:
+             psi_y=0.0, psi_f=None) -> np.ndarray:
     """g(y, u) + alpha * (psi(f(y, u)) - psi_y) at aligned pairs, psi a batched callable.
 
     The one-step integrand of the max-min dual: minimal on the support of
     an optimal measure, and its argmin over u is the near-optimal control.
+    ``psi_f``, when given, is psi at the successors f(y, u), already
+    evaluated by the caller.
     """
-    psi_f = psi(problem.f(states, controls))
+    if psi_f is None:
+        psi_f = psi(problem.f(states, controls))
     return problem.g(states, controls) + problem.discount * (psi_f - psi_y)
 
 

@@ -11,6 +11,14 @@ against the certificate, appends the most-violating admissible points
 and re-solves, each round resuming Phase II from the previous optimal
 basis, until the certificate is dually feasible on the candidate set.
 
+The candidate set is a tensor lattice of state-control pairs plus one-cell
+offsets around the current atoms.  Only the offsets change between rounds,
+so ``candidate_lattice`` builds the rest once per solve: the lattice's
+states and controls, its admissible pairs, and for each admissible pair
+the row of its successor f(y, u) among the distinct successors.  A scan
+then evaluates psi once per lattice state and once per distinct successor
+and gathers both per pair.
+
 When the dual is degenerate, the vertex the simplex stops at is one of
 many optimal duals, and its surrogate can be dually infeasible between
 the candidate points.  ``select_certificate`` therefore replaces it by
@@ -236,12 +244,14 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
 
 
 def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
-                  certificate: DualCertificate, states, controls, psi_y=None) -> np.ndarray:
+                  certificate: DualCertificate, states, controls, psi_y=None,
+                  psi_f=None) -> np.ndarray:
     """g + shifted surrogate terms - mu at aligned admissible pairs.
 
     Negative values identify points the current certificate misprices;
-    at atoms of the optimal measure the value is zero.  ``psi_y``, when
-    given, is psi at ``states``, already evaluated by the caller.
+    at atoms of the optimal measure the value is zero.  ``psi_y`` and
+    ``psi_f``, when given, are psi at ``states`` and at the successors
+    f(states, controls), already evaluated by the caller.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -249,80 +259,150 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
     if psi_y is None:
         psi_y = psi(states)
     a = problem.discount
-    return (model.one_step(problem, psi, states, controls, psi_y)
+    return (model.one_step(problem, psi, states, controls, psi_y, psi_f)
             + (1.0 - a) * (psi(problem.initial_state) - psi_y) - certificate.mu)
 
 
-def _candidate_blocks(problem, lp, measure, spec, psi):
-    """Yield (states, controls, psi(states)) candidate blocks, admissibility unfiltered.
+@dataclass(frozen=True)
+class CandidateLattice:
+    """The round-invariant part of the candidate set: its tensor lattice of pairs.
 
-    psi is evaluated once per lattice state, not once per pair.
+    Pair j of the lattice is (states[j // C], controls[j % C]) with C the
+    number of controls; the scan walks the pairs in ``_SCAN_CHUNK`` blocks
+    of consecutive j.  ``admissible`` maps a block's first j to the j of its
+    admissible pairs, for the blocks that have an inadmissible pair only.
+    ``successors`` are the distinct f(y, u) of the admissible pairs, and
+    ``successor_of`` gives, for the admissible pairs in order of j, the row
+    of their successor, in the smallest unsigned dtype that holds it.
+    """
+
+    states: np.ndarray         # (Ks, m)
+    controls: np.ndarray       # (C, d)
+    successors: np.ndarray     # (S, m)
+    successor_of: np.ndarray   # (admissible pairs,) unsigned
+    admissible: dict
+
+    def blocks(self):
+        """Yield (j of the admissible pairs, their successor rows) per scan block."""
+        total = len(self.states) * len(self.controls)
+        at = 0
+        for start in range(0, total, _SCAN_CHUNK):
+            idx = self.admissible.get(start)
+            if idx is None:
+                idx = np.arange(start, min(start + _SCAN_CHUNK, total))
+            yield idx, self.successor_of[at:at + idx.size]
+            at += idx.size
+
+
+def _index_dtype(count: int):
+    """The smallest unsigned dtype that holds the indices 0 .. count - 1."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def candidate_lattice(problem: DiscreteControlProblem, spec: CandidateSpec) -> CandidateLattice:
+    """Grid the candidate spec and index its admissible pairs' distinct successors.
+
+    Admissibility is tested once per scan block.  Each block's successors
+    are made distinct on their own and only those are merged, so no array
+    the size of the lattice is built but ``successor_of``.
     """
     s_pts = model.state_grid_points(problem, spec.state)
     c_pts = model.control_grid_points(problem, spec.control)
-    psi_s = psi(s_pts)
-    ks, kc = len(s_pts), len(c_pts)
-    total = ks * kc
+    kc, total = len(c_pts), len(s_pts) * len(c_pts)
+    admissible, parts = {}, []
     for start in range(0, total, _SCAN_CHUNK):
         idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-        rows = idx // kc
-        yield s_pts[rows], c_pts[idx % kc], psi_s[rows]
+        rows, cols = np.divmod(idx, kc)
+        ys, us = s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
+        mask = admissible_mask(problem, ys, us)
+        if not mask.all():
+            admissible[start] = idx = idx[mask]
+            ys, us = ys[mask], us[mask]
+        if idx.size:
+            distinct, inverse = model.distinct_rows(problem.f(ys, us))
+            parts.append((distinct, inverse.astype(_index_dtype(len(distinct)))))
+    successors, merged = model.distinct_rows(
+        np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
+    successor_of = np.empty(sum(inv.size for _, inv in parts), dtype=_index_dtype(len(successors)))
+    at = base = 0
+    for distinct, inverse in parts:
+        successor_of[at:at + inverse.size] = merged[base:base + len(distinct)].take(inverse)
+        at, base = at + inverse.size, base + len(distinct)
+    return CandidateLattice(states=s_pts, controls=c_pts, successors=successors,
+                            successor_of=successor_of, admissible=admissible)
+
+
+def _candidate_blocks(problem, lp, measure, lattice, psi):
+    """Yield (states, controls, psi(states), psi(successors) or None) admissible blocks.
+
+    psi is evaluated once per lattice state and once per distinct lattice
+    successor, not once per pair; the atom perturbations, which change
+    every round, leave psi at their successors to ``reduced_costs``.
+    """
+    psi_s = psi(lattice.states)
+    psi_f = psi(lattice.successors)
+    kc = len(lattice.controls)
+    for idx, succ in lattice.blocks():
+        rows, cols = np.divmod(idx, kc)
+        # take, not fancy indexing: an order of magnitude faster on (K, 1-2) arrays
+        yield (lattice.states.take(rows, axis=0), lattice.controls.take(cols, axis=0),
+               psi_s.take(rows), psi_f.take(succ))
     if measure is not None and len(measure):
         ys, us = _atom_perturbations(problem, lp, measure)
-        yield ys, us, psi(ys)
+        mask = admissible_mask(problem, ys, us)
+        ys, us = ys[mask], us[mask]
+        yield ys, us, psi(ys), None
 
 
 def _atom_perturbations(problem, lp, measure):
-    """Axis-aligned offsets of one base cell around every atom, clipped to the boxes."""
+    """Axis-aligned offsets of one base cell around every atom, clipped to the boxes.
+
+    Rows are atom-major: per atom, each state axis with a positive step at
+    -/+ one step, then (for a box control region) each control axis alike.
+    """
+    ys, us = measure.states, measure.controls
+    m, d = ys.shape[1], us.shape[1]
     states, controls = [], []
-    m, d = measure.states.shape[1], measure.controls.shape[1]
-    s_step, c_step = lp.state_step, lp.control_step
-    control_is_box = isinstance(problem.control_region, model.Box)
-    for k in range(len(measure)):
-        y, u = measure.states[k], measure.controls[k]
-        for a in range(m):
-            if s_step[a] <= 0:
-                continue
+    for a in np.flatnonzero(lp.state_step > 0):
+        for sign in (-1.0, 1.0):
+            yp = ys.copy()
+            yp[:, a] += sign * lp.state_step[a]
+            states.append(problem.state_region.clip(yp))
+            controls.append(us)
+    if isinstance(problem.control_region, model.Box):
+        for a in np.flatnonzero(lp.control_step > 0):
             for sign in (-1.0, 1.0):
-                yp = y.copy()
-                yp[a] += sign * s_step[a]
-                states.append(problem.state_region.clip(yp))
-                controls.append(u.copy())
-        if not control_is_box:
-            continue
-        for a in range(d):
-            if c_step[a] <= 0:
-                continue
-            for sign in (-1.0, 1.0):
-                up = u.copy()
-                up[a] += sign * c_step[a]
-                states.append(y.copy())
+                up = us.copy()
+                up[:, a] += sign * lp.control_step[a]
+                states.append(ys)
                 controls.append(problem.control_region.clip(up))
     if not states:
         return np.empty((0, m)), np.empty((0, d))
-    return np.array(states), np.array(controls)
+    # stacked on axis 1 the blocks form (atoms, offsets, dim), so rows go atom by atom
+    return np.stack(states, axis=1).reshape(-1, m), np.stack(controls, axis=1).reshape(-1, d)
 
 
 def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
                     certificate: DualCertificate, lp: FiniteLP,
-                    candidate_spec: CandidateSpec, tol: float,
+                    lattice: CandidateLattice, candidate_spec: CandidateSpec, tol: float,
                     measure: Optional[AtomicMeasure] = None):
     """Price the candidate set; return (min reduced cost, worst violators).
 
-    The violators are the at most ``max_new_columns`` admissible candidates
-    with reduced cost below -tol, most violating first, ties broken
-    lexicographically on (y, u).
+    The candidates are the admissible pairs of ``lattice``, which
+    ``candidate_lattice(problem, candidate_spec)`` builds once per solve,
+    in ``_SCAN_CHUNK`` blocks, then the perturbations of the atoms of
+    ``measure``.  The violators are the at most ``max_new_columns``
+    admissible candidates with reduced cost below -tol, most violating
+    first, ties broken lexicographically on (y, u).
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
     cap = candidate_spec.max_new_columns
     psi = functools.partial(certificate.psi, basis)
-    for ys, us, psi_y in _candidate_blocks(problem, lp, measure, candidate_spec, psi):
-        mask = admissible_mask(problem, ys, us)
-        ys, us = ys[mask], us[mask]
+    for ys, us, psi_y, psi_f in _candidate_blocks(problem, lp, measure, lattice, psi):
         if ys.shape[0] == 0:
             continue
-        rc = reduced_costs(problem, basis, certificate, ys, us, psi_y[mask])
+        rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f)
         min_rc = min(min_rc, float(rc.min()))
         viol = np.nonzero(rc < -tol)[0]
         if viol.size:
@@ -373,20 +453,22 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    # built before the LP, so the build's temporaries never share memory with its matrix
+    lattice = candidate_lattice(problem, candidate_spec)
     lp = assemble(problem, basis, grid_spec)
     measure = certificate = start = None
     for rounds in range(1, max_rounds + 1):
         results: list = []
         measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
         res = results[0]
-        min_rc, ys, us = scan_candidates(problem, basis, certificate, lp,
+        min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
                                          candidate_spec, tol, measure)
         margin, selection_pivots = None, 0
         if min_rc >= -tol:
             certificate, margin, selection_pivots = select_certificate(
                 lp, res, certificate, pivot_tol)
             if margin is not None:
-                min_rc, ys, us = scan_candidates(problem, basis, certificate, lp,
+                min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
                                                  candidate_spec, tol, measure)
         if history is not None:
             history.append({

@@ -126,7 +126,8 @@ class TestPipeline:
         measure, certificate, doc = silp.solution_from_json(
             (out / "solution.json").read_text())
         lp = silp.assemble(problem, basis, grid)
-        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp,
+        lattice = silp.candidate_lattice(problem, cand)
+        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp, lattice,
                                             cand, cfg.tol, measure)
         assert doc["max_dual_violation"] == max(0.0, -min_rc)
 

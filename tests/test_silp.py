@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from omcontrol import (AtomicMeasure, CandidateSpec, EmptyMeasure, GridSpec,
-                       InsufficientGrid, MonomialBasis, NonConverged,
-                       assemble, builtin_problem, discard_small_atoms,
+from omcontrol import (AtomicMeasure, Box, CandidateSpec, DiscreteControlProblem,
+                       EmptyMeasure, FiniteSet, GridSpec, InsufficientGrid, MonomialBasis,
+                       NonConverged, assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
-from omcontrol import silp
+from omcontrol import model, silp
 from omcontrol.silp import select_certificate, solution_from_json, solution_to_json
 
 
@@ -204,8 +204,9 @@ class TestRefine:
         assert history[-1]["margin"] > 0.0  # two atoms for four rows: selection ran
 
 
-def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=None):
-    """Reference pricing: psi(y) evaluated for every pair, ignoring any psi_y passed in."""
+def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=None,
+                           psi_f=None):
+    """Reference pricing: psi at y and at f(y, u) for every pair, ignoring any passed in."""
     a = problem.discount
     psi_y = certificate.psi(basis, states)
     psi_f = certificate.psi(basis, problem.f(states, controls))
@@ -214,28 +215,142 @@ def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=
             + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
 
 
+def drift_problem():
+    """f(y, u) = y + u on [0, 1]: every state has inadmissible controls in [-1, 1]."""
+    return DiscreteControlProblem(
+        state_dim=1, dynamics=lambda y, u: y + u,
+        cost=lambda y, u: (y[..., 0] - 0.3) ** 2 + 0.5 * u[..., 0] ** 2,
+        state_region=Box([0.0], [1.0]), control_region=Box([-1.0], [1.0]),
+        discount=0.5, initial_state=[0.5])
+
+
+def per_atom_perturbations(problem, lp, measure):
+    """Reference: the offsets built one atom, axis and sign at a time."""
+    states, controls = [], []
+    for y, u in zip(measure.states, measure.controls):
+        for a in range(len(y)):
+            for sign in (-1.0, 1.0):
+                if lp.state_step[a] > 0:
+                    yp = y.copy()
+                    yp[a] += sign * lp.state_step[a]
+                    states.append(problem.state_region.clip(yp))
+                    controls.append(u.copy())
+        if not isinstance(problem.control_region, Box):
+            continue
+        for a in range(len(u)):
+            for sign in (-1.0, 1.0):
+                if lp.control_step[a] > 0:
+                    up = u.copy()
+                    up[a] += sign * lp.control_step[a]
+                    states.append(y.copy())
+                    controls.append(problem.control_region.clip(up))
+    return np.array(states), np.array(controls)
+
+
 class TestScan:
-    @pytest.mark.parametrize("name, degree, grid, candidates", [
+    @pytest.mark.parametrize("make, degree, grid, candidates, chunk", [
         # 88,209 lattice pairs: two scan blocks plus the atom perturbations
-        ("example1", 7, GridSpec(state=(9, 9), control=(9, 9)),
-         CandidateSpec(state=(33, 33), control=(9, 9))),
-        ("shift", 3, GridSpec(state=(5,), control=(5,)),
-         CandidateSpec(state=(41,), control=(41,))),
-    ], ids=["example1", "shift"])
-    def test_scan_matches_per_pair_psi_bitwise(self, monkeypatch, name, degree, grid,
-                                               candidates):
-        # the scan evaluates psi once per lattice state; pricing every pair
-        # from scratch must give the same minimum and violators, bit for bit
-        p = builtin_problem(name)
+        (lambda: builtin_problem("example1"), 7, GridSpec(state=(9, 9), control=(9, 9)),
+         CandidateSpec(state=(33, 33), control=(9, 9)), None),
+        (lambda: builtin_problem("shift"), 3, GridSpec(state=(5,), control=(5,)),
+         CandidateSpec(state=(41,), control=(41,)), None),
+        # every block has inadmissible pairs, and blocks of 100 split states' 41 controls
+        (drift_problem, 3, GridSpec(state=(5,), control=(5,)),
+         CandidateSpec(state=(41,), control=(41,)), 100),
+    ], ids=["example1", "shift", "drift"])
+    def test_scan_matches_per_pair_psi_bitwise(self, monkeypatch, make, degree, grid,
+                                               candidates, chunk):
+        # the scan evaluates psi once per lattice state and once per distinct
+        # successor; pricing every pair from scratch must give the same
+        # minimum and violators, bit for bit
+        if chunk is not None:
+            monkeypatch.setattr(silp, "_SCAN_CHUNK", chunk)
+        p = make()
         b = MonomialBasis(p.state_dim, degree)
         lp = assemble(p, b, grid)
         measure, cert = solve(lp)
-        min_rc, ys, us = silp.scan_candidates(p, b, cert, lp, candidates, 1e-9, measure)
-        monkeypatch.setattr(silp, "reduced_costs", per_pair_reduced_costs)
-        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lp, candidates, 1e-9,
-                                                      measure)
+        lattice = silp.candidate_lattice(p, candidates)
+        min_rc, ys, us = silp.scan_candidates(p, b, cert, lp, lattice, candidates, 1e-9,
+                                              measure)
+        priced = []
+
+        def reference(problem, basis, certificate, states, controls, *given):
+            priced.append(len(states))
+            return per_pair_reduced_costs(problem, basis, certificate, states, controls)
+
+        monkeypatch.setattr(silp, "reduced_costs", reference)
+        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lp, lattice, candidates,
+                                                      1e-9, measure)
+        # every admissible lattice pair and atom perturbation went through the reference
+        offsets = silp._atom_perturbations(p, lp, measure)
+        assert sum(priced) == (lattice.successor_of.size
+                               + np.count_nonzero(silp.admissible_mask(p, *offsets)))
         assert len(ys) == candidates.max_new_columns  # the first LP is violated
+        assert silp.admissible_mask(p, ys, us).all()
         assert np.float64(min_rc).tobytes() == np.float64(ref_rc).tobytes()
+        assert ys.tobytes() == ref_ys.tobytes()
+        assert us.tobytes() == ref_us.tobytes()
+
+    def test_lattice_matches_pair_grid(self, monkeypatch):
+        # blocks of 100 pairs, each with inadmissible pairs, give back the
+        # pair grid's admissible pairs in order and their successors' bits
+        monkeypatch.setattr(silp, "_SCAN_CHUNK", 100)
+        p = drift_problem()
+        spec = CandidateSpec(state=(41,), control=(41,))
+        lattice = silp.candidate_lattice(p, spec)
+        states, controls, mask = model.pair_grid(p, lattice.states, lattice.controls)
+        j = np.concatenate([idx for idx, _ in lattice.blocks()])
+        succ = np.concatenate([rows for _, rows in lattice.blocks()])
+        np.testing.assert_array_equal(j, np.flatnonzero(mask))
+        assert len(lattice.admissible) == 17  # every block
+        assert lattice.successor_of.dtype == np.uint8
+        assert lattice.successors[succ].tobytes() == p.f(states[j], controls[j]).tobytes()
+
+    def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
+        # the lattice is built once per solve: each of its blocks goes through
+        # admissible_mask once, and every scan only adds its atoms' perturbations
+        sizes, scans = [], []
+        mask, scan = silp.admissible_mask, silp.scan_candidates
+
+        def counted_mask(problem, states, controls):
+            sizes.append(len(states))
+            return mask(problem, states, controls)
+
+        def counted_scan(*args, **kwargs):
+            scans.append(None)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(silp, "_SCAN_CHUNK", 500)
+        monkeypatch.setattr(silp, "admissible_mask", counted_mask)
+        monkeypatch.setattr(silp, "scan_candidates", counted_scan)
+        coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        history = []
+        solve_refined(shift_problem(), MonomialBasis(1, 3), GridSpec(state=coarse, control=coarse),
+                      CandidateSpec(state=(41,), control=(41,), max_new_columns=1),
+                      tol=1e-9, max_rounds=20, history=history)
+        assert len(history) >= 3
+        assert sizes[:4] == [500, 500, 500, 181]  # 41 * 41 = 1,681 lattice pairs
+        assert len(sizes) == 4 + len(scans)
+
+    @pytest.mark.parametrize("control_region, steps", [
+        (FiniteSet(np.array([[-0.5], [0.0], [0.5]])), ([0.25, 0.0], [0.5])),
+        (Box([-1.0, -1.0], [1.0, 1.0]), ([0.0, 0.25], [0.5, 0.0])),
+    ], ids=["finite-set", "box"])
+    def test_atom_perturbations_match_per_atom_loop(self, control_region, steps):
+        # a zero step skips its axis; a finite control set gets no control offsets
+        from types import SimpleNamespace
+        d = control_region.dim
+        p = DiscreteControlProblem(
+            state_dim=2, dynamics=lambda y, u: 0.5 * y, cost=lambda y, u: y[..., 0],
+            state_region=Box([-1.0, -1.0], [1.0, 1.0]), control_region=control_region,
+            discount=0.5, initial_state=[0.0, 0.0])
+        lp = SimpleNamespace(state_step=np.array(steps[0]), control_step=np.array(steps[1]))
+        measure = AtomicMeasure(states=np.array([[1.0, -0.5], [-0.9, 1.0], [0.0, -0.0]]),
+                                controls=np.array([[0.5] * d, [-1.0] * d, [0.0] * d]),
+                                weights=np.full(3, 1.0 / 3.0))
+        ys, us = silp._atom_perturbations(p, lp, measure)
+        ref_ys, ref_us = per_atom_perturbations(p, lp, measure)
+        assert ys.shape == ref_ys.shape and us.shape == ref_us.shape
         assert ys.tobytes() == ref_ys.tobytes()
         assert us.tobytes() == ref_us.tobytes()
 
