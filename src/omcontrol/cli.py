@@ -18,9 +18,9 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import model, silp, synthesis, verify
+from . import silp, synthesis, verify
 from .basis import MonomialBasis
-from .errors import NonConverged, SolverError
+from .errors import NonConverged, NotConverged, SolverError
 from .model import builtin_problem
 from .silp import CandidateSpec, GridSpec
 
@@ -253,6 +253,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                              discount=problem.discount)
 
     alpha = problem.discount
+    scaled_mu = certificate.mu / (1.0 - alpha)
     checks = []
 
     gap_duality = abs(measure.value(problem) - certificate.mu)
@@ -265,10 +266,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     residuals = verify.measure_residuals(measure, basis, problem)
     checks.append(("measure residuals", float(np.abs(residuals).max()), 1e-9))
 
-    oracle = verify.value_iteration(problem, cfg.vi_state_grid, cfg.vi_control_grid,
-                                    tol=1e-8)
+    vi_tol = 1e-8
+    try:
+        oracle = verify.value_iteration(problem, cfg.vi_state_grid, cfg.vi_control_grid, tol=vi_tol)
+    except NotConverged as exc:  # check against the last iterate, and say so
+        oracle = exc.grid
+        checks.append(("value iteration converged", oracle.sweep_diffs[-1],
+                       vi_tol * (1.0 - alpha) / alpha))
     report = verify.check_optimality_conditions(
-        problem, roll, certificate, oracle, basis, cfg.vi_control_grid, cfg.slack)
+        problem, roll, certificate, oracle, basis, cfg.slack)
     checks.append(("stationarity residual", float(report.stationarity.max()), cfg.slack))
     checks.append(("value agreement spread", report.value_agreement_std, cfg.slack))
     checks.append(("one-step identity residual", float(report.hamiltonian.max()), cfg.slack))
@@ -276,13 +282,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     psi_violation = verify.check_psi_bound(certificate, oracle, problem, basis)
     checks.append(("surrogate bound violation", psi_violation, cfg.psi_slack))
 
-    shifted = verify.check_shifted_inequality(
-        certificate, certificate.mu / (1.0 - alpha), problem,
-        model.tensor_points(oracle.axes), basis, cfg.vi_control_grid)
+    shifted = verify.check_shifted_inequality(certificate, scaled_mu, problem, oracle, basis)
     checks.append(("shifted inequality violation", shifted, cfg.psi_slack))
-
-    gap = abs(roll.truncated_value - certificate.mu / (1.0 - alpha))
-    checks.append(("gap certificate", gap, cfg.gap_slack))
+    checks.append(("gap certificate", abs(roll.truncated_value - scaled_mu), cfg.gap_slack))
 
     grid, _ = _grid_specs(cfg)
     try:
@@ -293,21 +295,18 @@ def cmd_verify(cfg: RunConfig) -> int:
     except SolverError as exc:  # the estimate is INFO only: the checks set the exit status
         kappa_text = f"n/a ({exc})"
 
-    lines = []
-    all_ok = True
-    for name, residual, threshold in checks:
-        ok = residual <= threshold
-        all_ok &= ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {residual:.3e} (tol {threshold:.3e})")
+    passed = [residual <= threshold for _, residual, threshold in checks]
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {residual:.3e} (tol {threshold:.3e})"
+             for ok, (name, residual, threshold) in zip(passed, checks)]
     lines.append(f"INFO kappa estimate: {kappa_text}")
     lines.append(f"INFO oracle value at y0: {oracle(problem.initial_state):.6f}")
-    lines.append(f"INFO mu/(1-alpha): {certificate.mu / (1.0 - alpha):.6f}")
+    lines.append(f"INFO mu/(1-alpha): {scaled_mu:.6f}")
     text = "\n".join(lines) + "\n"
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text)
     print(text, end="")
-    return 0 if all_ok else 1
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

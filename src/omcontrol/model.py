@@ -5,9 +5,10 @@ running cost ``g``, the state box ``Y``, the control region ``U`` (a box or
 an explicit finite set), a discount factor in (0, 1) and the initial state.
 A state-control pair is *admissible* when the successor ``f(y, u)`` stays
 inside ``Y``.  ``pair_grid`` crosses a state array with a control array
-and masks the pairs by admissibility; every downstream scan (LP assembly,
-policy synthesis, value iteration, the optimality checks) takes its pairs
-from it, and ``require_admissible`` is the one check of Assumption I,
+and masks the pairs by admissibility.  ``pair_lattice`` indexes the
+admissible pairs of a lattice too large to cross at once (the candidates
+of ``solve``, the oracle grid of ``verify``) one block at a time, by their
+distinct successors.  ``require_admissible`` is the one check of Assumption I,
 that every state has an admissible control.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
@@ -27,6 +28,7 @@ from .errors import AssumptionIViolation, InadmissibleTransition, UnknownProblem
 # Tolerance band on box faces: dynamics values landing exactly on a face
 # must not flip admissibility under floating-point drift.
 MEMBERSHIP_TOL = 1e-12
+_SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,83 @@ def pair_grid(problem: DiscreteControlProblem, states, controls):
     pair_controls = np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d)
     mask = admissible_mask(problem, pair_states, pair_controls).reshape(k, c)
     return pair_states, pair_controls, mask
+
+
+@dataclass(frozen=True)
+class PairLattice:
+    """The admissible pairs of a state x control lattice, indexed by successor.
+
+    Pair j of the lattice is (states[j // C], controls[j % C]) with C the
+    number of controls; scans walk the pairs in ``_SCAN_CHUNK`` blocks of
+    consecutive j.  ``admissible`` maps a block's first j to the j of its
+    admissible pairs, for the blocks that have an inadmissible pair only.
+    ``successors`` are the distinct f(y, u) of the admissible pairs, and
+    ``successor_of`` gives, for the admissible pairs in order of j, the row
+    of their successor, in the smallest unsigned dtype that holds it.
+    """
+
+    states: np.ndarray         # (Ks, m)
+    controls: np.ndarray       # (C, d)
+    successors: np.ndarray     # (S, m)
+    successor_of: np.ndarray   # (admissible pairs,) unsigned
+    admissible: dict
+
+    def blocks(self):
+        """Yield (j of the admissible pairs, their successor rows) per scan block."""
+        total, at = len(self.states) * len(self.controls), 0
+        for start in range(0, total, _SCAN_CHUNK):
+            idx = self.admissible.get(start)
+            if idx is None:
+                idx = np.arange(start, min(start + _SCAN_CHUNK, total))
+            yield idx, self.successor_of[at:at + idx.size]
+            at += idx.size
+
+    def scan(self, psi: Callable):
+        """Yield (j, states, controls, psi(states), psi(successors)) per nonempty block,
+        psi evaluated once per lattice state and once per distinct successor."""
+        psi_s, psi_f = psi(self.states), psi(self.successors)
+        for idx, succ in self.blocks():
+            if idx.size:
+                rows, cols = np.divmod(idx, len(self.controls))
+                # take, not fancy indexing: an order of magnitude faster on (K, 1-2) arrays
+                yield (idx, self.states.take(rows, axis=0), self.controls.take(cols, axis=0),
+                       psi_s.take(rows), psi_f.take(succ))
+
+
+def _index_dtype(count: int):
+    """The smallest unsigned dtype that holds the indices 0 .. count - 1."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLattice:
+    """Index the admissible pairs of a (K, m) state and (C, d) control array.
+
+    Admissibility is tested once per scan block.  Each block's successors
+    are made distinct on their own and only those are merged, so no array
+    the size of the lattice is built but ``successor_of``.
+    """
+    kc, total = len(controls), len(states) * len(controls)
+    admissible, parts = {}, []
+    for start in range(0, total, _SCAN_CHUNK):
+        idx = np.arange(start, min(start + _SCAN_CHUNK, total))
+        rows, cols = np.divmod(idx, kc)
+        ys, us = states.take(rows, axis=0), controls.take(cols, axis=0)
+        mask = admissible_mask(problem, ys, us)
+        if not mask.all():
+            admissible[start] = idx = idx[mask]
+            ys, us = ys[mask], us[mask]
+        if idx.size:
+            distinct, inverse = distinct_rows(problem.f(ys, us))
+            parts.append((distinct, inverse.astype(_index_dtype(len(distinct)))))
+    successors, merged = distinct_rows(
+        np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
+    successor_of = np.empty(sum(inv.size for _, inv in parts), dtype=_index_dtype(len(successors)))
+    at = base = 0
+    for distinct, inverse in parts:
+        successor_of[at:at + inverse.size] = merged[base:base + len(distinct)].take(inverse)
+        at, base = at + inverse.size, base + len(distinct)
+    return PairLattice(states=states, controls=controls, successors=successors,
+                       successor_of=successor_of, admissible=admissible)
 
 
 def require_admissible(states, mask) -> None:

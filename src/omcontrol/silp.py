@@ -13,11 +13,11 @@ basis, until the certificate is dually feasible on the candidate set.
 
 The candidate set is a tensor lattice of state-control pairs plus one-cell
 offsets around the current atoms.  Only the offsets change between rounds,
-so ``candidate_lattice`` builds the rest once per solve: the lattice's
-states and controls, its admissible pairs, and for each admissible pair
-the row of its successor f(y, u) among the distinct successors.  A scan
-then evaluates psi once per lattice state and once per distinct successor
-and gathers both per pair.
+so ``solve_refined`` builds the rest once per solve with
+``model.pair_lattice``: the lattice's admissible pairs and, for each, the
+row of its successor f(y, u) among the distinct successors.  A scan then
+evaluates psi once per lattice state and once per distinct successor and
+gathers both per pair.
 
 When the dual is degenerate, the vertex the simplex stops at is one of
 many optimal duals, and its surrogate can be dually infeasible between
@@ -43,7 +43,6 @@ from .model import DiscreteControlProblem
 from .model import admissible_mask  # perfbench/tracer.py wraps this name here
 from .simplex import LpResult, solve_equality_lp
 
-_SCAN_CHUNK = 1 << 16
 _WEIGHT_CLIP = 1e-12
 _SUPPORT_TOL = 1e-9  # selection pins rc = 0 above this weight; atoms of 1e-12 are round-off
 
@@ -263,90 +262,14 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
             + (1.0 - a) * (psi(problem.initial_state) - psi_y) - certificate.mu)
 
 
-@dataclass(frozen=True)
-class CandidateLattice:
-    """The round-invariant part of the candidate set: its tensor lattice of pairs.
-
-    Pair j of the lattice is (states[j // C], controls[j % C]) with C the
-    number of controls; the scan walks the pairs in ``_SCAN_CHUNK`` blocks
-    of consecutive j.  ``admissible`` maps a block's first j to the j of its
-    admissible pairs, for the blocks that have an inadmissible pair only.
-    ``successors`` are the distinct f(y, u) of the admissible pairs, and
-    ``successor_of`` gives, for the admissible pairs in order of j, the row
-    of their successor, in the smallest unsigned dtype that holds it.
-    """
-
-    states: np.ndarray         # (Ks, m)
-    controls: np.ndarray       # (C, d)
-    successors: np.ndarray     # (S, m)
-    successor_of: np.ndarray   # (admissible pairs,) unsigned
-    admissible: dict
-
-    def blocks(self):
-        """Yield (j of the admissible pairs, their successor rows) per scan block."""
-        total = len(self.states) * len(self.controls)
-        at = 0
-        for start in range(0, total, _SCAN_CHUNK):
-            idx = self.admissible.get(start)
-            if idx is None:
-                idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-            yield idx, self.successor_of[at:at + idx.size]
-            at += idx.size
-
-
-def _index_dtype(count: int):
-    """The smallest unsigned dtype that holds the indices 0 .. count - 1."""
-    return np.min_scalar_type(max(count - 1, 0))
-
-
-def candidate_lattice(problem: DiscreteControlProblem, spec: CandidateSpec) -> CandidateLattice:
-    """Grid the candidate spec and index its admissible pairs' distinct successors.
-
-    Admissibility is tested once per scan block.  Each block's successors
-    are made distinct on their own and only those are merged, so no array
-    the size of the lattice is built but ``successor_of``.
-    """
-    s_pts = model.state_grid_points(problem, spec.state)
-    c_pts = model.control_grid_points(problem, spec.control)
-    kc, total = len(c_pts), len(s_pts) * len(c_pts)
-    admissible, parts = {}, []
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-        rows, cols = np.divmod(idx, kc)
-        ys, us = s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
-        mask = admissible_mask(problem, ys, us)
-        if not mask.all():
-            admissible[start] = idx = idx[mask]
-            ys, us = ys[mask], us[mask]
-        if idx.size:
-            distinct, inverse = model.distinct_rows(problem.f(ys, us))
-            parts.append((distinct, inverse.astype(_index_dtype(len(distinct)))))
-    successors, merged = model.distinct_rows(
-        np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
-    successor_of = np.empty(sum(inv.size for _, inv in parts), dtype=_index_dtype(len(successors)))
-    at = base = 0
-    for distinct, inverse in parts:
-        successor_of[at:at + inverse.size] = merged[base:base + len(distinct)].take(inverse)
-        at, base = at + inverse.size, base + len(distinct)
-    return CandidateLattice(states=s_pts, controls=c_pts, successors=successors,
-                            successor_of=successor_of, admissible=admissible)
-
-
 def _candidate_blocks(problem, lp, measure, lattice, psi):
     """Yield (states, controls, psi(states), psi(successors) or None) admissible blocks.
 
-    psi is evaluated once per lattice state and once per distinct lattice
-    successor, not once per pair; the atom perturbations, which change
+    The lattice's scan comes first; the atom perturbations, which change
     every round, leave psi at their successors to ``reduced_costs``.
     """
-    psi_s = psi(lattice.states)
-    psi_f = psi(lattice.successors)
-    kc = len(lattice.controls)
-    for idx, succ in lattice.blocks():
-        rows, cols = np.divmod(idx, kc)
-        # take, not fancy indexing: an order of magnitude faster on (K, 1-2) arrays
-        yield (lattice.states.take(rows, axis=0), lattice.controls.take(cols, axis=0),
-               psi_s.take(rows), psi_f.take(succ))
+    for _, ys, us, psi_y, psi_f in lattice.scan(psi):
+        yield ys, us, psi_y, psi_f
     if measure is not None and len(measure):
         ys, us = _atom_perturbations(problem, lp, measure)
         mask = admissible_mask(problem, ys, us)
@@ -384,16 +307,16 @@ def _atom_perturbations(problem, lp, measure):
 
 def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
                     certificate: DualCertificate, lp: FiniteLP,
-                    lattice: CandidateLattice, candidate_spec: CandidateSpec, tol: float,
+                    lattice: model.PairLattice, candidate_spec: CandidateSpec, tol: float,
                     measure: Optional[AtomicMeasure] = None):
     """Price the candidate set; return (min reduced cost, worst violators).
 
-    The candidates are the admissible pairs of ``lattice``, which
-    ``candidate_lattice(problem, candidate_spec)`` builds once per solve,
-    in ``_SCAN_CHUNK`` blocks, then the perturbations of the atoms of
-    ``measure``.  The violators are the at most ``max_new_columns``
-    admissible candidates with reduced cost below -tol, most violating
-    first, ties broken lexicographically on (y, u).
+    The candidates are the admissible pairs of ``lattice``, the
+    ``model.pair_lattice`` of the candidate spec's grids built once per
+    solve, then the perturbations of the atoms of ``measure``.  The
+    violators are the at most ``max_new_columns`` admissible candidates
+    with reduced cost below -tol, most violating first, ties broken
+    lexicographically on (y, u).
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
@@ -454,7 +377,9 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     # built before the LP, so the build's temporaries never share memory with its matrix
-    lattice = candidate_lattice(problem, candidate_spec)
+    lattice = model.pair_lattice(problem,
+                                 model.state_grid_points(problem, candidate_spec.state),
+                                 model.control_grid_points(problem, candidate_spec.control))
     lp = assemble(problem, basis, grid_spec)
     measure = certificate = start = None
     for rounds in range(1, max_rounds + 1):

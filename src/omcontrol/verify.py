@@ -7,8 +7,8 @@ residuals of a measure against every test function, stationarity and
 value-agreement of a rollout under a dual certificate, the pointwise bound
 of the surrogate by the value function, and the nonnegativity of the
 shifted one-step inequality.  Every scan of the one-step expression
-g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``
-on pairs from ``model.pair_grid``, with psi evaluated once per state.
+g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``, and
+the node grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
 Everything here is report-oriented: checks return residual magnitudes and
 the caller compares against slacks.
 """
@@ -33,10 +33,11 @@ from .synthesis import Rollout
 
 @dataclass
 class ValueFunctionGrid:
-    """Value estimates on a tensor grid of the state box."""
+    """Value estimates on a tensor grid of the state box, and its pair lattice."""
 
     axes: tuple
     values: np.ndarray
+    lattice: model.PairLattice  # the grid's nodes x the oracle's controls
     sweep_diffs: list = field(default_factory=list)
 
     def __call__(self, points):
@@ -91,10 +92,11 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
 
     Many (node, control) pairs share a successor f(y, u) (on example1's
     41^2 x 21^2 grid, 36,100 distinct successors serve 741,321 pairs), so
-    each sweep interpolates every distinct successor once and scatters the
-    result to its pairs.  Every pair still gets the same products, the same
-    summation order and the same additions as a per-pair sweep, so values
-    and sweep_diffs match it bit for bit.
+    each sweep interpolates every distinct successor of the grid's
+    ``model.pair_lattice`` once and scatters the result to its pairs.
+    Every pair still gets the same products, the same summation order and
+    the same additions as a per-pair sweep, so values and sweep_diffs
+    match it bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -104,23 +106,29 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     controls = control_grid_points(problem, control_grid)
     kn, kc = len(nodes), len(controls)
 
-    pair_states, pair_controls, mask = model.pair_grid(problem, nodes, controls)
-    model.require_admissible(nodes, mask)
-    distinct, inverse = model.distinct_rows(problem.f(pair_states, pair_controls))
-    inverse = inverse.reshape(kn, kc)
-    stage = problem.g(pair_states, pair_controls).reshape(kn, kc)
-    stage = np.where(mask, stage, np.inf)
-    idx, wgt = _interp_table(axes, distinct)
+    lattice = model.pair_lattice(problem, nodes, controls)
+    stage = np.full(kn * kc, np.inf)
+    mask = np.zeros(kn * kc, dtype=bool)
+    # intp, not the lattice's unsigned dtype: take would re-cast it on every sweep
+    successor = np.zeros(kn * kc, dtype=np.intp)
+    for j, succ in lattice.blocks():
+        rows, cols = np.divmod(j, kc)
+        stage[j] = problem.g(nodes.take(rows, axis=0), controls.take(cols, axis=0))
+        mask[j], successor[j] = True, succ
+    model.require_admissible(nodes, mask.reshape(kn, kc))
+    stage, successor = stage.reshape(kn, kc), successor.reshape(kn, kc)
+    idx, wgt = _interp_table(axes, lattice.successors)
 
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(kn)
     diffs = []
     threshold = tol * (1.0 - alpha) / alpha
-    grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), sweep_diffs=diffs)
+    grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), lattice=lattice,
+                             sweep_diffs=diffs)
     backup = np.empty((kn, kc))
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
-        np.take(cont, inverse, out=backup)
+        np.take(cont, successor, out=backup)
         np.add(stage, backup, out=backup)
         new = backup.min(axis=1)
         diff = float(np.abs(new - values).max())
@@ -204,43 +212,31 @@ class OptimalityReport:
 
 def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
                                 certificate: DualCertificate, value_grid: ValueFunctionGrid,
-                                basis: MonomialBasis, control_grid,
-                                kappa_tol: float) -> OptimalityReport:
+                                basis: MonomialBasis, kappa_tol: float) -> OptimalityReport:
     """Residuals of the three optimality conditions along the rollout.
 
     (a) stationarity: each visited pair must attain the graph-wide minimum
-    of g + alpha * psi(f) - psi; the scan covers the value grid's nodes
-    crossed with the control grid plus the visited pairs themselves, so
-    the residual is nonnegative by construction.
+    of g + alpha * psi(f) - psi; the scan covers the value grid's lattice
+    plus the visited pairs themselves, so the residual is nonnegative by
+    construction.
     (b) value agreement: psi and the oracle value may differ only by a
     constant along the path; reported as the standard deviation.
-    (c) the minimized one-step expression must equal the constant
-    (1 - alpha) * (V(y0) - psi(y0)) at every visited state.
+    (c) the minimized one-step expression over the oracle's controls must
+    equal the constant (1 - alpha) * (V(y0) - psi(y0)) at every visited state.
     """
     alpha = problem.discount
     psi = functools.partial(certificate.psi, basis)
+    lattice = value_grid.lattice
 
-    nodes = model.tensor_points(value_grid.axes)
-    cg = control_grid_points(problem, control_grid)
-    scan_states, scan_controls, mask = model.pair_grid(problem, nodes, cg)
-    mask = mask.ravel()
     psi_roll = psi(roll.states)
-    # psi is evaluated pointwise, so one value per node serves all its controls
-    scan_psi_y = np.concatenate([np.repeat(psi(nodes), len(cg))[mask], psi_roll])
-    scan_states = np.vstack([scan_states[mask], roll.states])
-    scan_controls = np.vstack([scan_controls[mask], roll.controls])
+    roll_step = model.one_step(problem, psi, roll.states, roll.controls) - psi_roll
+    mins = [float((model.one_step(problem, psi, ys, us, psi_f=psi_f) - psi_y).min())
+            for _, ys, us, psi_y, psi_f in lattice.scan(psi)]
+    stationarity = roll_step - min(mins + [float(roll_step.min(initial=np.inf))])
 
-    scan_min = float((model.one_step(problem, psi, scan_states, scan_controls)
-                      - scan_psi_y).min())
-    stationarity = model.one_step(problem, psi, roll.states, roll.controls) - psi_roll - scan_min
-
-    diff = psi_roll - value_grid(roll.states)
-    value_std = float(np.std(diff))
-
-    v0 = value_grid(problem.initial_state)
-    psi0 = psi(problem.initial_state)
-    target = (1.0 - alpha) * (v0 - psi0)
-    ham = hamiltonian_min(problem, psi, roll.states, cg) \
+    value_std = float(np.std(psi_roll - value_grid(roll.states)))
+    target = (1.0 - alpha) * (value_grid(problem.initial_state) - psi(problem.initial_state))
+    ham = hamiltonian_min(problem, psi, roll.states, lattice.controls) \
         - (1.0 - alpha) * psi_roll - target
     return OptimalityReport(stationarity=stationarity, value_agreement_std=value_std,
                             hamiltonian=np.abs(ham), kappa_tol=kappa_tol)
@@ -253,28 +249,28 @@ def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
     Zero only for exact max-min solutions; finite bases and grid
     interpolation both contribute, so callers compare it against a slack.
     """
-    nodes = model.tensor_points(value_grid.axes)
-    psi = certificate.psi(basis, nodes)
-    v = value_grid(nodes)
+    nodes = value_grid.lattice.states
     anchor = certificate.psi(basis, problem.initial_state) - value_grid(problem.initial_state)
-    return float((psi - v - anchor).max())
+    return float((certificate.psi(basis, nodes) - value_grid(nodes) - anchor).max())
 
 
 def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
-                             problem: DiscreteControlProblem, grid,
-                             basis: MonomialBasis, control_grid) -> float:
+                             problem: DiscreteControlProblem, value_grid: ValueFunctionGrid,
+                             basis: MonomialBasis) -> float:
     """Worst negativity of the one-step inequality after anchoring at y0.
 
+    It is checked at the value grid's nodes over its lattice's controls.
     The surrogate is re-anchored so its value at the initial state equals
     ``value_at_y0``; constant shifts cancel inside the minimized
     expression, so only the anchoring constant matters.
     """
     psi = functools.partial(certificate.psi, basis)
-    psi0 = psi(problem.initial_state)
-    shift = value_at_y0 - psi0
-    states = model.state_grid_points(problem, grid)
-    h = hamiltonian_min(problem, psi, states, control_grid)
-    expr = h - (1.0 - problem.discount) * (psi(states) + shift)
+    shift = value_at_y0 - psi(problem.initial_state)
+    lattice = value_grid.lattice
+    vals = np.full((len(lattice.states), len(lattice.controls)), np.inf)  # inf: inadmissible
+    for j, ys, us, psi_y, psi_f in lattice.scan(psi):
+        np.put(vals, j, model.one_step(problem, psi, ys, us, psi_y, psi_f))
+    expr = vals.min(axis=1) - (1.0 - problem.discount) * (psi(lattice.states) + shift)
     return float((-expr).max())
 
 

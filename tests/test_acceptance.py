@@ -14,7 +14,6 @@ import pytest
 import omcontrol as om
 from omcontrol import (CandidateSpec, DualCertificate, GridSpec, MonomialBasis,
                        Rollout)
-from omcontrol.model import tensor_points
 from omcontrol.verify import trajectory_residual_bound
 
 SOLVE_LOG = []  # (label, primal value, mu, atom count, basis size)
@@ -137,12 +136,11 @@ def test_criterion_4_shift_exactness(shift):
     cert, oracle, roll = shift["certificate"], shift["oracle"], shift["rollout"]
     residuals = [abs(value - cert.mu),
                  float(np.abs(om.measure_residuals(shift["measure"], b, p)).max())]
-    rep = om.check_optimality_conditions(p, roll, cert, oracle, b, (21,), kappa_tol=1e-6)
+    rep = om.check_optimality_conditions(p, roll, cert, oracle, b, kappa_tol=1e-6)
     residuals += [float(rep.stationarity.max()), rep.value_agreement_std,
                   float(rep.hamiltonian.max())]
     residuals.append(om.check_psi_bound(cert, oracle, p, b))
-    residuals.append(om.check_shifted_inequality(
-        cert, cert.mu / (1 - p.discount), p, tensor_points(oracle.axes), b, (21,)))
+    residuals.append(om.check_shifted_inequality(cert, cert.mu / (1 - p.discount), p, oracle, b))
     residuals.append(abs(oracle(p.initial_state) - cert.mu / (1 - p.discount)))
     verify_ok = max(residuals) <= 1e-6
     time_ok = shift["elapsed"] <= 5.0
@@ -236,7 +234,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
     lam[sb.index_of((1,))] = 1.0
     exact = DualCertificate(lam=lam, mu=(1 - sp.discount) * 0.4)
     srep = om.check_optimality_conditions(sp, shift["rollout"], exact, shift["oracle"],
-                                          sb, (21,), kappa_tol=1e-12)
+                                          sb, kappa_tol=1e-12)
     shift_worst = max(float(srep.stationarity.max()), srep.value_agreement_std,
                       float(srep.hamiltonian.max()))
 
@@ -244,7 +242,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
     p, b = example1["problem"], example1["basis"]
     roll = example1_heuristic["rollout"]
     rep = om.check_optimality_conditions(p, roll, example1["certificate"],
-                                         example1_oracle, b, (21, 21), kappa_tol=0.15)
+                                         example1_oracle, b, kappa_tol=0.15)
     ex1_worst = max(float(rep.stationarity.max()), rep.value_agreement_std,
                     float(rep.hamiltonian.max()))
     nonneg = float(rep.stationarity.min()) >= 0.0
@@ -255,7 +253,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
                         truncation_bound=roll.truncation_bound, discount=roll.discount)
     perturbed.controls[3] = -perturbed.controls[3]
     prep = om.check_optimality_conditions(p, perturbed, example1["certificate"],
-                                          example1_oracle, b, (21, 21), kappa_tol=0.15)
+                                          example1_oracle, b, kappa_tol=0.15)
     perturb_ok = prep.stationarity[3] > rep.stationarity[3] + 1e-6
 
     ok = shift_worst <= 1e-12 and ex1_worst <= 0.15 and nonneg and perturb_ok

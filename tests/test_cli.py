@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from omcontrol import LpInfeasible, cli, silp, synthesis, verify
+from omcontrol import LpInfeasible, cli, model, silp, synthesis, verify
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -126,7 +126,8 @@ class TestPipeline:
         measure, certificate, doc = silp.solution_from_json(
             (out / "solution.json").read_text())
         lp = silp.assemble(problem, basis, grid)
-        lattice = silp.candidate_lattice(problem, cand)
+        lattice = model.pair_lattice(problem, model.state_grid_points(problem, cand.state),
+                                     model.control_grid_points(problem, cand.control))
         min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp, lattice,
                                             cand, cfg.tol, measure)
         assert doc["max_dual_violation"] == max(0.0, -min_rc)
@@ -163,6 +164,51 @@ class TestPipeline:
             out / "trajectory.csv")
         np.testing.assert_allclose(controls, 0.0, atol=1e-12)
         assert meta["truncated_value"] == pytest.approx(0.4, abs=1e-6)
+
+
+class TestVerifyLattice:
+    def test_verify_masks_each_oracle_pair_once(self, tmp_path, monkeypatch):
+        # the oracle's node x control lattice is built once, by value iteration, and
+        # shared by the stationarity scan and the shifted inequality; only the one-step
+        # identity masks the oracle's controls again, once per visited state
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve"] + base) == 0
+        assert cli.main(["rollout"] + base) == 0
+        seen, paused = {}, []
+        mask, kappa = model.admissible_mask, verify.estimate_kappa
+
+        def counted_mask(problem, states, controls):
+            if not paused:
+                for y, u in zip(np.atleast_2d(states), np.atleast_2d(controls)):
+                    key = (y.tobytes(), u.tobytes())
+                    seen[key] = seen.get(key, 0) + 1
+            return mask(problem, states, controls)
+
+        def uncounted_kappa(*args, **kwargs):
+            # its LP grid is the solve's base grid, which here has the oracle's points
+            paused.append(None)
+            try:
+                return kappa(*args, **kwargs)
+            finally:
+                paused.pop()
+
+        monkeypatch.setattr(model, "admissible_mask", counted_mask)
+        monkeypatch.setattr(verify, "estimate_kappa", uncounted_kappa)
+        assert cli.main(["verify"] + base) == 0
+
+        cfg = cli.RunConfig(problem="shift").resolved()
+        problem, _ = cli._build(cfg)
+        nodes = model.state_grid_points(problem, cfg.vi_state_grid)
+        controls = model.control_grid_points(problem, cfg.vi_control_grid)
+        states, _, _ = synthesis.read_trajectory_csv(out / "trajectory.csv")
+        visits = {}
+        for y in states:
+            visits[y.tobytes()] = visits.get(y.tobytes(), 0) + 1
+        assert visits.get(nodes[0].tobytes()) == cfg.steps  # y = 0 after the first step
+        for y in nodes:
+            for u in controls:
+                assert seen[(y.tobytes(), u.tobytes())] == 1 + visits.get(y.tobytes(), 0)
 
 
 class TestVertexChoice:
@@ -307,6 +353,30 @@ class TestErrorPaths:
         report = (out / "report.txt").read_text()
         assert "INFO kappa estimate: n/a (phase-I residual 9.172e-03)\n" in report
         assert "FAIL" not in report
+
+    def test_nonconverged_oracle_writes_marked_report(self, tmp_path, capsys):
+        # at alpha = 0.999 value iteration needs more than its 20,000 sweeps
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "slow.cfg"
+        cfg_path.write_text(
+            "problem = example1\nalpha = 0.999\ndegree = 3\nstate_grid = 7\n"
+            "control_grid = 7\ncandidate_state = 9\ncandidate_control = 7\n"
+            "rollout_control_grid = 21\nvi_state_grid = 11\nvi_control_grid = 5\n"
+            f"steps = 50\nout = {out}\n")
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 0
+        assert cli.main(["rollout", "--config", str(cfg_path)]) == 0
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 1
+        assert "error:" not in capsys.readouterr().err
+        lines = (out / "report.txt").read_text().splitlines()
+        prefix = "FAIL value iteration converged: "
+        failed = [line for line in lines if line.startswith(prefix)]
+        assert len(failed) == 1
+        diff, tol = (float(v) for v in failed[0][len(prefix):].rstrip(")").split(" (tol "))
+        assert tol == pytest.approx(1e-8 * (1 - 0.999) / 0.999, rel=1e-3)  # 4 digits printed
+        assert diff > tol
+        # the other checks still ran, against the last iterate
+        assert any(line.startswith("PASS stationarity residual") for line in lines)
+        assert lines[-2].startswith("INFO oracle value at y0: ")
 
     def test_zero_steps_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"

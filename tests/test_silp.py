@@ -215,6 +215,12 @@ def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=
             + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
 
 
+def candidate_lattice(problem, spec):
+    """The lattice ``solve_refined`` scans for a candidate spec."""
+    return model.pair_lattice(problem, model.state_grid_points(problem, spec.state),
+                              model.control_grid_points(problem, spec.control))
+
+
 def drift_problem():
     """f(y, u) = y + u on [0, 1]: every state has inadmissible controls in [-1, 1]."""
     return DiscreteControlProblem(
@@ -264,12 +270,12 @@ class TestScan:
         # successor; pricing every pair from scratch must give the same
         # minimum and violators, bit for bit
         if chunk is not None:
-            monkeypatch.setattr(silp, "_SCAN_CHUNK", chunk)
+            monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
         p = make()
         b = MonomialBasis(p.state_dim, degree)
         lp = assemble(p, b, grid)
         measure, cert = solve(lp)
-        lattice = silp.candidate_lattice(p, candidates)
+        lattice = candidate_lattice(p, candidates)
         min_rc, ys, us = silp.scan_candidates(p, b, cert, lp, lattice, candidates, 1e-9,
                                               measure)
         priced = []
@@ -294,10 +300,9 @@ class TestScan:
     def test_lattice_matches_pair_grid(self, monkeypatch):
         # blocks of 100 pairs, each with inadmissible pairs, give back the
         # pair grid's admissible pairs in order and their successors' bits
-        monkeypatch.setattr(silp, "_SCAN_CHUNK", 100)
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
         p = drift_problem()
-        spec = CandidateSpec(state=(41,), control=(41,))
-        lattice = silp.candidate_lattice(p, spec)
+        lattice = candidate_lattice(p, CandidateSpec(state=(41,), control=(41,)))
         states, controls, mask = model.pair_grid(p, lattice.states, lattice.controls)
         j = np.concatenate([idx for idx, _ in lattice.blocks()])
         succ = np.concatenate([rows for _, rows in lattice.blocks()])
@@ -310,7 +315,7 @@ class TestScan:
         # the lattice is built once per solve: each of its blocks goes through
         # admissible_mask once, and every scan only adds its atoms' perturbations
         sizes, scans = [], []
-        mask, scan = silp.admissible_mask, silp.scan_candidates
+        mask, scan = model.admissible_mask, silp.scan_candidates
 
         def counted_mask(problem, states, controls):
             sizes.append(len(states))
@@ -320,7 +325,9 @@ class TestScan:
             scans.append(None)
             return scan(*args, **kwargs)
 
-        monkeypatch.setattr(silp, "_SCAN_CHUNK", 500)
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 500)
+        # the lattice masks through model's name, the atom perturbations through silp's
+        monkeypatch.setattr(model, "admissible_mask", counted_mask)
         monkeypatch.setattr(silp, "admissible_mask", counted_mask)
         monkeypatch.setattr(silp, "scan_candidates", counted_scan)
         coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -329,8 +336,9 @@ class TestScan:
                       CandidateSpec(state=(41,), control=(41,), max_new_columns=1),
                       tol=1e-9, max_rounds=20, history=history)
         assert len(history) >= 3
-        assert sizes[:4] == [500, 500, 500, 181]  # 41 * 41 = 1,681 lattice pairs
-        assert len(sizes) == 4 + len(scans)
+        # 41 * 41 = 1,681 lattice pairs, then the 5 * 5 pairs of the base LP's pair_grid
+        assert sizes[:5] == [500, 500, 500, 181, 25]
+        assert len(sizes) == 5 + len(scans)
 
     @pytest.mark.parametrize("control_region, steps", [
         (FiniteSet(np.array([[-0.5], [0.0], [0.5]])), ([0.25, 0.0], [0.5])),

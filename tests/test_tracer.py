@@ -5,8 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from omcontrol import (DualCertificate, MonomialBasis, basis, builtin_problem, model,
-                       silp, synthesis, verify)
+from omcontrol import (DualCertificate, MonomialBasis, basis, builtin_problem, cli,
+                       model, silp, synthesis, verify)
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -52,3 +52,21 @@ def test_pair_scans_record_a_nested_admissible_mask_span():
     for scan in ("verify.value_iteration", "silp.assemble"):
         sid = next(i for i, s in enumerate(spans) if s[0] == scan)
         assert any(s[0] == "model.admissible_mask" and s[1] == sid for s in spans), scan
+
+
+def test_traced_verify_records_the_benchmark_layers(tmp_path):
+    # perfbench/selftest.py requires these spans below cli.verify on the shift defaults
+    base = ["--problem", "shift", "--out", str(tmp_path / "run")]
+    assert cli.main(["solve"] + base) == 0
+    assert cli.main(["rollout"] + base) == 0
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify"] + base) == 0
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    assert {"verify.value_iteration", "verify.optimality", "verify.hamiltonian_min",
+            "verify.shifted_inequality", "verify.kappa", "simplex"} <= {s[0] for s in spans}
+    sid = next(i for i, s in enumerate(spans) if s[0] == "verify.value_iteration")
+    assert any(s[0] == "model.admissible_mask" and s[1] == sid for s in spans)

@@ -56,6 +56,11 @@ def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
     return values, diffs
 
 
+def drift_problem():
+    """f(y, u) = y + u on [0, 1]: every state has inadmissible controls in [-1, 1]."""
+    return one_d_problem(lambda y, u: y + u, controls=(-1.0, 1.0))
+
+
 def one_d_problem(dynamics, controls=(-0.5, 0.5), states=(0.0, 1.0)):
     return DiscreteControlProblem(
         state_dim=1, dynamics=dynamics,
@@ -123,6 +128,7 @@ class TestValueIteration:
         with pytest.raises(NotConverged) as err:
             value_iteration(p, (11, 11), (5, 5), tol=1e-10, max_iter=3)
         assert err.value.grid.values.shape == (11, 11)
+        assert err.value.grid.lattice.states.shape == (121, 2)
 
     def test_viability_hard_error(self):
         p = DiscreteControlProblem(
@@ -132,16 +138,21 @@ class TestValueIteration:
         with pytest.raises(AssumptionIViolation):
             value_iteration(p, (5,), (3,), tol=1e-8)
 
-    @pytest.mark.parametrize("problem, state_grid, control_grid", [
-        (lambda: builtin_problem("example1"), (11, 11), (5, 5)),
-        (shift_problem, (21,), (21,)),
+    @pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
+        (lambda: builtin_problem("example1"), (11, 11), (5, 5), None),
+        (shift_problem, (21,), (21,), None),
         # y + u leaves [0, 1] for some pairs; u = 0 keeps every node admissible
-        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,)),
+        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), None),
+        # lattice blocks of 7 pairs split nodes' 5 controls, and most hold inadmissible pairs
+        (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), 7),
         # successors 0.0 for y > 0 and -0.0 otherwise
         (lambda: one_d_problem(lambda y, u: np.where(y > 0, u, -u), controls=(-1.0, 1.0),
-                               states=(-1.0, 1.0)), (11,), (5,)),
-    ], ids=["example1", "shift", "inadmissible-pairs", "signed-zero"])
-    def test_matches_per_pair_sweep_bitwise(self, problem, state_grid, control_grid):
+                               states=(-1.0, 1.0)), (11,), (5,), None),
+    ], ids=["example1", "shift", "inadmissible-pairs", "split-blocks", "signed-zero"])
+    def test_matches_per_pair_sweep_bitwise(self, monkeypatch, problem, state_grid,
+                                            control_grid, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
         p = problem()
         grid = value_iteration(p, state_grid, control_grid, tol=1e-8)
         values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8)
@@ -299,7 +310,7 @@ class TestOptimalityConditions:
         oracle = value_iteration(p, (21,), (21,), tol=1e-10)
         roll = optimal_shift_rollout(p, steps=30)
         rep = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3),
-                                          (21,), kappa_tol=1e-12)
+                                          kappa_tol=1e-12)
         assert rep.stationarity.max() <= 1e-12
         assert rep.stationarity.min() >= 0.0
         assert rep.value_agreement_std <= 1e-12
@@ -316,9 +327,9 @@ class TestOptimalityConditions:
                             truncation_bound=roll.truncation_bound, discount=roll.discount)
         perturbed.controls[3, 0] = 1.0
         base = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3),
-                                           (21,), kappa_tol=1e-9)
+                                           kappa_tol=1e-9)
         rep = check_optimality_conditions(p, perturbed, cert, oracle, MonomialBasis(1, 3),
-                                          (21,), kappa_tol=1e-9)
+                                          kappa_tol=1e-9)
         assert rep.stationarity[3] > base.stationarity[3] + 0.1
         assert rep.stationarity[3] > max(rep.stationarity[2], rep.stationarity[4])
 
@@ -334,8 +345,7 @@ class TestOptimalityConditions:
         roll = rollout(p, minimizer_policy(p, b, cert, cfg.rollout_control_grid),
                        steps=cfg.steps)
         oracle = value_iteration(p, cfg.vi_state_grid, cfg.vi_control_grid, tol=1e-8)
-        rep = check_optimality_conditions(p, roll, cert, oracle, b, cfg.vi_control_grid,
-                                          cfg.slack)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b, cfg.slack)
         stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b,
                                                           cfg.vi_control_grid)
         assert rep.stationarity.tobytes() == stationarity.tobytes()
@@ -347,8 +357,25 @@ class TestOptimalityConditions:
         _, cert = solve(assemble(p, b, GridSpec(state=(7, 7), control=(7, 7))))
         roll = rollout(p, minimizer_policy(p, b, cert, (21, 21)), steps=20)
         oracle = value_iteration(p, (11, 11), (5, 5), tol=1e-6)
-        rep = check_optimality_conditions(p, roll, cert, oracle, b, (5, 5), 0.25)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b, 0.25)
         stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b, (5, 5))
+        assert rep.stationarity.tobytes() == stationarity.tobytes()
+        assert rep.hamiltonian.tobytes() == ham.tobytes()
+
+    def test_inadmissible_pairs_in_split_blocks_match_per_pair_psi_bitwise(self, monkeypatch):
+        # blocks of 20 pairs split nodes' 9 controls, and f = y + u leaves [0, 1] for
+        # some of every node's controls
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 20)
+        p = drift_problem()
+        b = MonomialBasis(1, 3)
+        _, cert = solve(assemble(p, b, GridSpec(state=(5,), control=(5,))))
+        roll = rollout(p, minimizer_policy(p, b, cert, (5,)), steps=20)
+        oracle = value_iteration(p, (11,), (9,), tol=1e-6)
+        assert len(oracle.lattice.admissible) == 5  # every block
+        rep = check_optimality_conditions(p, roll, cert, oracle, b, 0.25)
+        # no visited pair attains the scan minimum: a lattice pair past the first block does
+        assert rep.stationarity.min() > 0.0
+        stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b, (9,))
         assert rep.stationarity.tobytes() == stationarity.tobytes()
         assert rep.hamiltonian.tobytes() == ham.tobytes()
 
@@ -384,27 +411,55 @@ class TestShiftedInequality:
     def test_exact_certificate_zero_violation(self):
         p = shift_problem()
         cert = shift_exact_certificate()
-        viol = check_shifted_inequality(cert, 0.4, p, (21,), MonomialBasis(1, 3), (21,))
+        oracle = value_iteration(p, (21,), (21,), tol=1e-10)
+        viol = check_shifted_inequality(cert, 0.4, p, oracle, MonomialBasis(1, 3))
         assert viol == pytest.approx(0.0, abs=1e-12)
 
     def test_raised_anchor_violates_by_scaled_constant(self):
         # anchoring psi at V(y0) + c turns the inequality negative by exactly (1-a) c
         p = shift_problem()
         cert = shift_exact_certificate()
+        oracle = value_iteration(p, (21,), (21,), tol=1e-10)
         for c in (0.1, 0.25):
-            viol = check_shifted_inequality(cert, 0.4 + c, p, (21,),
-                                            MonomialBasis(1, 3), (21,))
+            viol = check_shifted_inequality(cert, 0.4 + c, p, oracle, MonomialBasis(1, 3))
             assert viol == pytest.approx((1 - p.discount) * c, abs=1e-12)
 
     def test_one_dimensional_array_grid_is_a_column_of_states(self):
         # a 1-D array is 21 states of a 1-D problem, not one state of dimension 21
         p = shift_problem()
-        cert = shift_exact_certificate()
-        b = MonomialBasis(1, 3)
-        by_counts = check_shifted_inequality(cert, 0.5, p, (21,), b, (21,))
-        by_array = check_shifted_inequality(cert, 0.5, p, np.linspace(0.0, 1.0, 21), b, (21,))
-        assert by_array == by_counts
-        assert by_array == pytest.approx((1 - p.discount) * 0.1, abs=1e-12)
+        by_array = model.state_grid_points(p, np.linspace(0.0, 1.0, 21))
+        assert by_array.shape == (21, 1)
+        assert by_array.tobytes() == model.state_grid_points(p, (21,)).tobytes()
+
+    @pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
+        (lambda: builtin_problem("example1"), (9, 9), (7, 7), None),
+        # blocks of 20 pairs split nodes' 9 controls; f = y + u leaves [0, 1]
+        (drift_problem, (11,), (9,), 20),
+    ], ids=["example1", "drift-split-blocks"])
+    def test_matches_per_node_loop_bitwise(self, monkeypatch, problem, state_grid,
+                                           control_grid, chunk):
+        # the per-node formula over the admissible grid controls is the reference, bit for bit
+        if chunk is not None:
+            monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
+        p = problem()
+        b = MonomialBasis(p.state_dim, 4)
+        lam = np.random.default_rng(3).normal(size=b.count)
+        cert = DualCertificate(lam=lam, mu=0.0)
+        psi = functools.partial(cert.psi, b)
+        oracle = value_iteration(p, state_grid, control_grid, tol=1e-6)
+        grid = control_grid_points(p, control_grid)
+        shift = 0.7 - psi(p.initial_state)
+        expected, unmasked = [], []
+        for y in tensor_points(oracle.axes):
+            ys = np.broadcast_to(y, grid.shape)
+            steps = p.g(ys, grid) + p.discount * (psi(p.f(ys, grid)) - psi(y))
+            anchored = (1.0 - p.discount) * (psi(y) + shift)
+            expected.append(-(steps[admissible_mask(p, ys, grid)].min() - anchored))
+            unmasked.append(-(steps.min() - anchored))
+        viol = check_shifted_inequality(cert, 0.7, p, oracle, b)
+        assert np.float64(viol).tobytes() == np.max(expected).tobytes()
+        # on drift the inadmissible pairs would change the answer
+        assert (np.max(unmasked) != np.max(expected)) == (chunk is not None)
 
 
 class TestOracleBracket:
