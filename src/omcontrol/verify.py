@@ -1,12 +1,13 @@
 """Independent oracles and property checks for solved problems.
 
-Value iteration on a tensor state grid (with multilinear interpolation
-of off-grid successors) provides a surrogate-free estimate of the value
-function.  The remaining checks certify a solution pipeline:
-residuals of a measure against every test function, stationarity and
-value-agreement of a rollout under a dual certificate, the pointwise bound
-of the surrogate by the value function, and the nonnegativity of the
-shifted one-step inequality.  Every scan of the one-step expression
+Modified policy iteration on a tensor state grid (with multilinear
+interpolation of off-grid successors) provides a surrogate-free estimate of
+the value function: each full Bellman backup is followed by a fixed number
+of sweeps of its greedy policy's own operator.  The remaining checks
+certify a solution pipeline: residuals of a measure against every test
+function, stationarity and value-agreement of a rollout under a dual
+certificate, the pointwise bound of the surrogate by the value function,
+and the nonnegativity of the shifted one-step inequality.  Every scan of the one-step expression
 g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``, and
 the node grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
 Everything here is report-oriented: checks return residual magnitudes and
@@ -29,6 +30,8 @@ from .model import DiscreteControlProblem, control_grid_points
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
 from .synthesis import Rollout
+
+_MPI_SWEEPS = 30  # policy-operator sweeps after each full backup in value_iteration
 
 
 @dataclass
@@ -86,17 +89,27 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
                     tol: float = 1e-8, max_iter: int = 20_000) -> ValueFunctionGrid:
     """Fixed point of the one-step minimization operator on a state grid.
 
-    Sweeps are synchronous; iteration stops once the sup-norm successive
-    difference falls below tol * (1 - alpha) / alpha, which bounds the
-    distance to the fixed point by tol via the contraction rate alpha.
+    Modified policy iteration (Puterman & Shin 1978; Puterman, *Markov
+    Decision Processes*, 1994, section 6.5): each synchronous full Bellman
+    backup T v also picks each node's first minimizing control, and
+    ``_MPI_SWEEPS`` sweeps of that greedy policy's own operator follow it.
+    A policy sweep reads only the interpolation corners of each node's
+    chosen successor, not every control.  Iteration stops at the first
+    full backup whose sup-norm change ||T v - v|| is at most
+    tol * (1 - alpha) / alpha; since ||T v - v*|| <= alpha / (1 - alpha) *
+    ||T v - v|| for any v, that backup is within tol of the fixed point,
+    and it is what the grid carries.  ``sweep_diffs`` lists the change of
+    each full backup and ``max_iter`` bounds their number; policy sweeps
+    are not counted.  On :class:`NotConverged` the grid carries the last
+    full backup, which ``sweep_diffs[-1]`` describes.
 
     Many (node, control) pairs share a successor f(y, u) (on example1's
     41^2 x 21^2 grid, 36,100 distinct successors serve 741,321 pairs), so
-    each sweep interpolates every distinct successor of the grid's
+    each full backup interpolates every distinct successor of the grid's
     ``model.pair_lattice`` once and scatters the result to its pairs.
     Every pair still gets the same products, the same summation order and
-    the same additions as a per-pair sweep, so values and sweep_diffs
-    match it bit for bit.
+    the same additions as a per-pair sweep, so a full backup matches it
+    bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -126,17 +139,24 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), lattice=lattice,
                              sweep_diffs=diffs)
     backup = np.empty((kn, kc))
+    node = np.arange(kn)
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
         np.take(cont, successor, out=backup)
         np.add(stage, backup, out=backup)
-        new = backup.min(axis=1)
+        choice = backup.argmin(axis=1)
+        new = backup[node, choice]  # the row minimum itself
         diff = float(np.abs(new - values).max())
         diffs.append(diff)
         values = new
         grid.values = values.reshape(shape)
         if diff <= threshold:
             return grid
+        # the greedy policy's operator: one stage and one successor per node
+        chosen = successor[node, choice]
+        policy_stage, policy_idx, policy_wgt = stage[node, choice], idx[chosen], wgt[chosen]
+        for _ in range(_MPI_SWEEPS):
+            values = policy_stage + alpha * (values[policy_idx] * policy_wgt).sum(axis=1)
     raise NotConverged(grid)
 
 

@@ -216,14 +216,16 @@ def test_criterion_9_oracle_bracket(example1, example1_oracle, shift):
     v_oracle = example1_oracle(p.initial_state)
     scaled = example1["certificate"].mu / (1 - p.discount)
     ex1_ok = abs(v_oracle - scaled) <= 0.3
+    backups = len(example1_oracle.sweep_diffs)  # plain value iteration takes 200
+
 
     sp = shift["problem"]
     shift_diff = abs(shift["oracle"](sp.initial_state)
                      - shift["certificate"].mu / (1 - sp.discount))
-    ok = ex1_ok and shift_diff <= 1e-9
+    ok = ex1_ok and backups <= 12 and shift_diff <= 1e-9
     _report(9, ok, f"example1 oracle {v_oracle:.4f} vs mu/(1-alpha) {scaled:.4f} "
-                   f"(diff {abs(v_oracle - scaled):.3f} <= 0.3); "
-                   f"shift diff {shift_diff:.2e} <= 1e-9")
+                   f"(diff {abs(v_oracle - scaled):.3f} <= 0.3) after {backups} <= 12 "
+                   f"full backups; shift diff {shift_diff:.2e} <= 1e-9")
 
 
 def test_criterion_10_optimality_conditions(example1, example1_oracle,

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import json
 import typing
 
 import numpy as np
 import pytest
 
-from omcontrol import LpInfeasible, cli, model, silp, synthesis, verify
+from omcontrol import LpInfeasible, NotConverged, cli, model, silp, synthesis, verify
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -354,8 +355,10 @@ class TestErrorPaths:
         assert "INFO kappa estimate: n/a (phase-I residual 9.172e-03)\n" in report
         assert "FAIL" not in report
 
-    def test_nonconverged_oracle_writes_marked_report(self, tmp_path, capsys):
-        # at alpha = 0.999 value iteration needs more than its 20,000 sweeps
+    def test_nonconverged_oracle_writes_marked_report(self, tmp_path, capsys, monkeypatch):
+        # three full backups leave the alpha = 0.999 oracle far from its fixed point
+        plain = verify.value_iteration
+        monkeypatch.setattr(verify, "value_iteration", functools.partial(plain, max_iter=3))
         out = tmp_path / "run"
         cfg_path = tmp_path / "slow.cfg"
         cfg_path.write_text(
@@ -374,6 +377,10 @@ class TestErrorPaths:
         diff, tol = (float(v) for v in failed[0][len(prefix):].rstrip(")").split(" (tol "))
         assert tol == pytest.approx(1e-8 * (1 - 0.999) / 0.999, rel=1e-3)  # 4 digits printed
         assert diff > tol
+        with pytest.raises(NotConverged) as err:
+            plain(model.builtin_problem("example1", alpha=0.999), (11, 11), (5, 5),
+                  tol=1e-8, max_iter=3)
+        assert diff == float(f"{err.value.grid.sweep_diffs[-1]:.3e}")
         # the other checks still ran, against the last iterate
         assert any(line.startswith("PASS stationarity residual") for line in lines)
         assert lines[-2].startswith("INFO oracle value at y0: ")

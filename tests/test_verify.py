@@ -33,8 +33,8 @@ def optimal_shift_rollout(p, steps=20):
     return rollout(p, lambda y: np.array([0.0]), steps=steps)
 
 
-def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
-    """Reference sweep: every (node, control) pair interpolates its successor every sweep."""
+def per_pair_backup(p, state_grid, control_grid):
+    """Reference full backup: every (node, control) pair interpolates its successor."""
     axes = tuple(p.state_region.axes(state_grid))
     nodes = tensor_points(axes)
     controls = control_grid_points(p, control_grid)
@@ -44,16 +44,32 @@ def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
     mask = admissible_mask(p, states, pair_controls).reshape(kn, kc)
     stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
     idx, wgt = verify._interp_table(axes, p.f(states, pair_controls))
+
+    def backup(values):
+        cont = (values[idx] * wgt).sum(axis=1).reshape(kn, kc)
+        return np.min(stage + p.discount * cont, axis=1)
+    return backup, kn
+
+
+def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
+    """Reference plain value iteration: a per-pair full backup every sweep."""
+    backup, kn = per_pair_backup(p, state_grid, control_grid)
     values, diffs = np.zeros(kn), []
     threshold = tol * (1.0 - p.discount) / p.discount
     for _ in range(max_iter):
-        cont = (values[idx] * wgt).sum(axis=1).reshape(kn, kc)
-        new = np.min(stage + p.discount * cont, axis=1)
+        new = backup(values)
         diffs.append(float(np.abs(new - values).max()))
         values = new
         if diffs[-1] <= threshold:
             break
     return values, diffs
+
+
+def bellman_residual(p, state_grid, control_grid, grid):
+    """Sup-norm change of one per-pair full backup of the oracle's values."""
+    backup, _ = per_pair_backup(p, state_grid, control_grid)
+    values = grid.values.ravel()
+    return float(np.abs(backup(values) - values).max())
 
 
 def drift_problem():
@@ -127,6 +143,7 @@ class TestValueIteration:
         p = builtin_problem("example1")
         with pytest.raises(NotConverged) as err:
             value_iteration(p, (11, 11), (5, 5), tol=1e-10, max_iter=3)
+        assert len(err.value.grid.sweep_diffs) == 3  # max_iter counts full backups only
         assert err.value.grid.values.shape == (11, 11)
         assert err.value.grid.lattice.states.shape == (121, 2)
 
@@ -138,7 +155,7 @@ class TestValueIteration:
         with pytest.raises(AssumptionIViolation):
             value_iteration(p, (5,), (3,), tol=1e-8)
 
-    @pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
+    FIVE_PROBLEMS = pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
         (lambda: builtin_problem("example1"), (11, 11), (5, 5), None),
         (shift_problem, (21,), (21,), None),
         # y + u leaves [0, 1] for some pairs; u = 0 keeps every node admissible
@@ -149,23 +166,52 @@ class TestValueIteration:
         (lambda: one_d_problem(lambda y, u: np.where(y > 0, u, -u), controls=(-1.0, 1.0),
                                states=(-1.0, 1.0)), (11,), (5,), None),
     ], ids=["example1", "shift", "inadmissible-pairs", "split-blocks", "signed-zero"])
+
+    @FIVE_PROBLEMS
     def test_matches_per_pair_sweep_bitwise(self, monkeypatch, problem, state_grid,
                                             control_grid, chunk):
+        # the full backup, before any policy sweep, is the per-pair sweep bit for bit
         if chunk is not None:
             monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
         p = problem()
-        grid = value_iteration(p, state_grid, control_grid, tol=1e-8)
-        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8)
-        assert grid.values.tobytes() == values.tobytes()
-        assert grid.sweep_diffs == diffs
+        with pytest.raises(NotConverged) as err:
+            value_iteration(p, state_grid, control_grid, tol=1e-8, max_iter=1)
+        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8, max_iter=1)
+        assert err.value.grid.values.tobytes() == values.tobytes()
+        assert err.value.grid.sweep_diffs == diffs
+
+    @FIVE_PROBLEMS
+    def test_fixed_point_matches_plain_value_iteration(self, monkeypatch, problem,
+                                                       state_grid, control_grid, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
+        p, tol = problem(), 1e-8
+        grid = value_iteration(p, state_grid, control_grid, tol=tol)
+        values, _ = per_pair_value_iteration(p, state_grid, control_grid, tol)
+        assert np.abs(grid.values.ravel() - values).max() <= 2 * tol
+        # the stopping rule's certificate: T is an alpha-contraction and ||v - w|| <= threshold
+        # for the returned v = T w
+        certificate = p.discount * tol * (1 - p.discount) / p.discount
+        assert bellman_residual(p, state_grid, control_grid, grid) <= certificate
 
     def test_not_converged_iterate_matches_per_pair_sweep_bitwise(self):
         p = builtin_problem("example1")
         with pytest.raises(NotConverged) as err:
-            value_iteration(p, (11, 11), (5, 5), tol=1e-10, max_iter=3)
-        values, diffs = per_pair_value_iteration(p, (11, 11), (5, 5), 1e-10, max_iter=3)
+            value_iteration(p, (11, 11), (5, 5), tol=1e-10, max_iter=1)
+        values, diffs = per_pair_value_iteration(p, (11, 11), (5, 5), 1e-10, max_iter=1)
         assert err.value.grid.values.tobytes() == values.tobytes()
         assert err.value.grid.sweep_diffs == diffs
+
+    def test_converges_at_discount_near_one(self):
+        # plain value iteration would need about 25,400 sweeps, over its 20,000 max_iter
+        p, tol = builtin_problem("example1", alpha=0.999), 1e-8
+        grid = value_iteration(p, (11, 11), (5, 5), tol=tol)
+        assert len(grid.sweep_diffs) < 1000
+        # changes of values near 1,066 are whole multiples of their float spacing; the
+        # certificate is 44 of them, and alpha times 44 spacings rounds back to 44
+        spacing = np.spacing(np.abs(grid.values).max())
+        certificate = p.discount * tol * (1 - p.discount) / p.discount
+        assert bellman_residual(p, (11, 11), (5, 5), grid) <= certificate + spacing
 
     def test_distinct_rows_keep_signed_zeros_apart(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
