@@ -288,7 +288,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     grid, _ = _grid_specs(cfg)
     try:
-        kappa = verify.estimate_kappa(problem, basis, grid, certificate.mu,
+        kappa = verify.estimate_kappa(problem, basis, grid, certificate,
                                       oracle(problem.initial_state),
                                       pivot_tol=cfg.pivot_tol)
         kappa_text = f"{kappa:.3e}"

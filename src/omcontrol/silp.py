@@ -171,7 +171,7 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
 
 
 def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
-          results: Optional[list] = None) -> tuple[AtomicMeasure, DualCertificate]:
+          results: Optional[list] = None, seed=None) -> tuple[AtomicMeasure, DualCertificate]:
     """Solve the finite LP; atoms are the positive basic variables.
 
     The dual of the normalization row is the optimal value ``mu``; the
@@ -179,10 +179,12 @@ def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
     flipped so that the reduced cost reads g + shifted surrogate - mu).
     On a degenerate LP the vertex, and with it the certificate, depend on
     the pivot path; ``select_certificate`` removes that dependence.
-    ``start`` is a basis to resume Phase II from (see ``solve_equality_lp``),
-    and ``results``, when given, receives the solver's ``LpResult``.
+    ``start`` is a basis to resume Phase II from and ``seed`` columns to
+    start the sifting working sets from (see ``solve_equality_lp``), and
+    ``results``, when given, receives the solver's ``LpResult``.
     """
-    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, start=start)
+    res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, start=start,
+                            seed=seed)
     if results is not None:
         results.append(res)
     x = np.where(np.abs(res.x) < _WEIGHT_CLIP, 0.0, res.x)

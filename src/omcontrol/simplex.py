@@ -2,23 +2,27 @@
 
 Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small
 (tens of rows, up to ~1e5 columns).  Feasibility comes from a Phase-I with
-artificial variables, priced in full over [A | I]; redundant rows
-discovered there are dropped and get zero duals.  Pricing is Dantzig's
-rule with smallest-index tie-breaks; a degeneracy counter switches to
-Bland's rule after ``_STALL_LIMIT`` pivots without objective progress,
-which guarantees termination, and switches back once the objective moves
-again.  The pivots work from one explicit basis inverse, updated by a
-rank-one (eta) update per pivot (product form; Dantzig and Orchard-Hays,
-1954) and refactorized every m pivots for an LP of m rows.  Optimality is
-confirmed on x_B and duals re-solved from the basis matrix, so the result
-of a final basis does not depend on the updates that led to it.
+artificial variables over [A | I]; an artificial column can leave the
+basis but never enters it.  Redundant rows discovered there are dropped
+and get zero duals.  Pricing is Dantzig's rule with smallest-index
+tie-breaks; a degeneracy counter switches to Bland's rule after
+``_STALL_LIMIT`` pivots without objective progress, which guarantees
+termination, and switches back once the objective moves again.  The
+pivots work from one explicit basis inverse, updated by a rank-one (eta)
+update per pivot (product form; Dantzig and Orchard-Hays, 1954) and
+refactorized every m pivots for an LP of m rows.  Optimality is confirmed
+on x_B and duals re-solved from the basis matrix, so the result of a
+final basis does not depend on the updates that led to it.
 
-Phase II runs by sifting (working-set pricing; Bixby et al., Oper. Res.
+Both phases run by sifting (working-set pricing; Bixby et al., Oper. Res.
 40(5), 1992): the pivots price only a working set of columns, every other
 column is priced each time the working set is optimal, and the most
-negative ones join it.  It stops when no reduced cost is below
-``-pivot_tol``, so the optimum is certified over all columns while a
-pivot prices a few columns per row instead of the whole LP.
+negative ones join it.  A phase stops when no reduced cost is below
+``-pivot_tol``, so its optimum is certified over all columns while a
+pivot prices a few columns per row instead of the whole LP.  A caller's
+``seed`` of columns starts the working set of both phases.  Without one,
+Phase I's working set is every column, so it is a full-pricing Phase I,
+and Phase II's starts from columns spread evenly over the LP.
 
 A caller that already holds a primal feasible basis, such as the optimal
 basis of an LP whose columns it has since appended to, passes it as
@@ -140,27 +144,32 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
             inv[leave] = row
 
 
-def _sift(A, b, c, basis, pivot_tol, max_pivots, pivots_done):
-    """Phase II by sifting from the feasible ``basis``: pivot on a working set
-    of columns, grow it by the most negative reduced costs over the other
-    columns, and stop when there are none.  Returns (x_B, duals, basis,
-    pivots_done).
+def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done):
+    """Sifting from the feasible ``basis`` over the sorted working set ``work``,
+    which holds it: pivot on the working set, grow it by the most negative
+    reduced costs among the other columns of the first ``n_enterable``, and
+    stop when there are none.  Returns (x_B, duals, basis, pivots_done).
 
-    The working set is already optimal when ``_iterate`` returns, so the
-    full pricing zeroes it: ``y @ A`` rounds differently from the working
-    set's own product, and a working-set column it reads as negative would
-    re-enter a working set that cannot grow, forever.
+    A working set of every column pivots on ``A`` itself, with no copy and
+    nothing left to price.  Otherwise the working set is already optimal
+    when ``_iterate`` returns, so the full pricing zeroes it: ``y @ A``
+    rounds differently from the working set's own product, and a
+    working-set column it reads as negative would re-enter a working set
+    that cannot grow, forever.
     """
-    n = A.shape[1]
     width = _SIFT_WIDTH * A.shape[0]
-    work = np.union1d(basis, np.linspace(0, n - 1, min(n, width), dtype=np.int64))
     while True:
+        if work.size == A.shape[1]:
+            xB, y, pivots_done = _iterate(A, b, c, basis, n_enterable, pivot_tol,
+                                          max_pivots, pivots_done)
+            return xB, y, basis, pivots_done
         local = np.searchsorted(work, basis)
-        xB, y, pivots_done = _iterate(A[:, work], b, c[work], local, work.size,
+        xB, y, pivots_done = _iterate(A[:, work], b, c[work], local,
+                                      int(np.searchsorted(work, n_enterable)),
                                       pivot_tol, max_pivots, pivots_done)
         basis = work[local]
-        rc = c - y @ A
-        rc[work] = 0.0
+        rc = c[:n_enterable] - y @ A[:, :n_enterable]
+        rc[work[work < n_enterable]] = 0.0
         negative = np.nonzero(rc < -pivot_tol)[0]
         if negative.size == 0:
             return xB, y, basis, pivots_done
@@ -185,18 +194,21 @@ def _feasible_start(A, b, start, pivot_tol):
     return basis.copy() if xB.min() >= -pivot_tol else None
 
 
-def _phase_one(A, b, pivot_tol, max_pivots):
+def _phase_one(A, b, seed, pivot_tol, max_pivots):
     """Phase I over [A | I] with artificial costs: (basis, kept rows, pivots).
 
-    The basis holds structural columns only.  Rows that no structural column
-    can be pivoted on are redundant; they are dropped, with their basis
-    positions, and get zero duals.
+    It sifts from the artificial basis over a working set of the columns in
+    ``seed``, or of every structural column when ``seed`` is None; the
+    artificial columns never enter.  The basis holds structural columns
+    only.  Rows that no structural column can be pivoted on are redundant;
+    they are dropped, with their basis positions, and get zero duals.
     """
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    xB, _, pivots = _iterate(A1, b, c1, basis, n, pivot_tol, max_pivots, 0)
+    work = np.arange(n + m) if seed is None else np.union1d(seed, basis)
+    xB, _, basis, pivots = _sift(A1, b, c1, basis, work, n, pivot_tol, max_pivots, 0)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
         raise LpInfeasible(f"phase-I residual {infeas:.3e}")
@@ -219,12 +231,15 @@ def _phase_one(A, b, pivot_tol, max_pivots):
 
 
 def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_000,
-                      start=None) -> LpResult:
+                      start=None, seed=None) -> LpResult:
     """Solve min c@x s.t. A@x = b, x >= 0 by the two-phase dense simplex.
 
     ``start``, a basis of one column index per row, skips Phase I when it
     is nonsingular and primal feasible (``LpResult.warm`` says so); any
-    other start falls back to the cold two-phase solve.
+    other start falls back to the cold two-phase solve.  ``seed``, column
+    indices the caller expects the optimum to use, starts the sifting
+    working set of both phases; it only orders the pricing, and the
+    result is certified over every column whatever it holds.
     """
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -232,6 +247,10 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP shapes")
+    if seed is not None:
+        seed = np.asarray(seed, dtype=np.int64).ravel()
+        if seed.size and (seed.min() < 0 or seed.max() >= n):
+            raise ValueError("seed column out of range")
 
     flip = b < 0
     if flip.any():  # A is only read below, so it is copied only to flip rows
@@ -244,12 +263,15 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     if warm:
         rows, pivots = np.arange(m), 0
     else:
-        basis, rows, pivots = _phase_one(A, b, pivot_tol, max_pivots)
+        basis, rows, pivots = _phase_one(A, b, seed, pivot_tol, max_pivots)
         if rows.size < m:
             A, b = A[rows], b[rows]
 
     # Phase II on structural columns only.
-    xB, y, basis, pivots = _sift(A, b, c, basis, pivot_tol, max_pivots, pivots)
+    if seed is None:
+        seed = np.linspace(0, n - 1, min(n, _SIFT_WIDTH * A.shape[0]), dtype=np.int64)
+    xB, y, basis, pivots = _sift(A, b, c, basis, np.union1d(basis, seed), n, pivot_tol,
+                                 max_pivots, pivots)
 
     # One step of iterative refinement for the final basic solution.
     B = A[:, basis]

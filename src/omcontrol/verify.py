@@ -23,12 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import model
+from . import model, silp
 from .basis import MonomialBasis, constraint_columns
 from .errors import NotConverged
 from .model import DiscreteControlProblem, control_grid_points
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
+from .simplex import _SIFT_WIDTH
 from .synthesis import Rollout
 
 _MPI_SWEEPS = 30  # policy-operator sweeps after each full backup in value_iteration
@@ -295,7 +296,7 @@ def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
 
 
 def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
-                   grid_spec: GridSpec, mu: float, oracle_value: float,
+                   grid_spec: GridSpec, certificate: DualCertificate, oracle_value: float,
                    pivot_tol: float = 1e-9) -> float:
     """Deficit estimate: next-degree increment plus the oracle gap, both clamped.
 
@@ -304,11 +305,22 @@ def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
     to the oracle's value scaled by (1 - alpha).  Report-only.  Only the
     re-solve's optimal value mu' is used, never its vertex or duals.  The
     base grid has far more columns than rows (160,801 columns for 10 rows on
-    a 401 x 401 grid at degree 9), the shape the simplex's sifted Phase II
-    is for.
+    a 401 x 401 grid at degree 9), the shape the simplex's sifting is for.
+
+    ``certificate``, the solution's certificate at the current degree,
+    prices the base grid's columns once, and the ``_SIFT_WIDTH`` columns
+    per LP row with the lowest reduced costs (ties to the lower index) seed
+    the working sets of both simplex phases.  The seed only orders the pricing:
+    mu' is certified over every column, so a wrong certificate costs
+    pivots, never the value.
     """
     richer = MonomialBasis(basis.dim, basis.max_degree + 1)
-    _, cert = solve(assemble(problem, richer, grid_spec), pivot_tol=pivot_tol)
-    increment = max(0.0, cert.mu - mu)
+    lp = assemble(problem, richer, grid_spec)
+    rc = silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls)
+    # a copy, not a view that would keep the full argsort alive through the solve
+    seed = np.argsort(rc, kind="stable")[:_SIFT_WIDTH * lp.n_rows].copy()
+    del rc
+    _, cert = solve(lp, pivot_tol=pivot_tol, seed=seed)
+    increment = max(0.0, cert.mu - certificate.mu)
     oracle_gap = max(0.0, (1.0 - problem.discount) * oracle_value - cert.mu)
     return increment + oracle_gap

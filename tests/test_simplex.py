@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from omcontrol import simplex
+from omcontrol import (GridSpec, MonomialBasis, assemble, builtin_problem, silp, simplex,
+                       solve)
 from omcontrol.errors import LpInfeasible, LpUnbounded
 from omcontrol.simplex import solve_equality_lp
 
@@ -205,7 +206,7 @@ class TestSifting:
             return out
 
         monkeypatch.setattr(simplex, "_iterate", guarded)
-        _, _, final, pivots = simplex._sift(A, b, c, basis.copy(), tol, 1_000, 0)
+        _, _, final, pivots = simplex._sift(A, b, c, basis.copy(), work, n, tol, 1_000, 0)
         assert pivots == 0
         np.testing.assert_array_equal(final, basis)
 
@@ -331,3 +332,123 @@ class TestWarmStart:
         assert first.basis.size == 1
         again = solve_equality_lp(A, b, c, start=first.basis)
         assert same_result(again, first)
+
+
+def kappa_lp(name, degree, grid):
+    """The degree + 1 base LP of ``verify.estimate_kappa`` and the base grid's
+    reduced costs under the degree-``degree`` certificate."""
+    p = builtin_problem(name)
+    b = MonomialBasis(p.state_dim, degree)
+    spec = GridSpec(state=grid, control=grid)
+    _, cert = solve(assemble(p, b, spec))
+    lp = assemble(p, MonomialBasis(p.state_dim, degree + 1), spec)
+    return lp, silp.reduced_costs(p, b, cert, lp.states, lp.controls)
+
+
+class TestSeededSifting:
+    @pytest.mark.parametrize("name, degree, grid", [
+        ("shift", 3, (21,)),     # CLI defaults
+        ("example1", 3, (7,)),
+    ], ids=["shift", "example1"])
+    @pytest.mark.parametrize("kind", ["none", "lowest", "highest", "single"])
+    def test_value_does_not_depend_on_the_seed(self, name, degree, grid, kind):
+        lp, rc = kappa_lp(name, degree, grid)
+        order = np.argsort(rc, kind="stable")
+        width = simplex._SIFT_WIDTH * lp.n_rows
+        seed = {"none": None, "lowest": order[:width], "highest": order[-width:],
+                "single": order[:1]}[kind]
+        res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, seed=seed)
+        ref = linprog(lp.cost, A_eq=lp.matrix, b_eq=lp.rhs, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert res.value == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(lp.matrix @ res.x, lp.rhs, atol=1e-8)
+        assert res.x.min() >= 0.0
+
+    def test_phase_one_grows_an_infeasible_seed(self):
+        # every seeded column has a zero first row while b's is positive, so Phase I
+        # must bring in columns from outside the seed to reach feasibility
+        rng = np.random.default_rng(700)
+        m, n = 6, 2_000
+        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+        seed = np.arange(0, n, 2)
+        A[0, seed] = 0.0
+        A[0, 1::2] = np.abs(A[0, 1::2])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        assert linprog(c[seed], A_eq=A[:, seed], b_eq=b, bounds=(0, None),
+                       method="highs").status == 2
+        res = solve_equality_lp(A, b, c, seed=seed)
+        ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert res.value == pytest.approx(ref.fun, abs=1e-9)
+        np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
+        assert res.x.min() >= 0.0
+
+    @pytest.mark.parametrize("seed", [None, [0], [3, 7, 11], range(0, 400, 2)])
+    def test_infeasible_lp_raises_under_every_seed(self, seed):
+        # nonnegative rows summing to 1 cannot reach a first row of -1
+        rng = np.random.default_rng(710)
+        m, n = 5, 400
+        A = np.vstack([np.abs(rng.normal(size=(m - 1, n))), np.ones(n)])
+        b = np.concatenate([[-1.0], np.full(m - 2, 0.5), [1.0]])
+        with pytest.raises(LpInfeasible):
+            solve_equality_lp(A, b, rng.normal(size=n), seed=seed)
+
+    @pytest.mark.parametrize("seed", [[-1], [2]])
+    def test_out_of_range_seed_is_rejected(self, seed):
+        with pytest.raises(ValueError):
+            solve_equality_lp(np.ones((1, 2)), np.ones(1), np.ones(2), seed=seed)
+
+
+def full_pricing_phase_one(A, b, seed, pivot_tol, max_pivots):
+    """Reference Phase I: one ``_iterate`` call priced in full over [A | I]."""
+    assert seed is None
+    m, n = A.shape
+    A1 = np.hstack([A, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = np.arange(n, n + m)
+    xB, _, pivots = simplex._iterate(A1, b, c1, basis, n, pivot_tol, max_pivots, 0)
+    infeas = float(c1[basis] @ xB)
+    if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
+        raise LpInfeasible(f"phase-I residual {infeas:.3e}")
+    keep_rows = np.ones(m, dtype=bool)
+    for k in range(m):
+        if basis[k] < n:
+            continue
+        u = np.linalg.solve(A1[:, basis].T, np.eye(m)[:, k])
+        candidates = np.nonzero(np.abs(u @ A) > pivot_tol)[0]
+        candidates = candidates[~np.isin(candidates, basis)]
+        if candidates.size:
+            basis[k] = int(candidates[0])
+        else:
+            keep_rows[k] = False
+    return basis[keep_rows], np.nonzero(keep_rows)[0], pivots
+
+
+def drawn_lp(seed):
+    rng = np.random.default_rng(800 + seed)
+    m, n = 8, 600
+    A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+    A[1] = 2.0 * A[0]  # a redundant row for Phase I to drop
+    b = A @ rng.dirichlet(np.ones(n))
+    b[0] = -abs(b[0])  # a flipped row
+    b[1] = 2.0 * b[0]
+    return A, b, rng.normal(size=n)
+
+
+def example1_base_lp():
+    p = builtin_problem("example1")
+    return assemble(p, MonomialBasis(p.state_dim, 7), GridSpec(state=(9,), control=(9,)))
+
+
+class TestUnseededPhaseOne:
+    @pytest.mark.parametrize("case", ["drawn-0", "drawn-1", "drawn-2", "example1"])
+    def test_matches_full_pricing_bitwise(self, monkeypatch, case):
+        if case == "example1":
+            lp = example1_base_lp()
+            A, b, c = lp.matrix, lp.rhs, lp.cost
+        else:
+            A, b, c = drawn_lp(int(case[-1]))
+        res = solve_equality_lp(A, b, c)
+        monkeypatch.setattr(simplex, "_phase_one", full_pricing_phase_one)
+        assert same_result(res, solve_equality_lp(A, b, c))

@@ -70,3 +70,7 @@ def test_traced_verify_records_the_benchmark_layers(tmp_path):
             "verify.shifted_inequality", "verify.kappa", "simplex"} <= {s[0] for s in spans}
     sid = next(i for i, s in enumerate(spans) if s[0] == "verify.value_iteration")
     assert any(s[0] == "model.admissible_mask" and s[1] == sid for s in spans)
+    # simplex.kappa_pivots counts the pivots of simplex spans below verify.kappa
+    ancestors = load_tracer().ancestors
+    assert any(s[0] == "simplex" and s[4]["pivots"] > 0 and "verify.kappa" in ancestors(spans, i)
+               for i, s in enumerate(spans))

@@ -530,7 +530,7 @@ class TestKappa:
         spec = GridSpec(state=grid, control=grid)
         _, cert = solve(assemble(p, b, spec))
         oracle_value = value_iteration(p, vi_grid, vi_grid, tol=1e-8)(p.initial_state)
-        sifted = estimate_kappa(p, b, spec, cert.mu, oracle_value)
+        sifted = estimate_kappa(p, b, spec, cert, oracle_value)
 
         # the degree + 1 LP solved by HiGHS: its optimal value is mu'
         lp = assemble(p, MonomialBasis(p.state_dim, degree + 1), spec)
