@@ -189,7 +189,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         "certificate margin " + ("n/a (unique dual)" if margin is None else f"{margin:.3e}"),
     ]
     if failure is not None:
-        lines.append(f"converged          no (round limit of {rounds} reached)")
+        cause = failure.__cause__
+        lines.append("converged          no (" + (
+            f"round limit of {rounds} reached" if cause is None
+            else f"round {rounds + 1} failed: {type(cause).__name__}: {cause}") + ")")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     if failure is not None:

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import model
 from .basis import MonomialBasis, constraint_columns
-from .errors import EmptyMeasure, InsufficientGrid, NonConverged
+from .errors import (EmptyMeasure, InsufficientGrid, LpInfeasible, LpUnbounded, NonConverged,
+                     SolverStalled)
 from .model import DiscreteControlProblem
 from .model import admissible_mask  # perfbench/tracer.py wraps this name here
 from .simplex import LpResult, solve_equality_lp
@@ -71,7 +72,24 @@ class CandidateSpec:
 
 @dataclass
 class FiniteLP:
-    """Columns (admissible pairs), cost vector and equality rows."""
+    """Columns (admissible pairs), cost vector and equality rows.
+
+    The per-column arrays (``states``, ``controls``, ``cost`` and the
+    columns of ``matrix``) may be leading views of a ``_ColumnBuffer``
+    with room for more columns; ``with_room`` copies an LP into one.
+    ``extended`` writes its columns into that room when this LP's columns
+    are the whole filled part of the buffer, so a chain of extensions
+    never copies an earlier column, and this LP's views keep seeing only
+    its own columns.  Extending the same LP a second time finds the buffer
+    already filled past its columns; the second extension then copies this
+    LP's columns into a buffer of its own, so each extension holds its own
+    columns and this LP stays as it was.  An LP without room, such as one
+    from ``assemble``, is copied the same way, into a buffer of exactly the
+    extended size.  The buffer holds the columns one
+    after the other, so ``matrix`` is Fortran-ordered, as ``assemble`` and
+    ``np.hstack`` of its blocks lay it out, and the simplex reads the same
+    layout whether or not the LP sits in a buffer.
+    """
 
     states: np.ndarray        # (K, m)
     controls: np.ndarray      # (K, d)
@@ -80,6 +98,8 @@ class FiniteLP:
     rhs: np.ndarray           # (R,)
     state_step: np.ndarray    # base cell sizes, for atom perturbation
     control_step: np.ndarray
+    _buffer: Optional["_ColumnBuffer"] = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     @property
     def n_columns(self) -> int:
@@ -89,22 +109,61 @@ class FiniteLP:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
+    def with_room(self, extra: int) -> "FiniteLP":
+        """The same LP, its columns copied into a buffer with room for ``extra`` more."""
+        return _ColumnBuffer(self, self.n_columns + extra).lp(self)
+
     def extended(self, problem: DiscreteControlProblem, basis: MonomialBasis,
                  states, controls) -> "FiniteLP":
         """New LP with extra admissible columns appended in the given order."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         cols = constraint_columns(basis, problem, states, controls)[1:]
-        block = np.vstack([cols, np.ones((1, states.shape[0]))])
-        return FiniteLP(
-            states=np.vstack([self.states, states]),
-            controls=np.vstack([self.controls, controls]),
-            cost=np.concatenate([self.cost, problem.g(states, controls)]),
-            matrix=np.hstack([self.matrix, block]),
-            rhs=self.rhs,
-            state_step=self.state_step,
-            control_step=self.control_step,
-        )
+        cost = problem.g(states, controls)
+        needed = self.n_columns + states.shape[0]
+        buf = self._buffer
+        if buf is None or buf.used != self.n_columns or buf.capacity < needed:
+            buf = _ColumnBuffer(self, needed)
+        buf.append(states, controls, cost, cols)
+        return buf.lp(self)
+
+
+class _ColumnBuffer:
+    """Preallocated per-column arrays of a chain of LPs with the same rows.
+
+    The first ``used`` of its ``capacity`` columns are written; an LP of the
+    chain views a prefix of them.
+    """
+
+    def __init__(self, lp: FiniteLP, capacity: int):
+        self.capacity = capacity
+        self.states = np.empty((capacity, lp.states.shape[1]))
+        self.controls = np.empty((capacity, lp.controls.shape[1]))
+        self.cost = np.empty(capacity)
+        self.columns = np.empty((capacity, lp.n_rows))  # matrix columns as rows
+        self.used = lp.n_columns
+        self.states[:self.used] = lp.states
+        self.controls[:self.used] = lp.controls
+        self.cost[:self.used] = lp.cost
+        self.columns[:self.used] = lp.matrix.T
+
+    def append(self, states, controls, cost, cols) -> None:
+        """Write columns after the filled part: test-function rows ``cols``, then 1."""
+        at, self.used = self.used, self.used + states.shape[0]
+        self.states[at:self.used] = states
+        self.controls[at:self.used] = controls
+        self.cost[at:self.used] = cost
+        self.columns[at:self.used, :-1] = cols.T
+        self.columns[at:self.used, -1] = 1.0
+
+    def lp(self, like: FiniteLP) -> FiniteLP:
+        """The LP over the filled columns, with the rows and steps of ``like``."""
+        k = self.used
+        lp = FiniteLP(states=self.states[:k], controls=self.controls[:k], cost=self.cost[:k],
+                      matrix=self.columns[:k].T, rhs=like.rhs, state_step=like.state_step,
+                      control_step=like.control_step)
+        lp._buffer = self
+        return lp
 
 
 @dataclass
@@ -375,6 +434,12 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     last scan, the LP's pivots, whether its start basis was accepted
     (``warm``), and the selection's ``margin`` t* and ``selection_pivots``
     (None and 0 when no selection ran or the dual was unique).
+
+    ``NonConverged`` carries the last finished round's measure, certificate
+    and round count, both when the rounds run out and when the simplex
+    fails (``LpInfeasible``, ``LpUnbounded``, ``SolverStalled``) in a later
+    round; the simplex error is then its ``__cause__``.  A failure in
+    round 1, which has no earlier result, raises the simplex error itself.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -382,21 +447,29 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     lattice = model.pair_lattice(problem,
                                  model.state_grid_points(problem, candidate_spec.state),
                                  model.control_grid_points(problem, candidate_spec.control))
-    lp = assemble(problem, basis, grid_spec)
-    measure = certificate = start = None
+    # room for every column the rounds can append, so no round copies the earlier ones
+    lp = assemble(problem, basis, grid_spec).with_room(
+        (max_rounds - 1) * candidate_spec.max_new_columns)
+    measure = certificate = start = done = None
     for rounds in range(1, max_rounds + 1):
         results: list = []
-        measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
-        res = results[0]
-        min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
-                                         candidate_spec, tol, measure)
-        margin, selection_pivots = None, 0
-        if min_rc >= -tol:
-            certificate, margin, selection_pivots = select_certificate(
-                lp, res, certificate, pivot_tol)
-            if margin is not None:
-                min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
-                                                 candidate_spec, tol, measure)
+        try:
+            measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
+            res = results[0]
+            min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
+                                             candidate_spec, tol, measure)
+            margin, selection_pivots = None, 0
+            if min_rc >= -tol:
+                certificate, margin, selection_pivots = select_certificate(
+                    lp, res, certificate, pivot_tol)
+                if margin is not None:
+                    min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
+                                                     candidate_spec, tol, measure)
+        except (LpInfeasible, LpUnbounded, SolverStalled) as exc:
+            if done is None:
+                raise
+            raise NonConverged(*done, f"refinement stopped in round {rounds}: "
+                                      f"{type(exc).__name__}: {exc}") from exc
         if history is not None:
             history.append({
                 "round": rounds,
@@ -410,6 +483,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                 "margin": margin,
                 "selection_pivots": selection_pivots,
             })
+        done = measure, certificate, rounds
         if min_rc >= -tol:
             return measure, certificate, rounds
         lp = lp.extended(problem, basis, ys, us)

@@ -1,10 +1,11 @@
 """Dense two-phase revised simplex for equality-form LPs.
 
-Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small
-(tens of rows, up to ~1e5 columns).  Feasibility comes from a Phase-I with
-artificial variables over [A | I]; an artificial column can leave the
-basis but never enters it.  Redundant rows discovered there are dropped
-and get zero duals.  Pricing is Dantzig's rule with smallest-index
+Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small:
+tens of rows and up to a few 1e5 columns, such as the 160,801-160,812 of
+the degree-8 shift LPs on 401-point grids.  Feasibility comes from a
+Phase-I with artificial variables over [A | I]; an artificial column can
+leave the basis but never enters it.  Redundant rows discovered there are
+dropped and get zero duals.  Pricing is Dantzig's rule with smallest-index
 tie-breaks; a degeneracy counter switches to Bland's rule after
 ``_STALL_LIMIT`` pivots without objective progress, which guarantees
 termination, and switches back once the objective moves again.  The
@@ -13,6 +14,16 @@ update per pivot (product form; Dantzig and Orchard-Hays, 1954) and
 refactorized every m pivots for an LP of m rows.  Optimality is confirmed
 on x_B and duals re-solved from the basis matrix, so the result of a
 final basis does not depend on the updates that led to it.
+
+The pivot loop keeps one invariant: each value that decides a pivot or
+reaches an output (x_B = B^-1 b, y = c_B B^-1, the objective, the reduced
+costs, d = B^-1 A_j, the ratio test with its tie rule, the rank-one
+update) comes from the same float operations, in the same order, as in
+the loop's reference in ``tests/test_simplex.py``, which allocates every
+temporary afresh.  Only the work around those values is saved: buffers
+are allocated once per call and written in place, and the enterable
+columns and their costs are sliced once.  So the loop takes the same
+pivots and returns the same bytes as the reference.
 
 Both phases run by sifting (working-set pricing; Bixby et al., Oper. Res.
 40(5), 1992): the pivots price only a working set of columns, every other
@@ -69,7 +80,7 @@ def _entering(rc, use_bland, pivot_tol):
     if use_bland:
         negative = np.nonzero(rc < -pivot_tol)[0]
         return int(negative[0]) if negative.size else None
-    j = int(np.argmin(rc))
+    j = int(rc.argmin())
     return j if rc[j] < -pivot_tol else None
 
 
@@ -82,23 +93,38 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     matrix itself and priced again, so the returned values do not depend on
     the update history.  ``basis`` is modified in place.  Returns (x_B,
     duals, pivots_done).
+
+    The reduced costs, ratios and rank-one term are written into buffers
+    allocated once per call.  When every column can enter, the basic
+    columns' reduced costs are zeroed at ``basis`` itself, with no mask.
     """
     m = A.shape[0]
     use_bland = False
     stall = 0
     prev_obj = np.inf
 
+    A_in, c_in = A[:, :n_enterable], c[:n_enterable]
+    every = n_enterable == A.shape[1]
+    rc = np.empty(n_enterable)
+    pos = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    blocking = np.empty(m)
+    row = np.empty(m)
+    eta = np.empty((m, m))
+
     def price(y):
-        rc = c[:n_enterable] - y @ A[:, :n_enterable]
-        rc[basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
+        np.matmul(y, A_in, out=rc)
+        np.subtract(c_in, rc, out=rc)
+        rc[basis if every else basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
         return rc
 
     inv = _inverse(A[:, basis])
     age = 0
     while True:
         xB = inv @ b
-        y = c[basis] @ inv
-        obj = float(c[basis] @ xB)
+        cB = c[basis]
+        y = cB @ inv
+        obj = float(cB @ xB)
         if obj < prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
             stall = 0
             use_bland = False
@@ -113,7 +139,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
             B = A[:, basis]
             try:
                 xB = np.linalg.solve(B, b)
-                y = np.linalg.solve(B.T, c[basis])
+                y = np.linalg.solve(B.T, cB)
             except np.linalg.LinAlgError:
                 raise SolverStalled("singular working basis") from None
             j = _entering(price(y), use_bland, pivot_tol)
@@ -122,14 +148,15 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
             inv, age = _inverse(B), 0
 
         d = inv @ A[:, j]
-        pos = d > pivot_tol
-        if not pos.any():
-            raise LpUnbounded("no blocking row for the entering column")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+        np.greater(d, pivot_tol, out=pos)
+        np.maximum(xB, 0.0, out=blocking)
+        ratios.fill(np.inf)
+        np.divide(blocking, d, out=ratios, where=pos)
         theta = ratios.min()
-        ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + theta))[0]
-        leave = ties[np.argmin(basis[ties])]
+        if theta == np.inf and not pos.any():  # every ratio is inf without a blocking row
+            raise LpUnbounded("no blocking row for the entering column")
+        ties = (ratios <= theta + 1e-12 * (1.0 + theta)).nonzero()[0]
+        leave = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         basis[leave] = j
 
         pivots_done += 1
@@ -139,8 +166,9 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
         if age >= m:
             inv, age = _inverse(A[:, basis]), 0
         else:
-            row = inv[leave] / d[leave]
-            inv -= np.outer(d, row)
+            np.divide(inv[leave], d[leave], out=row)
+            np.multiply(d[:, None], row, out=eta)
+            inv -= eta
             inv[leave] = row
 
 

@@ -6,7 +6,8 @@ import typing
 import numpy as np
 import pytest
 
-from omcontrol import LpInfeasible, NotConverged, cli, model, silp, synthesis, verify
+from omcontrol import (LpInfeasible, NotConverged, SolverStalled, cli, model, silp, synthesis,
+                       verify)
 
 
 def shift_config(tmp_path, out, extra=""):
@@ -340,6 +341,37 @@ class TestErrorPaths:
         assert cli.main(["solve", "--config", cfg_path]) == 0
         assert "converged" not in json.loads((out / "solution.json").read_text())
         assert "converged" not in (out / "summary.txt").read_text()
+
+    def test_lp_failure_mid_refinement_writes_marked_solution(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the 5-point base grid takes several rounds; the third LP, round 3's, stalls
+        out, ref = tmp_path / "run", tmp_path / "ref"
+        cfg_path = shift_config(tmp_path, out)
+        flags = ["--state-grid", "5", "--control-grid", "5", "--batch", "2"]
+        assert cli.main(["solve", "--config", cfg_path, *flags, "--max-rounds", "2",
+                         "--out", str(ref)]) == 1
+        lp_solve, calls = silp.solve_equality_lp, []
+
+        def stalls_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverStalled("pivot budget 7 exhausted")
+            return lp_solve(*args, **kwargs)
+
+        monkeypatch.setattr(silp, "solve_equality_lp", stalls_third)
+        capsys.readouterr()
+        assert cli.main(["solve", "--config", cfg_path, *flags]) == 1
+        assert "round 3: SolverStalled: pivot budget 7 exhausted" in capsys.readouterr().err
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["converged"] is False and doc["rounds"] == 2
+        # round 2's result, as a run stopped by a limit of 2 rounds writes it
+        assert doc == json.loads((ref / "solution.json").read_text())
+        summary = (out / "summary.txt").read_text()
+        assert summary.endswith(
+            "converged          no (round 3 failed: SolverStalled: pivot budget 7 exhausted)\n")
+        assert "round limit" not in summary
+        assert (summary.splitlines()[:-1]
+                == (ref / "summary.txt").read_text().splitlines()[:-1])
 
     def test_failed_kappa_resolve_keeps_report(self, tmp_path, monkeypatch):
         def infeasible(*args, **kwargs):

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -7,12 +8,22 @@ from omcontrol import (AtomicMeasure, Box, CandidateSpec, DiscreteControlProblem
                        EmptyMeasure, FiniteSet, GridSpec, InsufficientGrid, MonomialBasis,
                        NonConverged, assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
-from omcontrol import model, silp
+from omcontrol import LpInfeasible, LpUnbounded, SolverStalled, model, silp
+from omcontrol.basis import constraint_columns
 from omcontrol.silp import select_certificate, solution_from_json, solution_to_json
+
+
+COARSE = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def shift_problem():
     return builtin_problem("shift", alpha=0.5, y0=0.4)
+
+
+def several_rounds():
+    """solve_refined's leading arguments for a run of 5 rounds at tol 1e-9."""
+    return (shift_problem(), MonomialBasis(1, 3), GridSpec(state=COARSE, control=COARSE),
+            CandidateSpec(state=(41,), control=(41,), max_new_columns=2))
 
 
 class TestAssemble:
@@ -202,6 +213,131 @@ class TestRefine:
         assert [r["warm"] for r in history] == [False] + [True] * (len(history) - 1)
         assert all(isinstance(r["pivots"], int) for r in history)
         assert history[-1]["margin"] > 0.0  # two atoms for four rows: selection ran
+
+    def test_lp_failure_in_a_later_round_keeps_the_last_round(self, monkeypatch):
+        args = several_rounds()
+        p = args[0]
+        history = []
+        solve_refined(*args, tol=1e-9, max_rounds=20, history=history)
+        assert len(history) > 3 and history[2]["margin"] is None  # round 3 runs no selection
+        lp_solve, calls = silp.solve_equality_lp, []
+
+        def stalls_third(*a, **k):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverStalled("pivot budget 7 exhausted")
+            return lp_solve(*a, **k)
+
+        monkeypatch.setattr(silp, "solve_equality_lp", stalls_third)
+        stopped = []
+        with pytest.raises(NonConverged) as err:
+            solve_refined(*args, tol=1e-9, max_rounds=20, history=stopped)
+        assert stopped == history[:2]
+        assert err.value.rounds == 2
+        assert isinstance(err.value.__cause__, SolverStalled)
+        assert "round 3" in str(err.value) and "pivot budget 7 exhausted" in str(err.value)
+        assert err.value.certificate.mu == history[1]["mu"]
+        assert err.value.measure.value(p) == history[1]["value"]
+
+    @pytest.mark.parametrize("error", [SolverStalled, LpInfeasible, LpUnbounded])
+    def test_lp_failure_in_round_one_is_raised_as_is(self, monkeypatch, error):
+        def fails(*a, **k):
+            raise error("round one")
+
+        monkeypatch.setattr(silp, "solve_equality_lp", fails)
+        with pytest.raises(error):
+            solve_refined(*several_rounds(), max_rounds=5)
+
+
+def stacked(lp, problem, basis, states, controls):
+    """Reference extension: every array stacked anew, as a fresh copy per call."""
+    cols = constraint_columns(basis, problem, states, controls)[1:]
+    return (np.vstack([lp.states, states]), np.vstack([lp.controls, controls]),
+            np.concatenate([lp.cost, problem.g(states, controls)]),
+            np.hstack([lp.matrix, np.vstack([cols, np.ones((1, states.shape[0]))])]))
+
+
+def same_arrays(lp, arrays):
+    """Bitwise equality, layout included, of an LP's per-column arrays and ``arrays``."""
+    mine = (lp.states, lp.controls, lp.cost, lp.matrix)
+    return all(a.tobytes(order="A") == b.tobytes(order="A") and a.strides == b.strides
+               for a, b in zip(mine, arrays))
+
+
+class TestColumnBuffer:
+    def lp_and_columns(self):
+        p = builtin_problem("example1")
+        b = MonomialBasis(2, 3)
+        lp = assemble(p, b, GridSpec(state=(5,), control=(5,)))
+        rng = np.random.default_rng(900)
+        pick = [rng.choice(lp.n_columns, size=k, replace=False) for k in (3, 5)]
+        # pairs off the grid: some of the LP's own pairs with their states scaled by 0.9
+        ys = [lp.states[i] * 0.9 for i in pick]
+        us = [lp.controls[i] for i in pick]
+        return p, b, lp, ys, us
+
+    @pytest.mark.parametrize("room", [None, 0, 4, 100])
+    def test_extending_twice_keeps_each_lps_columns(self, room):
+        p, b, lp, ys, us = self.lp_and_columns()
+        if room is not None:
+            lp = lp.with_room(room)
+        parent = tuple(a.copy(order="K") for a in (lp.states, lp.controls, lp.cost, lp.matrix))
+        first = lp.extended(p, b, ys[0], us[0])
+        second = lp.extended(p, b, ys[1], us[1])
+        assert same_arrays(lp, parent)
+        assert same_arrays(first, stacked(lp, p, b, ys[0], us[0]))
+        assert same_arrays(second, stacked(lp, p, b, ys[1], us[1]))
+        # extending the first again does not touch the second, nor the other way round
+        third = first.extended(p, b, ys[1], us[1])
+        fourth = second.extended(p, b, ys[0], us[0])
+        assert same_arrays(first, stacked(lp, p, b, ys[0], us[0]))
+        assert same_arrays(second, stacked(lp, p, b, ys[1], us[1]))
+        assert same_arrays(third, stacked(first, p, b, ys[1], us[1]))
+        assert same_arrays(fourth, stacked(second, p, b, ys[0], us[0]))
+        assert same_arrays(lp, parent)
+
+    def test_room_is_used_in_place(self):
+        p, b, lp, ys, us = self.lp_and_columns()
+        roomy = lp.with_room(ys[0].shape[0] + ys[1].shape[0])
+        first = roomy.extended(p, b, ys[0], us[0])
+        second = first.extended(p, b, ys[1], us[1])
+        assert first.matrix.base is roomy.matrix.base is second.matrix.base
+        full = lp.extended(p, b, ys[0], us[0]).extended(p, b, ys[1], us[1])
+        assert same_arrays(second, (full.states, full.controls, full.cost, full.matrix))
+        # no room left: the next extension copies into a buffer of its own
+        third = second.extended(p, b, ys[0], us[0])
+        assert not np.shares_memory(third.matrix, second.matrix)
+
+    def test_no_round_copies_the_earlier_columns(self, monkeypatch):
+        lps, buffers = [], []
+        solve_lp, buffer = silp.solve, silp._ColumnBuffer
+
+        def spy(lp, *a, **k):
+            lps.append(lp)
+            return solve_lp(lp, *a, **k)
+
+        class Counted(buffer):
+            def __init__(self, *a):
+                buffers.append(None)
+                super().__init__(*a)
+
+        monkeypatch.setattr(silp, "solve", spy)
+        monkeypatch.setattr(silp, "_ColumnBuffer", Counted)
+        solve_refined(*several_rounds(), tol=1e-9, max_rounds=20)
+        assert len(lps) > 3 and len(buffers) == 1
+        start = lps[0].matrix.__array_interface__["data"][0]
+        for earlier, later in zip(lps, lps[1:]):
+            assert later.n_columns > earlier.n_columns
+            assert np.shares_memory(earlier.matrix, later.matrix)
+            assert later.matrix.__array_interface__["data"][0] == start
+            assert np.shares_memory(earlier.states, later.states)
+            assert np.shares_memory(earlier.cost, later.cost)
+
+    def test_traced_names_keep_their_arguments(self):
+        # perfbench/tracer.py reads these arguments by position and name
+        params = list(inspect.signature(silp.FiniteLP.extended).parameters)
+        assert params == ["self", "problem", "basis", "states", "controls"]
+        assert list(inspect.signature(silp.solve_equality_lp).parameters)[:3] == ["A", "b", "c"]
 
 
 def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=None,

@@ -1,12 +1,13 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from omcontrol import (GridSpec, MonomialBasis, assemble, builtin_problem, silp, simplex,
-                       solve)
-from omcontrol.errors import LpInfeasible, LpUnbounded
+from omcontrol import (GridSpec, MonomialBasis, assemble, builtin_problem, model, silp,
+                       simplex, solve)
+from omcontrol.errors import LpInfeasible, LpUnbounded, SolverError
 from omcontrol.simplex import solve_equality_lp
 
 
@@ -107,15 +108,30 @@ def widened(A, c, rng, copies=8):
             np.concatenate([c, w * c[i] + (1 - w) * c[j]]))
 
 
+def feasible_lp(seed):
+    """A drawn feasible LP (A, b, c) and the generator it was drawn from."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 8))
+    n = int(rng.integers(m + 1, 40))
+    A = rng.normal(size=(m, n))
+    b = A @ np.abs(rng.normal(size=n))
+    return A, b, rng.normal(size=n), rng
+
+
+def normalized_lp(seed):
+    """The shape used by the measure LPs: zero rows plus a sum-to-one row."""
+    rng = np.random.default_rng(100 + seed)
+    m, n = 6, 60
+    A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+    b = np.zeros(m)
+    b[-1] = 1.0
+    return A, b, rng.normal(size=n), rng
+
+
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed, wide", seed_cases(range(25)))
     def test_random_feasible_instances(self, seed, wide):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 8))
-        n = int(rng.integers(m + 1, 40))
-        A = rng.normal(size=(m, n))
-        b = A @ np.abs(rng.normal(size=n))
-        c = rng.normal(size=n)
+        A, b, c, rng = feasible_lp(seed)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         if wide:
             A, c = widened(A, c, rng)
@@ -131,13 +147,7 @@ class TestAgainstScipy:
 
     @pytest.mark.parametrize("seed, wide", seed_cases(range(10)))
     def test_random_normalized_instances(self, seed, wide):
-        # the shape used by the measure LPs: zero rows plus a sum-to-one row
-        rng = np.random.default_rng(100 + seed)
-        m, n = 6, 60
-        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
-        b = np.zeros(m)
-        b[-1] = 1.0
-        c = rng.normal(size=n)
+        A, b, c, rng = normalized_lp(seed)
         ref = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         if wide:
             A, c = widened(A, c, rng)
@@ -452,3 +462,203 @@ class TestUnseededPhaseOne:
         res = solve_equality_lp(A, b, c)
         monkeypatch.setattr(simplex, "_phase_one", full_pricing_phase_one)
         assert same_result(res, solve_equality_lp(A, b, c))
+
+
+# The pivot loop as it was before its buffers were allocated once per call,
+# kept word for word.  Its globals are the simplex module's, so it reads
+# ``_inverse``, ``_entering`` and ``_STALL_LIMIT`` there at call time, as
+# ``simplex._iterate`` does, and a monkeypatch of one reaches both loops.
+def _reference_iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
+    """Run simplex pivots until optimality over the first n_enterable columns.
+
+    The pivots read one explicit basis inverse, updated by the rank-one
+    (eta) update of each pivot and refactorized every m pivots.  Optimality
+    is only accepted after x_B and the duals are re-solved from the basis
+    matrix itself and priced again, so the returned values do not depend on
+    the update history.  ``basis`` is modified in place.  Returns (x_B,
+    duals, pivots_done).
+    """
+    m = A.shape[0]
+    use_bland = False
+    stall = 0
+    prev_obj = np.inf
+
+    def price(y):
+        rc = c[:n_enterable] - y @ A[:, :n_enterable]
+        rc[basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
+        return rc
+
+    inv = _inverse(A[:, basis])
+    age = 0
+    while True:
+        xB = inv @ b
+        y = c[basis] @ inv
+        obj = float(c[basis] @ xB)
+        if obj < prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
+            stall = 0
+            use_bland = False
+        else:
+            stall += 1
+            if stall >= _STALL_LIMIT:
+                use_bland = True
+        prev_obj = obj
+
+        j = _entering(price(y), use_bland, pivot_tol)
+        if j is None:
+            B = A[:, basis]
+            try:
+                xB = np.linalg.solve(B, b)
+                y = np.linalg.solve(B.T, c[basis])
+            except np.linalg.LinAlgError:
+                raise SolverStalled("singular working basis") from None
+            j = _entering(price(y), use_bland, pivot_tol)
+            if j is None:
+                return np.maximum(xB, 0.0), y, pivots_done
+            inv, age = _inverse(B), 0
+
+        d = inv @ A[:, j]
+        pos = d > pivot_tol
+        if not pos.any():
+            raise LpUnbounded("no blocking row for the entering column")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+        theta = ratios.min()
+        ties = np.nonzero(ratios <= theta + 1e-12 * (1.0 + theta))[0]
+        leave = ties[np.argmin(basis[ties])]
+        basis[leave] = j
+
+        pivots_done += 1
+        if pivots_done > max_pivots:
+            raise SolverStalled(f"pivot budget {max_pivots} exhausted")
+        age += 1
+        if age >= m:
+            inv, age = _inverse(A[:, basis]), 0
+        else:
+            row = inv[leave] / d[leave]
+            inv -= np.outer(d, row)
+            inv[leave] = row
+
+
+reference_iterate = types.FunctionType(_reference_iterate.__code__, vars(simplex),
+                                       "reference_iterate")
+
+
+class LoopCheck:
+    """Stands in for ``simplex._iterate``: runs it and the reference loop on
+    the same inputs and requires bitwise-equal (x_B, duals, basis, pivots),
+    or the same error.  ``calls`` holds (columns, enterable, pivots,
+    inverses) of each call, inverses being the ``_inverse`` calls the loop
+    made: one to start from plus one per refactorization."""
+
+    def __init__(self, monkeypatch):
+        self.iterate, self.calls, self.inverses = simplex._iterate, [], 0
+        inverse = simplex._inverse
+
+        def counted(B):
+            self.inverses += 1
+            return inverse(B)
+
+        monkeypatch.setattr(simplex, "_inverse", counted)
+        monkeypatch.setattr(simplex, "_iterate", self)
+
+    def __call__(self, A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
+        expected_basis = basis.copy()
+        try:
+            expected = reference_iterate(A, b, c, expected_basis, n_enterable, pivot_tol,
+                                         max_pivots, pivots_done)
+        except SolverError as exc:
+            expected = exc
+        inverses = self.inverses
+        try:
+            xB, y, pivots = self.iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots,
+                                         pivots_done)
+        except SolverError as exc:
+            assert type(exc) is type(expected) and str(exc) == str(expected)
+            raise
+        assert not isinstance(expected, SolverError)
+        assert xB.tobytes() == expected[0].tobytes()
+        assert y.tobytes() == expected[1].tobytes()
+        assert basis.tobytes() == expected_basis.tobytes()
+        assert pivots == expected[2]
+        self.calls.append((A.shape[1], n_enterable, pivots - pivots_done,
+                           self.inverses - inverses))
+        return xB, y, pivots
+
+
+class TestLeanLoop:
+    @pytest.mark.parametrize("seed, wide", seed_cases(range(25)))
+    def test_random_feasible_instances(self, monkeypatch, seed, wide):
+        A, b, c, rng = feasible_lp(seed)
+        if wide:
+            A, c = widened(A, c, rng)
+        check = LoopCheck(monkeypatch)
+        try:
+            solve_equality_lp(A, b, c)
+        except LpUnbounded:
+            pass
+        assert check.calls
+
+    @pytest.mark.parametrize("seed, wide", seed_cases(range(10)))
+    def test_random_normalized_instances(self, monkeypatch, seed, wide):
+        A, b, c, rng = normalized_lp(seed)
+        if wide:
+            A, c = widened(A, c, rng)
+        check = LoopCheck(monkeypatch)
+        try:
+            solve_equality_lp(A, b, c)
+        except LpInfeasible:
+            pass
+        assert check.calls
+
+    def test_refactorizations(self, monkeypatch):
+        rng = np.random.default_rng(500)
+        m, n = 24, 400
+        A = np.vstack([rng.normal(size=(m - 1, n)), np.ones(n)])
+        b = A @ rng.dirichlet(np.ones(n))
+        c = rng.normal(size=n)
+        check = LoopCheck(monkeypatch)
+        solve_equality_lp(A, b, c)
+        assert sum(call[3] - 1 for call in check.calls) >= 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_phase_one_artificials_never_enter(self, monkeypatch, seed):
+        A, b, c = drawn_lp(seed)
+        check = LoopCheck(monkeypatch)
+        solve_equality_lp(A, b, c)
+        n = A.shape[1]
+        # the unseeded Phase I pivots over [A | I] with only A's columns enterable
+        assert any(cols == n + A.shape[0] and enterable == n and pivots > 0
+                   for cols, enterable, pivots, _ in check.calls)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blands_rule_engages_and_disengages(self, monkeypatch, seed):
+        A, b, c, _ = normalized_lp(seed)  # zero right-hand sides: degenerate pivots
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 3)
+        flags, entering = [], simplex._entering
+
+        def spy(rc, use_bland, pivot_tol):
+            flags.append(use_bland)
+            return entering(rc, use_bland, pivot_tol)
+
+        monkeypatch.setattr(simplex, "_entering", spy)
+        LoopCheck(monkeypatch)
+        solve_equality_lp(A, b, c)
+        assert True in flags and False in flags[flags.index(True):]
+
+    def test_example1_cold_and_warm_round(self, monkeypatch):
+        p = builtin_problem("example1")
+        b = MonomialBasis(p.state_dim, 7)
+        lp = example1_base_lp()
+        check = LoopCheck(monkeypatch)
+        results = []
+        measure, cert = solve(lp, results=results)
+        assert results[0].pivots == 1680
+        spec = silp.CandidateSpec(state=(33,), control=(9,))
+        lattice = model.pair_lattice(p, model.state_grid_points(p, spec.state),
+                                     model.control_grid_points(p, spec.control))
+        _, ys, us = silp.scan_candidates(p, b, cert, lp, lattice, spec, 1e-6, measure)
+        assert len(ys) == spec.max_new_columns
+        cold_calls = len(check.calls)
+        solve(lp.extended(p, b, ys, us), start=results[0].basis, results=results)
+        assert results[1].warm and results[1].pivots > 0
+        assert len(check.calls) > cold_calls
