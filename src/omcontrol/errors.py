@@ -64,9 +64,14 @@ class NotConverged(SolverError):
 
 
 class RolloutAborted(SolverError):
-    """Feedback policy failed mid-trajectory; carries the partial rollout."""
+    """Feedback policy failed mid-trajectory; carries the partial rollout.
 
-    def __init__(self, steps, cause, message=None):
-        self.steps = steps
+    ``rollout`` holds the steps taken before the failure, possibly none,
+    with NaN for its truncated value and bound.
+    """
+
+    def __init__(self, rollout, cause, message=None):
+        self.rollout = rollout
         self.cause = cause
-        super().__init__(message or f"rollout aborted after {len(steps)} steps: {cause}")
+        super().__init__(message or
+                         f"rollout aborted after {len(rollout.states)} steps: {cause}")

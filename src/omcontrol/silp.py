@@ -238,9 +238,10 @@ def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
     flipped so that the reduced cost reads g + shifted surrogate - mu).
     On a degenerate LP the vertex, and with it the certificate, depend on
     the pivot path; ``select_certificate`` removes that dependence.
-    ``start`` is a basis to resume Phase II from and ``seed`` columns to
-    start the sifting working sets from (see ``solve_equality_lp``), and
-    ``results``, when given, receives the solver's ``LpResult``.
+    ``start`` is a basis to resume Phase II from and ``seed`` columns in
+    order of preference, whose first ones start the sifting working sets
+    (see ``solve_equality_lp``), and ``results``, when given, receives the
+    solver's ``LpResult``.
     """
     res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, pivot_tol=pivot_tol, start=start,
                             seed=seed)

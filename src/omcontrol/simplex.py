@@ -31,9 +31,10 @@ column is priced each time the working set is optimal, and the most
 negative ones join it.  A phase stops when no reduced cost is below
 ``-pivot_tol``, so its optimum is certified over all columns while a
 pivot prices a few columns per row instead of the whole LP.  A caller's
-``seed`` of columns starts the working set of both phases.  Without one,
-Phase I's working set is every column, so it is a full-pricing Phase I,
-and Phase II's starts from columns spread evenly over the LP.
+``seed`` lists columns in order of preference, and its first
+``_SIFT_WIDTH`` per row start the working sets of both phases.  Without
+one, Phase I prices every column of [A | I] with no working set, and
+Phase II's working set starts from columns spread evenly over the LP.
 
 A caller that already holds a primal feasible basis, such as the optimal
 basis of an LP whose columns it has since appended to, passes it as
@@ -99,8 +100,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     columns' reduced costs are zeroed at ``basis`` itself, with no mask.
     """
     m = A.shape[0]
-    use_bland = False
-    stall = 0
+    stall = 0  # pricings without progress; Bland's rule from _STALL_LIMIT on
     prev_obj = np.inf
 
     A_in, c_in = A[:, :n_enterable], c[:n_enterable]
@@ -125,16 +125,15 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
         cB = c[basis]
         y = cB @ inv
         obj = float(cB @ xB)
-        if obj < prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
-            stall = 0
-            use_bland = False
-        else:
+        # the first pricing's threshold is inf - inf = NaN: it compares False, so the
+        # first pricing counts as progress, not as a stall
+        if obj >= prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
             stall += 1
-            if stall >= _STALL_LIMIT:
-                use_bland = True
+        else:
+            stall = 0
         prev_obj = obj
 
-        j = _entering(price(y), use_bland, pivot_tol)
+        j = _entering(price(y), stall >= _STALL_LIMIT, pivot_tol)
         if j is None:
             B = A[:, basis]
             try:
@@ -142,7 +141,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
                 y = np.linalg.solve(B.T, cB)
             except np.linalg.LinAlgError:
                 raise SolverStalled("singular working basis") from None
-            j = _entering(price(y), use_bland, pivot_tol)
+            j = _entering(price(y), stall >= _STALL_LIMIT, pivot_tol)
             if j is None:
                 return np.maximum(xB, 0.0), y, pivots_done
             inv, age = _inverse(B), 0
@@ -178,19 +177,13 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
     reduced costs among the other columns of the first ``n_enterable``, and
     stop when there are none.  Returns (x_B, duals, basis, pivots_done).
 
-    A working set of every column pivots on ``A`` itself, with no copy and
-    nothing left to price.  Otherwise the working set is already optimal
-    when ``_iterate`` returns, so the full pricing zeroes it: ``y @ A``
-    rounds differently from the working set's own product, and a
-    working-set column it reads as negative would re-enter a working set
-    that cannot grow, forever.
+    The working set is already optimal when ``_iterate`` returns, so the
+    full pricing zeroes it: ``y @ A`` rounds differently from the working
+    set's own product, and a working-set column it reads as negative would
+    re-enter a working set that cannot grow, forever.
     """
     width = _SIFT_WIDTH * A.shape[0]
     while True:
-        if work.size == A.shape[1]:
-            xB, y, pivots_done = _iterate(A, b, c, basis, n_enterable, pivot_tol,
-                                          max_pivots, pivots_done)
-            return xB, y, basis, pivots_done
         local = np.searchsorted(work, basis)
         xB, y, pivots_done = _iterate(A[:, work], b, c[work], local,
                                       int(np.searchsorted(work, n_enterable)),
@@ -225,18 +218,22 @@ def _feasible_start(A, b, start, pivot_tol):
 def _phase_one(A, b, seed, pivot_tol, max_pivots):
     """Phase I over [A | I] with artificial costs: (basis, kept rows, pivots).
 
-    It sifts from the artificial basis over a working set of the columns in
-    ``seed``, or of every structural column when ``seed`` is None; the
-    artificial columns never enter.  The basis holds structural columns
-    only.  Rows that no structural column can be pivoted on are redundant;
-    they are dropped, with their basis positions, and get zero duals.
+    From the artificial basis it sifts over a working set of the columns in
+    ``seed``, or, when ``seed`` is None, pivots on [A | I] itself, pricing
+    every structural column; the artificial columns never enter.  The basis
+    holds structural columns only.  Rows that no structural column can be
+    pivoted on are redundant; they are dropped, with their basis positions,
+    and get zero duals.
     """
     m, n = A.shape
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    work = np.arange(n + m) if seed is None else np.union1d(seed, basis)
-    xB, _, basis, pivots = _sift(A1, b, c1, basis, work, n, pivot_tol, max_pivots, 0)
+    if seed is None:
+        xB, _, pivots = _iterate(A1, b, c1, basis, n, pivot_tol, max_pivots, 0)
+    else:
+        xB, _, basis, pivots = _sift(A1, b, c1, basis, np.union1d(seed, basis), n, pivot_tol,
+                                     max_pivots, 0)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
         raise LpInfeasible(f"phase-I residual {infeas:.3e}")
@@ -264,10 +261,11 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
 
     ``start``, a basis of one column index per row, skips Phase I when it
     is nonsingular and primal feasible (``LpResult.warm`` says so); any
-    other start falls back to the cold two-phase solve.  ``seed``, column
-    indices the caller expects the optimum to use, starts the sifting
-    working set of both phases; it only orders the pricing, and the
-    result is certified over every column whatever it holds.
+    other start falls back to the cold two-phase solve.  ``seed`` lists
+    column indices in the order the caller expects the optimum to use them;
+    its first ``_SIFT_WIDTH`` per row start the sifting working sets of both
+    phases.  It only orders the pricing, and the result is certified over
+    every column whatever it holds.
     """
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -276,7 +274,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP shapes")
     if seed is not None:
-        seed = np.asarray(seed, dtype=np.int64).ravel()
+        seed = np.asarray(seed, dtype=np.int64).ravel()[:_SIFT_WIDTH * m]
         if seed.size and (seed.min() < 0 or seed.max() >= n):
             raise ValueError("seed column out of range")
 

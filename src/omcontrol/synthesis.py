@@ -139,8 +139,8 @@ def rollout(problem: DiscreteControlProblem, policy: Callable,
     The horizon is ``steps`` when given, otherwise the smallest T whose
     discounted-tail bound drops below ``epsilon`` (default 1e-3 of the
     worst-case total cost); either way it must be at least 1.
-    Admissibility is re-verified at every step; a policy failure aborts
-    with the partial trajectory attached.
+    Admissibility is re-verified at every step; a policy failure raises
+    :class:`RolloutAborted` with the steps taken so far as a ``Rollout``.
     """
     alpha = problem.discount
     g_max = cost_bound(problem)
@@ -162,7 +162,10 @@ def rollout(problem: DiscreteControlProblem, policy: Callable,
             controls.append(u.copy())
             y = step(problem, y, u)
         except (AssumptionIViolation, AssumptionIIViolation, InadmissibleTransition) as exc:
-            partial = [(t, s, c) for t, (s, c) in enumerate(zip(states, controls))]
+            # reshaped, so a failure at t = 0 still gives (0, m) and (0, d) arrays
+            partial = Rollout(states=np.reshape(states, (-1, problem.state_dim)),
+                              controls=np.reshape(controls, (-1, problem.control_dim)),
+                              truncated_value=np.nan, truncation_bound=np.nan, discount=alpha)
             raise RolloutAborted(partial, exc) from exc
 
     states = np.array(states)

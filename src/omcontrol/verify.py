@@ -29,7 +29,6 @@ from .errors import NotConverged
 from .model import DiscreteControlProblem, control_grid_points
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
-from .simplex import _SIFT_WIDTH
 from .synthesis import Rollout
 
 _MPI_SWEEPS = 30  # policy-operator sweeps after each full backup in value_iteration
@@ -42,6 +41,7 @@ class ValueFunctionGrid:
     axes: tuple
     values: np.ndarray
     lattice: model.PairLattice  # the grid's nodes x the oracle's controls
+    threshold: float            # the full backup's change at which iteration stops
     sweep_diffs: list = field(default_factory=list)
 
     def __call__(self, points):
@@ -96,13 +96,13 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     ``_MPI_SWEEPS`` sweeps of that greedy policy's own operator follow it.
     A policy sweep reads only the interpolation corners of each node's
     chosen successor, not every control.  Iteration stops at the first
-    full backup whose sup-norm change ||T v - v|| is at most
-    tol * (1 - alpha) / alpha; since ||T v - v*|| <= alpha / (1 - alpha) *
-    ||T v - v|| for any v, that backup is within tol of the fixed point,
-    and it is what the grid carries.  ``sweep_diffs`` lists the change of
-    each full backup and ``max_iter`` bounds their number; policy sweeps
-    are not counted.  On :class:`NotConverged` the grid carries the last
-    full backup, which ``sweep_diffs[-1]`` describes.
+    full backup whose sup-norm change ||T v - v|| is at most the grid's
+    ``threshold``, tol * (1 - alpha) / alpha; since ||T v - v*|| <=
+    alpha / (1 - alpha) * ||T v - v|| for any v, that backup is within tol
+    of the fixed point, and it is what the grid carries.  ``sweep_diffs``
+    lists the change of each full backup and ``max_iter`` bounds their
+    number; policy sweeps are not counted.  On :class:`NotConverged` the
+    grid carries the last full backup, which ``sweep_diffs[-1]`` describes.
 
     Many (node, control) pairs share a successor f(y, u) (on example1's
     41^2 x 21^2 grid, 36,100 distinct successors serve 741,321 pairs), so
@@ -121,24 +121,22 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     kn, kc = len(nodes), len(controls)
 
     lattice = model.pair_lattice(problem, nodes, controls)
-    stage = np.full(kn * kc, np.inf)
-    mask = np.zeros(kn * kc, dtype=bool)
+    stage = np.full(kn * kc, np.inf)  # stays inf at the inadmissible pairs
     # intp, not the lattice's unsigned dtype: take would re-cast it on every sweep
     successor = np.zeros(kn * kc, dtype=np.intp)
     for j, succ in lattice.blocks():
         rows, cols = np.divmod(j, kc)
         stage[j] = problem.g(nodes.take(rows, axis=0), controls.take(cols, axis=0))
-        mask[j], successor[j] = True, succ
-    model.require_admissible(nodes, mask.reshape(kn, kc))
+        successor[j] = succ
     stage, successor = stage.reshape(kn, kc), successor.reshape(kn, kc)
+    model.require_admissible(nodes, stage < np.inf)
     idx, wgt = _interp_table(axes, lattice.successors)
 
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(kn)
     diffs = []
-    threshold = tol * (1.0 - alpha) / alpha
     grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), lattice=lattice,
-                             sweep_diffs=diffs)
+                             threshold=tol * (1.0 - alpha) / alpha, sweep_diffs=diffs)
     backup = np.empty((kn, kc))
     node = np.arange(kn)
     for _ in range(max_iter):
@@ -151,7 +149,7 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
         diffs.append(diff)
         values = new
         grid.values = values.reshape(shape)
-        if diff <= threshold:
+        if diff <= grid.threshold:
             return grid
         # the greedy policy's operator: one stage and one successor per node
         chosen = successor[node, choice]
@@ -222,18 +220,11 @@ class OptimalityReport:
     stationarity: np.ndarray        # one-step argmin residual per step
     value_agreement_std: float      # spread of surrogate-minus-value along the path
     hamiltonian: np.ndarray         # one-step identity residual per step
-    kappa_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (float(self.stationarity.max(initial=0.0)) <= self.kappa_tol
-                and self.value_agreement_std <= self.kappa_tol
-                and float(self.hamiltonian.max(initial=0.0)) <= self.kappa_tol)
 
 
 def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
                                 certificate: DualCertificate, value_grid: ValueFunctionGrid,
-                                basis: MonomialBasis, kappa_tol: float) -> OptimalityReport:
+                                basis: MonomialBasis) -> OptimalityReport:
     """Residuals of the three optimality conditions along the rollout.
 
     (a) stationarity: each visited pair must attain the graph-wide minimum
@@ -260,7 +251,7 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     ham = hamiltonian_min(problem, psi, roll.states, lattice.controls) \
         - (1.0 - alpha) * psi_roll - target
     return OptimalityReport(stationarity=stationarity, value_agreement_std=value_std,
-                            hamiltonian=np.abs(ham), kappa_tol=kappa_tol)
+                            hamiltonian=np.abs(ham))
 
 
 def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
@@ -308,18 +299,16 @@ def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
     a 401 x 401 grid at degree 9), the shape the simplex's sifting is for.
 
     ``certificate``, the solution's certificate at the current degree,
-    prices the base grid's columns once, and the ``_SIFT_WIDTH`` columns
-    per LP row with the lowest reduced costs (ties to the lower index) seed
-    the working sets of both simplex phases.  The seed only orders the pricing:
-    mu' is certified over every column, so a wrong certificate costs
-    pivots, never the value.
+    prices the base grid's columns once, and the columns in order of
+    increasing reduced cost (ties to the lower index) seed the working sets
+    of both simplex phases.  The seed only orders the pricing: mu' is
+    certified over every column, so a wrong certificate costs pivots, never
+    the value.
     """
     richer = MonomialBasis(basis.dim, basis.max_degree + 1)
     lp = assemble(problem, richer, grid_spec)
-    rc = silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls)
-    # a copy, not a view that would keep the full argsort alive through the solve
-    seed = np.argsort(rc, kind="stable")[:_SIFT_WIDTH * lp.n_rows].copy()
-    del rc
+    seed = np.argsort(silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls),
+                      kind="stable")
     _, cert = solve(lp, pivot_tol=pivot_tol, seed=seed)
     increment = max(0.0, cert.mu - certificate.mu)
     oracle_gap = max(0.0, (1.0 - problem.discount) * oracle_value - cert.mu)

@@ -136,7 +136,7 @@ def test_criterion_4_shift_exactness(shift):
     cert, oracle, roll = shift["certificate"], shift["oracle"], shift["rollout"]
     residuals = [abs(value - cert.mu),
                  float(np.abs(om.measure_residuals(shift["measure"], b, p)).max())]
-    rep = om.check_optimality_conditions(p, roll, cert, oracle, b, kappa_tol=1e-6)
+    rep = om.check_optimality_conditions(p, roll, cert, oracle, b)
     residuals += [float(rep.stationarity.max()), rep.value_agreement_std,
                   float(rep.hamiltonian.max())]
     residuals.append(om.check_psi_bound(cert, oracle, p, b))
@@ -235,8 +235,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
     lam = np.zeros(sb.count)
     lam[sb.index_of((1,))] = 1.0
     exact = DualCertificate(lam=lam, mu=(1 - sp.discount) * 0.4)
-    srep = om.check_optimality_conditions(sp, shift["rollout"], exact, shift["oracle"],
-                                          sb, kappa_tol=1e-12)
+    srep = om.check_optimality_conditions(sp, shift["rollout"], exact, shift["oracle"], sb)
     shift_worst = max(float(srep.stationarity.max()), srep.value_agreement_std,
                       float(srep.hamiltonian.max()))
 
@@ -244,7 +243,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
     p, b = example1["problem"], example1["basis"]
     roll = example1_heuristic["rollout"]
     rep = om.check_optimality_conditions(p, roll, example1["certificate"],
-                                         example1_oracle, b, kappa_tol=0.15)
+                                         example1_oracle, b)
     ex1_worst = max(float(rep.stationarity.max()), rep.value_agreement_std,
                     float(rep.hamiltonian.max()))
     nonneg = float(rep.stationarity.min()) >= 0.0
@@ -255,7 +254,7 @@ def test_criterion_10_optimality_conditions(example1, example1_oracle,
                         truncation_bound=roll.truncation_bound, discount=roll.discount)
     perturbed.controls[3] = -perturbed.controls[3]
     prep = om.check_optimality_conditions(p, perturbed, example1["certificate"],
-                                          example1_oracle, b, kappa_tol=0.15)
+                                          example1_oracle, b)
     perturb_ok = prep.stationarity[3] > rep.stationarity[3] + 1e-6
 
     ok = shift_worst <= 1e-12 and ex1_worst <= 0.15 and nonneg and perturb_ok

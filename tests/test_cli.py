@@ -323,6 +323,20 @@ class TestErrorPaths:
         assert lines[0] == "t,y1,u1"
         assert all(l.startswith("#") for l in lines[1:])  # aborted before any step
 
+    def test_policy_failure_at_t0_writes_header_only_csv(self, tmp_path, capsys):
+        # two-dimensional states and controls: the aborted rollout has no step, and the
+        # trajectory file holds the header and the NaN-marked footer only
+        out = tmp_path / "run"
+        out.mkdir()
+        doc = {"atoms": [[[0.5, 0.25], [0.1, 0.1], 0.5], [[0.5, 0.25], [0.9, 0.9], 0.5]],
+               "lambda": [0.0] * 64, "mu": 0.0}
+        (out / "solution.json").write_text(json.dumps(doc))
+        assert cli.main(["rollout", "--problem", "example1", "--out", str(out),
+                         "--policy", "heuristic", "--discard", "0"]) == 1
+        assert "rollout aborted after 0 steps" in capsys.readouterr().err
+        assert (out / "trajectory.csv").read_text() == (
+            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n")
+
     def test_nonconverged_solve_writes_marked_solution(self, tmp_path, capsys):
         # the 5-point base grid leaves violators after one round
         out = tmp_path / "run"

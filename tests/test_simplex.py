@@ -374,6 +374,18 @@ class TestSeededSifting:
         np.testing.assert_allclose(lp.matrix @ res.x, lp.rhs, atol=1e-8)
         assert res.x.min() >= 0.0
 
+    def test_only_the_first_columns_of_the_seed_are_read(self):
+        # the seed is an order of preference: the full order and its first
+        # _SIFT_WIDTH columns per row give the same pivots and bytes
+        lp, rc = kappa_lp("example1", 7, (9,))
+        order = np.argsort(rc, kind="stable")
+        width = simplex._SIFT_WIDTH * lp.n_rows
+        assert order.size > width
+        full = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, seed=order)
+        assert full.pivots > 0
+        assert same_result(full, solve_equality_lp(lp.matrix, lp.rhs, lp.cost,
+                                                   seed=order[:width].copy()))
+
     def test_phase_one_grows_an_infeasible_seed(self):
         # every seeded column has a zero first row while b's is positive, so Phase I
         # must bring in columns from outside the seed to reach feasibility
@@ -465,9 +477,11 @@ class TestUnseededPhaseOne:
 
 
 # The pivot loop as it was before its buffers were allocated once per call,
-# kept word for word.  Its globals are the simplex module's, so it reads
-# ``_inverse``, ``_entering`` and ``_STALL_LIMIT`` there at call time, as
-# ``simplex._iterate`` does, and a monkeypatch of one reaches both loops.
+# kept word for word but for one fix: its first pricing, whose progress
+# threshold is NaN (inf - inf), counts as progress and not as a stall.  Its
+# globals are the simplex module's, so it reads ``_inverse``, ``_entering``
+# and ``_STALL_LIMIT`` there at call time, as ``simplex._iterate`` does,
+# and a monkeypatch of one reaches both loops.
 def _reference_iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     """Run simplex pivots until optimality over the first n_enterable columns.
 
@@ -494,7 +508,7 @@ def _reference_iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivot
         xB = inv @ b
         y = c[basis] @ inv
         obj = float(c[basis] @ xB)
-        if obj < prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
+        if not obj >= prev_obj - _PROGRESS_TOL * (1.0 + abs(prev_obj)):
             stall = 0
             use_bland = False
         else:
@@ -644,6 +658,29 @@ class TestLeanLoop:
         LoopCheck(monkeypatch)
         solve_equality_lp(A, b, c)
         assert True in flags and False in flags[flags.index(True):]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_pricing_is_not_a_stall(self, monkeypatch, seed):
+        # at _STALL_LIMIT = 1 one pricing without progress engages Bland's rule, but the
+        # first pricing of an _iterate call has no earlier objective to stall against
+        A, b, c, _ = normalized_lp(seed)
+        monkeypatch.setattr(simplex, "_STALL_LIMIT", 1)
+        flags, firsts = [], []
+        entering, iterate = simplex._entering, simplex._iterate
+
+        def spy(rc, use_bland, pivot_tol):
+            flags.append(use_bland)
+            return entering(rc, use_bland, pivot_tol)
+
+        def marked(*args):
+            firsts.append(len(flags))
+            return iterate(*args)
+
+        monkeypatch.setattr(simplex, "_entering", spy)
+        monkeypatch.setattr(simplex, "_iterate", marked)
+        solve_equality_lp(A, b, c)
+        assert len(firsts) >= 2 and True in flags
+        assert not any(flags[k] for k in firsts)
 
     def test_example1_cold_and_warm_round(self, monkeypatch):
         p = builtin_problem("example1")

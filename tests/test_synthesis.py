@@ -167,8 +167,24 @@ class TestRollout:
                           weights=np.array([0.4, 0.3, 0.3]))
         with pytest.raises(RolloutAborted) as err:
             rollout(p, heuristic_policy(m), steps=10)
-        assert len(err.value.steps) == 1
+        assert len(err.value.rollout.states) == 1
         assert isinstance(err.value.cause, AssumptionIIViolation)
+
+    def test_failure_at_t0_aborts_with_an_empty_rollout(self, tmp_path):
+        # no step taken: the partial rollout still has (0, m) states and (0, d) controls,
+        # so the trajectory file is its header and the NaN footer alone
+        p = builtin_problem("example1")
+
+        def fails(y):
+            raise AssumptionIIViolation("ill-defined at y0")
+
+        with pytest.raises(RolloutAborted, match="after 0 steps") as err:
+            rollout(p, fails, steps=10)
+        part = err.value.rollout
+        assert part.states.shape == (0, 2) and part.controls.shape == (0, 2)
+        write_trajectory_csv(tmp_path / "t.csv", part)
+        assert (tmp_path / "t.csv").read_text() == (
+            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n")
 
     def test_cost_bound_example1(self):
         assert cost_bound(builtin_problem("example1")) == pytest.approx(2.0)

@@ -74,3 +74,23 @@ def test_traced_verify_records_the_benchmark_layers(tmp_path):
     ancestors = load_tracer().ancestors
     assert any(s[0] == "simplex" and s[4]["pivots"] > 0 and "verify.kappa" in ancestors(spans, i)
                for i, s in enumerate(spans))
+
+
+def test_extend_counter_counts_the_appended_columns():
+    # the tracer reads FiniteLP.extended's states at argument position 3; its counter must
+    # sum to the columns the refinement rounds appended
+    p = builtin_problem("shift")
+    history = []
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        silp.solve_refined(p, MonomialBasis(1, 3), silp.GridSpec(state=(5,), control=(5,)),
+                           silp.CandidateSpec(state=(41,), control=(41,)), history=history)
+    finally:
+        tracer.restore()
+    appended = history[-1]["columns"] - history[0]["columns"]
+    assert len(history) > 1 and appended > 0
+    layers = tracer_module.aggregate(tracer.spans)
+    assert layers["silp.extend"]["calls"] == len(history) - 1
+    assert layers["silp.extend"]["counters"]["columns"] == appended

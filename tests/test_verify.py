@@ -355,13 +355,11 @@ class TestOptimalityConditions:
         cert = shift_exact_certificate()
         oracle = value_iteration(p, (21,), (21,), tol=1e-10)
         roll = optimal_shift_rollout(p, steps=30)
-        rep = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3),
-                                          kappa_tol=1e-12)
+        rep = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3))
         assert rep.stationarity.max() <= 1e-12
         assert rep.stationarity.min() >= 0.0
         assert rep.value_agreement_std <= 1e-12
         assert rep.hamiltonian.max() <= 1e-12
-        assert rep.passed
 
     def test_perturbed_control_raises_stationarity_residual(self):
         p = shift_problem()
@@ -372,10 +370,8 @@ class TestOptimalityConditions:
                             truncated_value=roll.truncated_value,
                             truncation_bound=roll.truncation_bound, discount=roll.discount)
         perturbed.controls[3, 0] = 1.0
-        base = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3),
-                                           kappa_tol=1e-9)
-        rep = check_optimality_conditions(p, perturbed, cert, oracle, MonomialBasis(1, 3),
-                                          kappa_tol=1e-9)
+        base = check_optimality_conditions(p, roll, cert, oracle, MonomialBasis(1, 3))
+        rep = check_optimality_conditions(p, perturbed, cert, oracle, MonomialBasis(1, 3))
         assert rep.stationarity[3] > base.stationarity[3] + 0.1
         assert rep.stationarity[3] > max(rep.stationarity[2], rep.stationarity[4])
 
@@ -391,7 +387,7 @@ class TestOptimalityConditions:
         roll = rollout(p, minimizer_policy(p, b, cert, cfg.rollout_control_grid),
                        steps=cfg.steps)
         oracle = value_iteration(p, cfg.vi_state_grid, cfg.vi_control_grid, tol=1e-8)
-        rep = check_optimality_conditions(p, roll, cert, oracle, b, cfg.slack)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b)
         stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b,
                                                           cfg.vi_control_grid)
         assert rep.stationarity.tobytes() == stationarity.tobytes()
@@ -403,7 +399,7 @@ class TestOptimalityConditions:
         _, cert = solve(assemble(p, b, GridSpec(state=(7, 7), control=(7, 7))))
         roll = rollout(p, minimizer_policy(p, b, cert, (21, 21)), steps=20)
         oracle = value_iteration(p, (11, 11), (5, 5), tol=1e-6)
-        rep = check_optimality_conditions(p, roll, cert, oracle, b, 0.25)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b)
         stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b, (5, 5))
         assert rep.stationarity.tobytes() == stationarity.tobytes()
         assert rep.hamiltonian.tobytes() == ham.tobytes()
@@ -418,7 +414,7 @@ class TestOptimalityConditions:
         roll = rollout(p, minimizer_policy(p, b, cert, (5,)), steps=20)
         oracle = value_iteration(p, (11,), (9,), tol=1e-6)
         assert len(oracle.lattice.admissible) == 5  # every block
-        rep = check_optimality_conditions(p, roll, cert, oracle, b, 0.25)
+        rep = check_optimality_conditions(p, roll, cert, oracle, b)
         # no visited pair attains the scan minimum: a lattice pair past the first block does
         assert rep.stationarity.min() > 0.0
         stationarity, ham = per_pair_optimality_residuals(p, roll, cert, oracle, b, (9,))
