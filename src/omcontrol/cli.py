@@ -243,6 +243,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     problem, basis = _build(cfg)
     measure, certificate, _ = _load_solution(cfg)
     states, controls, meta = synthesis.read_trajectory_csv(Path(cfg.out) / "trajectory.csv")
+    if not len(states):
+        raise ValueError("trajectory.csv has no steps: the rollout aborted at t = 0")
     roll = synthesis.Rollout(states=states, controls=controls,
                              truncated_value=meta["truncated_value"],
                              truncation_bound=meta["truncation_bound"],

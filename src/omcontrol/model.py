@@ -68,9 +68,6 @@ class Box:
         """Uniform tensor grid, rows in ascending lexicographic order."""
         return tensor_points(self.axes(counts))
 
-    def clip(self, points) -> np.ndarray:
-        return np.clip(np.asarray(points, dtype=float), self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class FiniteSet:
@@ -101,15 +98,6 @@ def _per_axis_counts(counts, dim: int) -> tuple[int, ...]:
     if any(c < 1 for c in counts):
         raise ValueError("grid counts must be positive")
     return counts
-
-
-def grid_steps(points: np.ndarray) -> np.ndarray:
-    """Smallest spacing between distinct values on each axis; 0 for a single value."""
-    steps = np.zeros(points.shape[1])
-    for a in range(points.shape[1]):
-        vals = np.unique(points[:, a])
-        steps[a] = np.diff(vals).min() if vals.size > 1 else 0.0
-    return steps
 
 
 def tensor_points(axes) -> np.ndarray:

@@ -11,13 +11,12 @@ against the certificate, appends the most-violating admissible points
 and re-solves, each round resuming Phase II from the previous optimal
 basis, until the certificate is dually feasible on the candidate set.
 
-The candidate set is a tensor lattice of state-control pairs plus one-cell
-offsets around the current atoms.  Only the offsets change between rounds,
-so ``solve_refined`` builds the rest once per solve with
-``model.pair_lattice``: the lattice's admissible pairs and, for each, the
-row of its successor f(y, u) among the distinct successors.  A scan then
-evaluates psi once per lattice state and once per distinct successor and
-gathers both per pair.
+The candidate set is the admissible pairs of a tensor lattice of states
+and controls.  It does not change between rounds, so ``solve_refined``
+builds it once per solve with ``model.pair_lattice``: the lattice's
+admissible pairs and, for each, the row of its successor f(y, u) among the
+distinct successors.  A scan then evaluates psi once per lattice state and
+once per distinct successor and gathers both per pair.
 
 When the dual is degenerate, the vertex the simplex stops at is one of
 many optimal duals, and its surrogate can be dually infeasible between
@@ -41,7 +40,7 @@ from .basis import MonomialBasis, constraint_columns
 from .errors import (EmptyMeasure, InsufficientGrid, LpInfeasible, LpUnbounded, NonConverged,
                      SolverStalled)
 from .model import DiscreteControlProblem
-from .model import admissible_mask  # perfbench/tracer.py wraps this name here
+from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .simplex import LpResult, solve_equality_lp
 
 _WEIGHT_CLIP = 1e-12
@@ -60,9 +59,8 @@ class GridSpec:
 class CandidateSpec:
     """Candidate set the refinement pass prices against the certificate.
 
-    A uniform tensor grid (typically 2-4x the base resolution) plus
-    axis-aligned offsets of one base cell around every current atom.  At
-    most ``max_new_columns`` points are appended per pass.
+    The admissible pairs of a uniform tensor grid, typically 2-4x the base
+    resolution.  At most ``max_new_columns`` points are appended per pass.
     """
 
     state: object = 17
@@ -96,8 +94,6 @@ class FiniteLP:
     cost: np.ndarray          # (K,)
     matrix: np.ndarray        # (R, K); rows = nonconstant test functions, then normalization
     rhs: np.ndarray           # (R,)
-    state_step: np.ndarray    # base cell sizes, for atom perturbation
-    control_step: np.ndarray
     _buffer: Optional["_ColumnBuffer"] = field(default=None, init=False, repr=False,
                                                compare=False)
 
@@ -157,11 +153,10 @@ class _ColumnBuffer:
         self.columns[at:self.used, -1] = 1.0
 
     def lp(self, like: FiniteLP) -> FiniteLP:
-        """The LP over the filled columns, with the rows and steps of ``like``."""
+        """The LP over the filled columns, with the right-hand side of ``like``."""
         k = self.used
         lp = FiniteLP(states=self.states[:k], controls=self.controls[:k], cost=self.cost[:k],
-                      matrix=self.columns[:k].T, rhs=like.rhs, state_step=like.state_step,
-                      control_step=like.control_step)
+                      matrix=self.columns[:k].T, rhs=like.rhs)
         lp._buffer = self
         return lp
 
@@ -224,8 +219,6 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
         cost=problem.g(states, controls),
         matrix=matrix,
         rhs=rhs,
-        state_step=model.grid_steps(s_pts),
-        control_step=model.grid_steps(c_pts),
     )
 
 
@@ -324,59 +317,14 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
             + (1.0 - a) * (psi(problem.initial_state) - psi_y) - certificate.mu)
 
 
-def _candidate_blocks(problem, lp, measure, lattice, psi):
-    """Yield (states, controls, psi(states), psi(successors) or None) admissible blocks.
-
-    The lattice's scan comes first; the atom perturbations, which change
-    every round, leave psi at their successors to ``reduced_costs``.
-    """
-    for _, ys, us, psi_y, psi_f in lattice.scan(psi):
-        yield ys, us, psi_y, psi_f
-    if measure is not None and len(measure):
-        ys, us = _atom_perturbations(problem, lp, measure)
-        mask = admissible_mask(problem, ys, us)
-        ys, us = ys[mask], us[mask]
-        yield ys, us, psi(ys), None
-
-
-def _atom_perturbations(problem, lp, measure):
-    """Axis-aligned offsets of one base cell around every atom, clipped to the boxes.
-
-    Rows are atom-major: per atom, each state axis with a positive step at
-    -/+ one step, then (for a box control region) each control axis alike.
-    """
-    ys, us = measure.states, measure.controls
-    m, d = ys.shape[1], us.shape[1]
-    states, controls = [], []
-    for a in np.flatnonzero(lp.state_step > 0):
-        for sign in (-1.0, 1.0):
-            yp = ys.copy()
-            yp[:, a] += sign * lp.state_step[a]
-            states.append(problem.state_region.clip(yp))
-            controls.append(us)
-    if isinstance(problem.control_region, model.Box):
-        for a in np.flatnonzero(lp.control_step > 0):
-            for sign in (-1.0, 1.0):
-                up = us.copy()
-                up[:, a] += sign * lp.control_step[a]
-                states.append(ys)
-                controls.append(problem.control_region.clip(up))
-    if not states:
-        return np.empty((0, m)), np.empty((0, d))
-    # stacked on axis 1 the blocks form (atoms, offsets, dim), so rows go atom by atom
-    return np.stack(states, axis=1).reshape(-1, m), np.stack(controls, axis=1).reshape(-1, d)
-
-
 def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
-                    certificate: DualCertificate, lp: FiniteLP,
-                    lattice: model.PairLattice, candidate_spec: CandidateSpec, tol: float,
-                    measure: Optional[AtomicMeasure] = None):
+                    certificate: DualCertificate, lattice: model.PairLattice,
+                    candidate_spec: CandidateSpec, tol: float):
     """Price the candidate set; return (min reduced cost, worst violators).
 
     The candidates are the admissible pairs of ``lattice``, the
     ``model.pair_lattice`` of the candidate spec's grids built once per
-    solve, then the perturbations of the atoms of ``measure``.  The
-    violators are the at most ``max_new_columns`` admissible candidates
+    solve.  The violators are the at most ``max_new_columns`` candidates
     with reduced cost below -tol, most violating first, ties broken
     lexicographically on (y, u).
     """
@@ -384,9 +332,7 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     min_rc = np.inf
     cap = candidate_spec.max_new_columns
     psi = functools.partial(certificate.psi, basis)
-    for ys, us, psi_y, psi_f in _candidate_blocks(problem, lp, measure, lattice, psi):
-        if ys.shape[0] == 0:
-            continue
+    for _, ys, us, psi_y, psi_f in lattice.scan(psi):
         rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f)
         min_rc = min(min_rc, float(rc.min()))
         viol = np.nonzero(rc < -tol)[0]
@@ -402,17 +348,7 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     us = np.vstack(best_u)
     keys = tuple(us[:, a] for a in range(us.shape[1] - 1, -1, -1)) \
         + tuple(ys[:, a] for a in range(ys.shape[1] - 1, -1, -1)) + (rc,)
-    order = np.lexsort(keys)
-    seen, picked = set(), []
-    for k in order:
-        key = (ys[k].tobytes(), us[k].tobytes())
-        if key in seen:
-            continue
-        seen.add(key)
-        picked.append(k)
-        if len(picked) >= cap:
-            break
-    picked = np.array(picked, dtype=int)
+    picked = np.lexsort(keys)[:cap]  # lattice pairs are distinct, so no two rows repeat
     return min_rc, ys[picked], us[picked]
 
 
@@ -444,6 +380,8 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if candidate_spec.max_new_columns < 1:
+        raise ValueError("max_new_columns (batch) must be at least 1")
     # built before the LP, so the build's temporaries never share memory with its matrix
     lattice = model.pair_lattice(problem,
                                  model.state_grid_points(problem, candidate_spec.state),
@@ -457,15 +395,15 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
         try:
             measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
             res = results[0]
-            min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
-                                             candidate_spec, tol, measure)
+            min_rc, ys, us = scan_candidates(problem, basis, certificate, lattice,
+                                             candidate_spec, tol)
             margin, selection_pivots = None, 0
             if min_rc >= -tol:
                 certificate, margin, selection_pivots = select_certificate(
                     lp, res, certificate, pivot_tol)
                 if margin is not None:
-                    min_rc, ys, us = scan_candidates(problem, basis, certificate, lp, lattice,
-                                                     candidate_spec, tol, measure)
+                    min_rc, ys, us = scan_candidates(problem, basis, certificate, lattice,
+                                                     candidate_spec, tol)
         except (LpInfeasible, LpUnbounded, SolverStalled) as exc:
             if done is None:
                 raise

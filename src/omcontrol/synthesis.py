@@ -241,7 +241,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
                 meta[key.strip()] = float(val)
                 continue
             rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows)
+    data = np.array(rows).reshape(-1, len(header))
     states = data[:, 1:1 + m]
     controls = data[:, 1 + m:]
     return states, controls, meta

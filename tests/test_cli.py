@@ -124,14 +124,11 @@ class TestPipeline:
         assert cli.main(["solve", "--problem", "shift", "--out", str(out)]) == 0
         cfg = cli.RunConfig(problem="shift").resolved()
         problem, basis = cli._build(cfg)
-        grid, cand = cli._grid_specs(cfg)
-        measure, certificate, doc = silp.solution_from_json(
-            (out / "solution.json").read_text())
-        lp = silp.assemble(problem, basis, grid)
+        _, cand = cli._grid_specs(cfg)
+        _, certificate, doc = silp.solution_from_json((out / "solution.json").read_text())
         lattice = model.pair_lattice(problem, model.state_grid_points(problem, cand.state),
                                      model.control_grid_points(problem, cand.control))
-        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lp, lattice,
-                                            cand, cfg.tol, measure)
+        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lattice, cand, cfg.tol)
         assert doc["max_dual_violation"] == max(0.0, -min_rc)
 
     def test_epsilon_sets_horizon_unless_steps_given(self, tmp_path, capsys):
@@ -336,6 +333,21 @@ class TestErrorPaths:
         assert "rollout aborted after 0 steps" in capsys.readouterr().err
         assert (out / "trajectory.csv").read_text() == (
             "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n")
+
+    def test_verify_rejects_a_trajectory_without_steps(self, tmp_path, capsys):
+        # the policy fails at t = 0, so trajectory.csv holds the header and footer only
+        out = tmp_path / "run"
+        cfg_path = shift_config(tmp_path, out)
+        assert cli.main(["solve", "--config", cfg_path]) == 0
+        sol = json.loads((out / "solution.json").read_text())
+        sol["atoms"] = [[[0.4], [0.1], 0.5], [[0.4], [0.9], 0.5]]
+        (out / "solution.json").write_text(json.dumps(sol))
+        assert cli.main(["rollout", "--config", cfg_path, "--policy", "heuristic",
+                         "--discard", "0"]) == 1
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", cfg_path]) == 1
+        assert "error: trajectory.csv has no steps" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
 
     def test_nonconverged_solve_writes_marked_solution(self, tmp_path, capsys):
         # the 5-point base grid leaves violators after one round

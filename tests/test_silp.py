@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from omcontrol import (AtomicMeasure, Box, CandidateSpec, DiscreteControlProblem,
-                       EmptyMeasure, FiniteSet, GridSpec, InsufficientGrid, MonomialBasis,
+                       EmptyMeasure, GridSpec, InsufficientGrid, MonomialBasis,
                        NonConverged, assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
 from omcontrol import LpInfeasible, LpUnbounded, SolverStalled, model, silp
@@ -190,6 +190,14 @@ class TestRefine:
             solve_refined(p, MonomialBasis(1, 3), GridSpec(state=(21,), control=(21,)),
                           CandidateSpec(state=(41,), control=(41,)), max_rounds=0)
 
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_batch_guard(self, batch):
+        # 0 would re-solve the same LP every round; -2 would overrun the column buffer
+        with pytest.raises(ValueError, match="max_new_columns"):
+            solve_refined(shift_problem(), MonomialBasis(1, 3),
+                          GridSpec(state=(21,), control=(21,)),
+                          CandidateSpec(state=(41,), control=(41,), max_new_columns=batch))
+
     def test_nonconverged_carries_best(self):
         p = shift_problem()
         b = MonomialBasis(1, 3)
@@ -366,32 +374,9 @@ def drift_problem():
         discount=0.5, initial_state=[0.5])
 
 
-def per_atom_perturbations(problem, lp, measure):
-    """Reference: the offsets built one atom, axis and sign at a time."""
-    states, controls = [], []
-    for y, u in zip(measure.states, measure.controls):
-        for a in range(len(y)):
-            for sign in (-1.0, 1.0):
-                if lp.state_step[a] > 0:
-                    yp = y.copy()
-                    yp[a] += sign * lp.state_step[a]
-                    states.append(problem.state_region.clip(yp))
-                    controls.append(u.copy())
-        if not isinstance(problem.control_region, Box):
-            continue
-        for a in range(len(u)):
-            for sign in (-1.0, 1.0):
-                if lp.control_step[a] > 0:
-                    up = u.copy()
-                    up[a] += sign * lp.control_step[a]
-                    states.append(y.copy())
-                    controls.append(problem.control_region.clip(up))
-    return np.array(states), np.array(controls)
-
-
 class TestScan:
     @pytest.mark.parametrize("make, degree, grid, candidates, chunk", [
-        # 88,209 lattice pairs: two scan blocks plus the atom perturbations
+        # 88,209 lattice pairs: two scan blocks
         (lambda: builtin_problem("example1"), 7, GridSpec(state=(9, 9), control=(9, 9)),
          CandidateSpec(state=(33, 33), control=(9, 9)), None),
         (lambda: builtin_problem("shift"), 3, GridSpec(state=(5,), control=(5,)),
@@ -409,11 +394,9 @@ class TestScan:
             monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
         p = make()
         b = MonomialBasis(p.state_dim, degree)
-        lp = assemble(p, b, grid)
-        measure, cert = solve(lp)
+        _, cert = solve(assemble(p, b, grid))
         lattice = candidate_lattice(p, candidates)
-        min_rc, ys, us = silp.scan_candidates(p, b, cert, lp, lattice, candidates, 1e-9,
-                                              measure)
+        min_rc, ys, us = silp.scan_candidates(p, b, cert, lattice, candidates, 1e-9)
         priced = []
 
         def reference(problem, basis, certificate, states, controls, *given):
@@ -421,13 +404,11 @@ class TestScan:
             return per_pair_reduced_costs(problem, basis, certificate, states, controls)
 
         monkeypatch.setattr(silp, "reduced_costs", reference)
-        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lp, lattice, candidates,
-                                                      1e-9, measure)
-        # every admissible lattice pair and atom perturbation went through the reference
-        offsets = silp._atom_perturbations(p, lp, measure)
-        assert sum(priced) == (lattice.successor_of.size
-                               + np.count_nonzero(silp.admissible_mask(p, *offsets)))
+        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lattice, candidates, 1e-9)
+        # every admissible lattice pair, and nothing else, went through the reference
+        assert sum(priced) == lattice.successor_of.size
         assert len(ys) == candidates.max_new_columns  # the first LP is violated
+        assert len(np.unique(np.hstack([ys, us]), axis=0)) == len(ys)  # distinct (y, u)
         assert silp.admissible_mask(p, ys, us).all()
         assert np.float64(min_rc).tobytes() == np.float64(ref_rc).tobytes()
         assert ys.tobytes() == ref_ys.tobytes()
@@ -449,23 +430,19 @@ class TestScan:
 
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through
-        # admissible_mask once, and every scan only adds its atoms' perturbations
-        sizes, scans = [], []
-        mask, scan = model.admissible_mask, silp.scan_candidates
+        # admissible_mask once, and no round's scan masks anything again
+        sizes = []
+        mask = model.admissible_mask
 
         def counted_mask(problem, states, controls):
             sizes.append(len(states))
             return mask(problem, states, controls)
 
-        def counted_scan(*args, **kwargs):
-            scans.append(None)
-            return scan(*args, **kwargs)
-
         monkeypatch.setattr(model, "_SCAN_CHUNK", 500)
-        # the lattice masks through model's name, the atom perturbations through silp's
+        # the lattice masks through model's name; silp's is patched too, so a scan that
+        # masks through it would be counted
         monkeypatch.setattr(model, "admissible_mask", counted_mask)
         monkeypatch.setattr(silp, "admissible_mask", counted_mask)
-        monkeypatch.setattr(silp, "scan_candidates", counted_scan)
         coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         history = []
         solve_refined(shift_problem(), MonomialBasis(1, 3), GridSpec(state=coarse, control=coarse),
@@ -473,30 +450,7 @@ class TestScan:
                       tol=1e-9, max_rounds=20, history=history)
         assert len(history) >= 3
         # 41 * 41 = 1,681 lattice pairs, then the 5 * 5 pairs of the base LP's pair_grid
-        assert sizes[:5] == [500, 500, 500, 181, 25]
-        assert len(sizes) == 5 + len(scans)
-
-    @pytest.mark.parametrize("control_region, steps", [
-        (FiniteSet(np.array([[-0.5], [0.0], [0.5]])), ([0.25, 0.0], [0.5])),
-        (Box([-1.0, -1.0], [1.0, 1.0]), ([0.0, 0.25], [0.5, 0.0])),
-    ], ids=["finite-set", "box"])
-    def test_atom_perturbations_match_per_atom_loop(self, control_region, steps):
-        # a zero step skips its axis; a finite control set gets no control offsets
-        from types import SimpleNamespace
-        d = control_region.dim
-        p = DiscreteControlProblem(
-            state_dim=2, dynamics=lambda y, u: 0.5 * y, cost=lambda y, u: y[..., 0],
-            state_region=Box([-1.0, -1.0], [1.0, 1.0]), control_region=control_region,
-            discount=0.5, initial_state=[0.0, 0.0])
-        lp = SimpleNamespace(state_step=np.array(steps[0]), control_step=np.array(steps[1]))
-        measure = AtomicMeasure(states=np.array([[1.0, -0.5], [-0.9, 1.0], [0.0, -0.0]]),
-                                controls=np.array([[0.5] * d, [-1.0] * d, [0.0] * d]),
-                                weights=np.full(3, 1.0 / 3.0))
-        ys, us = silp._atom_perturbations(p, lp, measure)
-        ref_ys, ref_us = per_atom_perturbations(p, lp, measure)
-        assert ys.shape == ref_ys.shape and us.shape == ref_us.shape
-        assert ys.tobytes() == ref_ys.tobytes()
-        assert us.tobytes() == ref_us.tobytes()
+        assert sizes == [500, 500, 500, 181, 25]
 
 
 def solved(lp):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from omcontrol import (GridSpec, MonomialBasis, assemble, builtin_problem, model, silp,
-                       simplex, solve)
-from omcontrol.errors import LpInfeasible, LpUnbounded, SolverError
+from omcontrol import (CandidateSpec, GridSpec, MonomialBasis, assemble, builtin_problem,
+                       model, silp, simplex, solve, solve_refined)
+from omcontrol.errors import LpInfeasible, LpUnbounded, SolverError, SolverStalled
 from omcontrol.simplex import solve_equality_lp
 
 
@@ -386,6 +386,26 @@ class TestSeededSifting:
         assert same_result(full, solve_equality_lp(lp.matrix, lp.rhs, lp.cost,
                                                    seed=order[:width].copy()))
 
+    @pytest.mark.xfail(strict=True, raises=SolverStalled,
+                       reason="the seeded Phase I stalls on this kappa LP (ROADMAP item 1)")
+    def test_refined_certificate_seed_matches_highs(self):
+        # example1 at y0 = (0, 0), refined at degree 7 with the workload's grids
+        # (23 rounds), seeds the degree-8 kappa LP as verify.estimate_kappa does
+        p = builtin_problem("example1", y0=(0.0, 0.0))
+        b = MonomialBasis(2, 7)
+        grid = GridSpec(state=(9, 9), control=(9, 9))
+        _, cert, rounds = solve_refined(p, b, grid, CandidateSpec(state=(33, 33), control=(9, 9)),
+                                        tol=1e-6, max_rounds=80)
+        assert rounds == 23
+        lp = assemble(p, MonomialBasis(2, 8), grid)
+        order = np.argsort(silp.reduced_costs(p, b, cert, lp.states, lp.controls), kind="stable")
+        ref = linprog(lp.cost, A_eq=lp.matrix, b_eq=lp.rhs, bounds=(0, None), method="highs")
+        assert ref.fun == pytest.approx(-0.857546259, abs=1e-9)
+        unseeded = solve_equality_lp(lp.matrix, lp.rhs, lp.cost)  # 2,316 pivots
+        assert unseeded.value == pytest.approx(ref.fun, abs=1e-9)
+        res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost, seed=order, max_pivots=20_000)
+        assert res.value == pytest.approx(ref.fun, abs=1e-9)
+
     def test_phase_one_grows_an_infeasible_seed(self):
         # every seeded column has a zero first row while b's is positive, so Phase I
         # must bring in columns from outside the seed to reach feasibility
@@ -688,12 +708,12 @@ class TestLeanLoop:
         lp = example1_base_lp()
         check = LoopCheck(monkeypatch)
         results = []
-        measure, cert = solve(lp, results=results)
+        _, cert = solve(lp, results=results)
         assert results[0].pivots == 1680
         spec = silp.CandidateSpec(state=(33,), control=(9,))
         lattice = model.pair_lattice(p, model.state_grid_points(p, spec.state),
                                      model.control_grid_points(p, spec.control))
-        _, ys, us = silp.scan_candidates(p, b, cert, lp, lattice, spec, 1e-6, measure)
+        _, ys, us = silp.scan_candidates(p, b, cert, lattice, spec, 1e-6)
         assert len(ys) == spec.max_new_columns
         cold_calls = len(check.calls)
         solve(lp.extended(p, b, ys, us), start=results[0].basis, results=results)
