@@ -83,24 +83,56 @@ class MonomialBasis:
         (remaining tensor entries, K) so every update runs over contiguous
         rows.  The last axis is contracted first; the widest intermediate is
         ((d+1)**(m-1), K), and only multiplications and additions are used.
+        For m >= 2 that first contraction depends on the last coordinate
+        alone, so when at most half the points have distinct bit patterns
+        there it runs once per distinct value and its columns are gathered
+        per point: the same operations on the same operands, bit for bit.
         """
         if coef.shape != (self.count,):
             raise ValueError(f"coefficient vector of shape {coef.shape}, basis has {self.count}")
-        n = self.max_degree + 1
         acc = np.zeros((self.count, 1))
         acc[self._tensor_index, 0] = coef
-        for a in range(self.dim - 1, -1, -1):
-            terms = acc.reshape(acc.shape[0] // n, n, acc.shape[1])
-            x = pts[:, a]
-            acc = np.empty((terms.shape[0], pts.shape[0]))
-            acc[...] = terms[:, n - 1, :]
-            for j in range(n - 2, -1, -1):
-                acc *= x
-                acc += terms[:, j, :]
+        x = pts[:, -1]
+        values, inverse = _distinct_values(x) if self.dim > 1 else (None, None)
+        if inverse is None:
+            acc = self._contract(acc, x)
+        else:
+            acc = self._contract(acc, values).take(inverse, axis=1)
+        for a in range(self.dim - 2, -1, -1):
+            acc = self._contract(acc, pts[:, a])
         return acc[0]
+
+    def _contract(self, acc: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Horner's rule along the fastest tensor axis of ``acc`` at the points ``x``."""
+        n = self.max_degree + 1
+        terms = acc.reshape(acc.shape[0] // n, n, acc.shape[1])
+        out = np.empty((terms.shape[0], x.shape[0]))
+        out[...] = terms[:, n - 1, :]
+        for j in range(n - 2, -1, -1):
+            out *= x
+            out += terms[:, j, :]
+        return out
 
     def __repr__(self) -> str:
         return f"MonomialBasis(dim={self.dim}, max_degree={self.max_degree}, count={self.count})"
+
+
+def _distinct_values(x: np.ndarray):
+    """Distinct bit patterns of a float vector and each entry's row among them.
+
+    (None, None) when more than half the entries are distinct, as gathering
+    then saves less than the index costs.  Sorting the uint64 view is an
+    order of magnitude faster than ``np.unique`` and keeps -0.0 apart from 0.0.
+    """
+    bits = x.view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    if 2 * distinct.size > bits.size:
+        return None, None
+    return distinct.view(np.float64), np.searchsorted(distinct, bits)
 
 
 def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,

@@ -53,11 +53,21 @@ class Box:
         return self.lower.size
 
     def contains(self, points, tol: float = MEMBERSHIP_TOL):
-        """Membership mask; scalar for a single point, (K,) for a batch."""
+        """Membership mask; scalar for a single point, (K,) for a batch.
+
+        Tested one axis at a time, so no (K, m) boolean array is built.
+        """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        ok = np.all((pts >= self.lower - tol) & (pts <= self.upper + tol), axis=1)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points of dimension {pts.shape[1]}, box has {self.dim}")
+        lo, hi = self.lower - tol, self.upper + tol
+        ok = pts[:, 0] >= lo[0]
+        ok &= pts[:, 0] <= hi[0]
+        for a in range(1, self.dim):
+            ok &= pts[:, a] >= lo[a]
+            ok &= pts[:, a] <= hi[a]
         return bool(ok[0]) if single else ok
 
     def axes(self, counts) -> list[np.ndarray]:

@@ -45,6 +45,9 @@ from .simplex import LpResult, solve_equality_lp
 
 _WEIGHT_CLIP = 1e-12
 _SUPPORT_TOL = 1e-9  # selection pins rc = 0 above this weight; atoms of 1e-12 are round-off
+# LP entries per block of assemble: its (pairs, N) temporaries stay at 0.5 MB whatever N,
+# so no temporary the size of the LP is allocated and freed beside it
+_ASSEMBLY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,20 +76,20 @@ class FiniteLP:
     """Columns (admissible pairs), cost vector and equality rows.
 
     The per-column arrays (``states``, ``controls``, ``cost`` and the
-    columns of ``matrix``) may be leading views of a ``_ColumnBuffer``
-    with room for more columns; ``with_room`` copies an LP into one.
-    ``extended`` writes its columns into that room when this LP's columns
-    are the whole filled part of the buffer, so a chain of extensions
-    never copies an earlier column, and this LP's views keep seeing only
-    its own columns.  Extending the same LP a second time finds the buffer
-    already filled past its columns; the second extension then copies this
-    LP's columns into a buffer of its own, so each extension holds its own
-    columns and this LP stays as it was.  An LP without room, such as one
-    from ``assemble``, is copied the same way, into a buffer of exactly the
-    extended size.  The buffer holds the columns one
-    after the other, so ``matrix`` is Fortran-ordered, as ``assemble`` and
-    ``np.hstack`` of its blocks lay it out, and the simplex reads the same
-    layout whether or not the LP sits in a buffer.
+    columns of ``matrix``) are leading views of a ``_ColumnBuffer``;
+    ``assemble`` writes its columns into one with as much room for more
+    columns as it is asked for.  ``extended`` writes its columns into that
+    room when this LP's columns are the whole filled part of the buffer,
+    so a chain of extensions never copies an earlier column, and this LP's
+    views keep seeing only its own columns.  Extending the same LP a
+    second time finds the buffer already filled past its columns; the
+    second extension then copies this LP's columns into a buffer of its
+    own, so each extension holds its own columns and this LP stays as it
+    was.  An LP without room left (or without a buffer, when built
+    directly) is copied the same way, into a buffer of exactly the
+    extended size.  The buffer holds the columns one after the other, so
+    ``matrix`` is Fortran-ordered, as ``np.hstack`` of its blocks lays it
+    out.
     """
 
     states: np.ndarray        # (K, m)
@@ -105,10 +108,6 @@ class FiniteLP:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    def with_room(self, extra: int) -> "FiniteLP":
-        """The same LP, its columns copied into a buffer with room for ``extra`` more."""
-        return _ColumnBuffer(self, self.n_columns + extra).lp(self)
-
     def extended(self, problem: DiscreteControlProblem, basis: MonomialBasis,
                  states, controls) -> "FiniteLP":
         """New LP with extra admissible columns appended in the given order."""
@@ -119,9 +118,9 @@ class FiniteLP:
         needed = self.n_columns + states.shape[0]
         buf = self._buffer
         if buf is None or buf.used != self.n_columns or buf.capacity < needed:
-            buf = _ColumnBuffer(self, needed)
+            buf = _ColumnBuffer.holding(self, needed)
         buf.append(states, controls, cost, cols)
-        return buf.lp(self)
+        return buf.lp(self.rhs)
 
 
 class _ColumnBuffer:
@@ -131,17 +130,25 @@ class _ColumnBuffer:
     chain views a prefix of them.
     """
 
-    def __init__(self, lp: FiniteLP, capacity: int):
-        self.capacity = capacity
-        self.states = np.empty((capacity, lp.states.shape[1]))
-        self.controls = np.empty((capacity, lp.controls.shape[1]))
+    def __init__(self, capacity: int, rows: int, state_dim: int, control_dim: int):
+        self.capacity, self.used = capacity, 0
+        # matrix columns as rows; allocated before the small arrays, so that this block can
+        # take a free region of the heap that they would otherwise split
+        self.columns = np.empty((capacity, rows))
+        self.states = np.empty((capacity, state_dim))
+        self.controls = np.empty((capacity, control_dim))
         self.cost = np.empty(capacity)
-        self.columns = np.empty((capacity, lp.n_rows))  # matrix columns as rows
-        self.used = lp.n_columns
-        self.states[:self.used] = lp.states
-        self.controls[:self.used] = lp.controls
-        self.cost[:self.used] = lp.cost
-        self.columns[:self.used] = lp.matrix.T
+
+    @classmethod
+    def holding(cls, lp: FiniteLP, capacity: int) -> "_ColumnBuffer":
+        """A buffer of ``capacity`` columns, filled with a copy of ``lp``'s."""
+        buf = cls(capacity, lp.n_rows, lp.states.shape[1], lp.controls.shape[1])
+        buf.used = lp.n_columns
+        buf.states[:buf.used] = lp.states
+        buf.controls[:buf.used] = lp.controls
+        buf.cost[:buf.used] = lp.cost
+        buf.columns[:buf.used] = lp.matrix.T
+        return buf
 
     def append(self, states, controls, cost, cols) -> None:
         """Write columns after the filled part: test-function rows ``cols``, then 1."""
@@ -152,11 +159,11 @@ class _ColumnBuffer:
         self.columns[at:self.used, :-1] = cols.T
         self.columns[at:self.used, -1] = 1.0
 
-    def lp(self, like: FiniteLP) -> FiniteLP:
-        """The LP over the filled columns, with the right-hand side of ``like``."""
+    def lp(self, rhs: np.ndarray) -> FiniteLP:
+        """The LP over the filled columns, with right-hand side ``rhs``."""
         k = self.used
         lp = FiniteLP(states=self.states[:k], controls=self.controls[:k], cost=self.cost[:k],
-                      matrix=self.columns[:k].T, rhs=like.rhs)
+                      matrix=self.columns[:k].T, rhs=rhs)
         lp._buffer = self
         return lp
 
@@ -197,29 +204,41 @@ class DualCertificate:
 
 
 def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
-             grid_spec: GridSpec) -> FiniteLP:
-    """Discretize the admissible graph and build the equality-form LP."""
+             grid_spec: GridSpec, room: int = 0) -> FiniteLP:
+    """Discretize the admissible graph and build the equality-form LP.
+
+    The grid's pairs are taken a block at a time, in blocks of
+    ``_ASSEMBLY_BLOCK`` LP entries: one pass counts the admissible pairs,
+    and a second writes their columns straight into a ``_ColumnBuffer``
+    with ``room`` columns to spare for ``FiniteLP.extended``.  A column
+    depends on its own pair alone, so the blocks give the bytes of one pass
+    over every pair, and no array the size of the grid is built but the
+    LP's own.
+    """
     if basis.dim != problem.state_dim:
         raise ValueError("basis dimension does not match the problem")
     s_pts = model.state_grid_points(problem, grid_spec.state)
     c_pts = model.control_grid_points(problem, grid_spec.control)
-    states, controls, mask = model.pair_grid(problem, s_pts, c_pts)
-    states, controls = states[mask.ravel()], controls[mask.ravel()]
-    n_rows = basis.count
-    if states.shape[0] < n_rows:
-        raise InsufficientGrid(
-            f"{states.shape[0]} admissible grid points for {n_rows} LP rows")
-    cols = constraint_columns(basis, problem, states, controls)[1:]
-    matrix = np.vstack([cols, np.ones((1, states.shape[0]))])
+    n_rows, kc = basis.count, len(c_pts)
+    total, block = len(s_pts) * kc, max(1, _ASSEMBLY_BLOCK // n_rows)
+
+    def block_pairs(start):
+        rows, cols = np.divmod(np.arange(start, min(start + block, total)), kc)
+        return s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
+
+    starts = range(0, total, block)
+    admissible = [model.admissible_mask(problem, *block_pairs(start)) for start in starts]
+    count = sum(int(keep.sum()) for keep in admissible)
+    if count < n_rows:
+        raise InsufficientGrid(f"{count} admissible grid points for {n_rows} LP rows")
+    buf = _ColumnBuffer(count + room, n_rows, s_pts.shape[1], c_pts.shape[1])
+    for start, keep in zip(starts, admissible):
+        ys, us = block_pairs(start)
+        ys, us = ys[keep], us[keep]
+        buf.append(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us)[1:])
     rhs = np.zeros(n_rows)
     rhs[-1] = 1.0
-    return FiniteLP(
-        states=states,
-        controls=controls,
-        cost=problem.g(states, controls),
-        matrix=matrix,
-        rhs=rhs,
-    )
+    return buf.lp(rhs)
 
 
 def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
@@ -280,7 +299,10 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     rows, n, s = lp.n_rows, lp.n_columns, support.size
     if s == rows:
         return certificate, None, 0
-    shifted = lp.cost - certificate.mu * lp.matrix[-1]
+    cost = np.empty(n + s + 1)
+    np.subtract(lp.cost, certificate.mu * lp.matrix[-1], out=cost[:n])  # the LP's shifted costs
+    cost[n:n + s] = -cost[support]
+    cost[-1] = 1.0
     matrix = np.empty((rows, n + s + 1))
     matrix[:-1, :n] = lp.matrix[:-1]
     matrix[-1, :n] = 1.0
@@ -289,7 +311,6 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     matrix[:-1, -1] = 0.0
     matrix[-1, n:] = 0.0
     matrix[-1, -1] = 1.0
-    cost = np.concatenate([shifted, -shifted[support], [1.0]])
     start = res.basis.copy()
     start[np.argmax(res.x[start])] = n + s
     sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, start=start)
@@ -387,8 +408,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                                  model.state_grid_points(problem, candidate_spec.state),
                                  model.control_grid_points(problem, candidate_spec.control))
     # room for every column the rounds can append, so no round copies the earlier ones
-    lp = assemble(problem, basis, grid_spec).with_room(
-        (max_rounds - 1) * candidate_spec.max_new_columns)
+    lp = assemble(problem, basis, grid_spec, (max_rounds - 1) * candidate_spec.max_new_columns)
     measure = certificate = start = done = None
     for rounds in range(1, max_rounds + 1):
         results: list = []

@@ -68,6 +68,11 @@ class LpResult:
     warm: bool = False   # Phase II resumed from the given start basis
 
 
+def seed_length(rows: int) -> int:
+    """How many leading columns of a seed ``solve_equality_lp`` reads for an LP of ``rows`` rows."""
+    return _SIFT_WIDTH * rows
+
+
 def _inverse(B):
     """The explicit inverse of the basis matrix ``B``."""
     try:
@@ -171,6 +176,27 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
             inv[leave] = row
 
 
+def _most_negative(rc, width, pivot_tol):
+    """The at most ``width`` columns of lowest reduced cost below ``-pivot_tol``, ties to the
+    lower index (the first ``width`` of a stable sort), or None when there is none.
+
+    The result is in index order within each part, not in the sort's order.  The only
+    (count,) temporary is the negative costs, partitioned in place: every column below the
+    width-th lowest of them, then the first columns equal to it.
+    """
+    negative = rc < -pivot_tol
+    count = np.count_nonzero(negative)
+    if count == 0:
+        return None
+    if count <= width:
+        return np.nonzero(negative)[0]
+    values = rc[negative]
+    values.partition(width - 1)
+    kth = values[width - 1]
+    below = np.nonzero(rc < kth)[0]
+    return np.concatenate([below, np.nonzero(rc == kth)[0][:width - below.size]])
+
+
 def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done):
     """Sifting from the feasible ``basis`` over the sorted working set ``work``,
     which holds it: pivot on the working set, grow it by the most negative
@@ -183,18 +209,19 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
     re-enter a working set that cannot grow, forever.
     """
     width = _SIFT_WIDTH * A.shape[0]
+    rc = np.empty(n_enterable)  # one buffer for every pass, not a new one beside the last
     while True:
         local = np.searchsorted(work, basis)
         xB, y, pivots_done = _iterate(A[:, work], b, c[work], local,
                                       int(np.searchsorted(work, n_enterable)),
                                       pivot_tol, max_pivots, pivots_done)
         basis = work[local]
-        rc = c[:n_enterable] - y @ A[:, :n_enterable]
+        np.matmul(y, A[:, :n_enterable], out=rc)
+        np.subtract(c[:n_enterable], rc, out=rc)
         rc[work[work < n_enterable]] = 0.0
-        negative = np.nonzero(rc < -pivot_tol)[0]
-        if negative.size == 0:
+        entering = _most_negative(rc, width, pivot_tol)
+        if entering is None:
             return xB, y, basis, pivots_done
-        entering = negative[np.argsort(rc[negative], kind="stable")[:width]]
         work = np.union1d(work, entering)
 
 
@@ -274,7 +301,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP shapes")
     if seed is not None:
-        seed = np.asarray(seed, dtype=np.int64).ravel()[:_SIFT_WIDTH * m]
+        seed = np.asarray(seed, dtype=np.int64).ravel()[:seed_length(m)]
         if seed.size and (seed.min() < 0 or seed.max() >= n):
             raise ValueError("seed column out of range")
 

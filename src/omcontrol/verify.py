@@ -29,6 +29,7 @@ from .errors import NotConverged
 from .model import DiscreteControlProblem, control_grid_points
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
+from .simplex import seed_length
 from .synthesis import Rollout
 
 _MPI_SWEEPS = 30  # policy-operator sweeps after each full backup in value_iteration
@@ -110,7 +111,9 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     ``model.pair_lattice`` once and scatters the result to its pairs.
     Every pair still gets the same products, the same summation order and
     the same additions as a per-pair sweep, so a full backup matches it
-    bit for bit.
+    bit for bit.  A full backup runs over blocks of about ``_SCAN_CHUNK``
+    pairs (whole nodes each), so no array of backups the size of the
+    lattice is built.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -122,8 +125,7 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
 
     lattice = model.pair_lattice(problem, nodes, controls)
     stage = np.full(kn * kc, np.inf)  # stays inf at the inadmissible pairs
-    # intp, not the lattice's unsigned dtype: take would re-cast it on every sweep
-    successor = np.zeros(kn * kc, dtype=np.intp)
+    successor = np.zeros(kn * kc, dtype=lattice.successor_of.dtype)
     for j, succ in lattice.blocks():
         rows, cols = np.divmod(j, kc)
         stage[j] = problem.g(nodes.take(rows, axis=0), controls.take(cols, axis=0))
@@ -137,14 +139,19 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     diffs = []
     grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), lattice=lattice,
                              threshold=tol * (1.0 - alpha) / alpha, sweep_diffs=diffs)
-    backup = np.empty((kn, kc))
+    per_block = max(1, model._SCAN_CHUNK // kc)  # nodes per block of a full backup
+    backup = np.empty((min(per_block, kn), kc))
     node = np.arange(kn)
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
-        np.take(cont, successor, out=backup)
-        np.add(stage, backup, out=backup)
-        choice = backup.argmin(axis=1)
-        new = backup[node, choice]  # the row minimum itself
+        choice, new = np.empty(kn, dtype=np.intp), np.empty(kn)
+        for lo in range(0, kn, per_block):
+            hi = min(lo + per_block, kn)
+            block = backup[:hi - lo]
+            np.take(cont, successor[lo:hi], out=block)
+            np.add(stage[lo:hi], block, out=block)
+            block.argmin(axis=1, out=choice[lo:hi])
+            new[lo:hi] = block[node[:hi - lo], choice[lo:hi]]  # the row minimum itself
         diff = float(np.abs(new - values).max())
         diffs.append(diff)
         values = new
@@ -307,8 +314,9 @@ def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
     """
     richer = MonomialBasis(basis.dim, basis.max_degree + 1)
     lp = assemble(problem, richer, grid_spec)
+    # the leading columns the simplex reads, copied so the full order is freed before it runs
     seed = np.argsort(silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls),
-                      kind="stable")
+                      kind="stable")[:seed_length(lp.n_rows)].copy()
     _, cert = solve(lp, pivot_tol=pivot_tol, seed=seed)
     increment = max(0.0, cert.mu - certificate.mu)
     oracle_gap = max(0.0, (1.0 - problem.discount) * oracle_value - cert.mu)

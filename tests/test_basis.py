@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcontrol import MonomialBasis, builtin_problem, model
-from omcontrol.basis import constraint_columns
+from omcontrol.basis import _distinct_values, constraint_columns
 
 
 class TestEnumeration:
@@ -173,3 +173,99 @@ class TestEvaluateCoefficients:
             b.evaluate(np.zeros(3), np.ones(b.count))
         with pytest.raises(ValueError):
             b.evaluate(np.zeros((4, 1)), np.ones(b.count))
+
+
+def reference_horner(b, pts, coef):
+    """Horner's rule as ``_horner`` ran before the distinct-value path: every axis per point."""
+    n = b.max_degree + 1
+    acc = np.zeros((b.count, 1))
+    acc[b._tensor_index, 0] = coef
+    for a in range(b.dim - 1, -1, -1):
+        terms = acc.reshape(acc.shape[0] // n, n, acc.shape[1])
+        x = pts[:, a]
+        acc = np.empty((terms.shape[0], pts.shape[0]))
+        acc[...] = terms[:, n - 1, :]
+        for j in range(n - 2, -1, -1):
+            acc *= x
+            acc += terms[:, j, :]
+    return acc[0]
+
+
+def special_points(dim, rng):
+    """Signed zeros, NaN, infinities and points 5e-13 off the faces of [-1, 1], with repeats."""
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 + 5e-13, 1 - 5e-13,
+                        -1 + 5e-13, -1 - 5e-13, 0.5])
+    pts = rng.choice(special, size=(40, dim))
+    pts[:, -1] = np.tile(special, 4)  # every value in the last coordinate, each four times
+    return pts
+
+
+class TestHornerKernel:
+    """``_horner`` against its former per-point contraction, bit for bit."""
+
+    DIMS_DEGREES = pytest.mark.parametrize("dim, degree", [
+        (d, k) for d in (1, 2, 3) for k in (0, 1, 7, 8, 9)])
+
+    @staticmethod
+    def same(b, pts, coef):
+        new, ref = b._horner(pts, coef), reference_horner(b, pts, coef)
+        return new.dtype == ref.dtype and new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+    @DIMS_DEGREES
+    def test_grid_points(self, dim, degree):
+        rng = np.random.default_rng(100 * dim + degree)
+        b = MonomialBasis(dim, degree)
+        coef = rng.standard_normal(b.count)
+        axes = [np.linspace(-1.0, 1.0, 21 - 4 * a) for a in range(dim)]
+        grid = model.tensor_points(axes)
+        # the rollout's shape: a state's successors 0.5 y - 0.5 u over a control grid
+        succ = 0.5 * rng.uniform(-1, 1, dim) - 0.5 * grid
+        for pts in (grid, succ, grid[::-1]):
+            assert self.same(b, pts, coef)
+
+    @DIMS_DEGREES
+    def test_random_points(self, dim, degree):
+        rng = np.random.default_rng(200 + 100 * dim + degree)
+        b = MonomialBasis(dim, degree)
+        coef = rng.standard_normal(b.count)
+        assert self.same(b, rng.uniform(-1, 1, (500, dim)), coef)
+
+    @DIMS_DEGREES
+    def test_special_values(self, dim, degree):
+        rng = np.random.default_rng(300 + 100 * dim + degree)
+        b = MonomialBasis(dim, degree)
+        coef = rng.standard_normal(b.count)
+        coef[rng.random(b.count) < 0.3] = 0.0
+        pts = special_points(dim, rng)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and inf - inf
+            assert self.same(b, pts, coef)
+            # all-negative-zero coefficients: the sign of each zero value depends on x's
+            assert self.same(b, pts, np.full(b.count, -0.0))
+        # -0.0 and 0.0 are distinct values of the last coordinate
+        values, inverse = _distinct_values(pts[:, -1])
+        assert inverse is not None and len(values) == 10
+
+    @DIMS_DEGREES
+    def test_empty_batch_and_single_point(self, dim, degree):
+        rng = np.random.default_rng(400 + 100 * dim + degree)
+        b = MonomialBasis(dim, degree)
+        coef = rng.standard_normal(b.count)
+        empty = np.empty((0, dim))
+        assert self.same(b, empty, coef) and b.evaluate(empty, coef).shape == (0,)
+        pt = rng.uniform(-1, 1, dim)
+        assert self.same(b, pt[None, :], coef)
+        one = b.evaluate(pt, coef)
+        assert type(one) is np.float64
+        assert one.tobytes() == reference_horner(b, pt[None, :], coef)[0].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_both_sides_of_the_distinct_value_fallback(self, dim):
+        rng = np.random.default_rng(500 + dim)
+        b = MonomialBasis(dim, 7)
+        coef = rng.standard_normal(b.count)
+        pts = rng.uniform(-1, 1, (200, dim))
+        for distinct, gathered in ((100, True), (101, False)):
+            pts[:, -1] = np.concatenate([np.arange(distinct) / distinct,
+                                         np.zeros(200 - distinct)])
+            assert (_distinct_values(pts[:, -1])[1] is not None) == gathered
+            assert self.same(b, pts, coef)

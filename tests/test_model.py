@@ -4,7 +4,7 @@ import pytest
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
                        FiniteSet, InadmissibleTransition, UnknownProblem,
                        builtin_problem, step)
-from omcontrol.model import (admissible_mask, control_grid_points, pair_grid,
+from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points, pair_grid,
                              require_admissible, tensor_points)
 
 
@@ -166,3 +166,64 @@ class TestRegions:
         # counts are ignored: the grid is the set itself, lexicographically sorted
         _, controls, mask = pair_grid(p, np.array([[0.5]]), control_grid_points(p, None))
         np.testing.assert_allclose(controls[mask[0], 0], [0.0, 0.3, 0.9])
+
+
+def reference_contains(box, points, tol=MEMBERSHIP_TOL):
+    """``Box.contains`` as it ran before testing one axis at a time: a (K, m) boolean array."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    ok = np.all((pts >= box.lower - tol) & (pts <= box.upper + tol), axis=1)
+    return bool(ok[0]) if single else ok
+
+
+class TestContainsKernel:
+    """``Box.contains`` against its former all-axes test, result type and bytes."""
+
+    BOXES = pytest.mark.parametrize("dim", [1, 2, 3])
+
+    @staticmethod
+    def box(dim):
+        return Box(np.linspace(-1.0, 0.0, dim), np.linspace(1.0, 2.0, dim))
+
+    @staticmethod
+    def same(box, pts, **tol):
+        new, ref = box.contains(pts, **tol), reference_contains(box, pts, **tol)
+        if isinstance(ref, bool):
+            return type(new) is bool and new == ref
+        return new.dtype == ref.dtype and new.shape == ref.shape and new.tobytes() == ref.tobytes()
+
+    @BOXES
+    def test_grid_and_random_points(self, dim):
+        rng = np.random.default_rng(600 + dim)
+        box = self.box(dim)
+        grid = tensor_points([np.linspace(-1.5, 2.5, 17)] * dim)
+        assert self.same(box, grid)
+        assert self.same(box, rng.uniform(-1.5, 2.5, (1000, dim)))
+        assert self.same(box, grid, tol=0.25) and self.same(box, grid, tol=0.0)
+
+    @BOXES
+    def test_special_values(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        box = Box(np.zeros(dim), np.ones(dim))
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, 5e-13, -5e-13,
+                            1 + 5e-13, 1 - 5e-13, -2e-12, 1 + 2e-12])
+        pts = rng.choice(special, size=(500, dim))
+        pts[:len(special), 0] = special
+        assert self.same(box, pts) and self.same(box, pts, tol=0.0)
+        for pt in pts[:len(special)]:
+            assert self.same(box, pt)
+
+    @BOXES
+    def test_empty_batch_and_single_point(self, dim):
+        box = self.box(dim)
+        assert self.same(box, np.empty((0, dim)))
+        assert box.contains(np.empty((0, dim))).shape == (0,)
+        assert self.same(box, np.zeros(dim)) and self.same(box, np.full(dim, 3.0))
+        assert self.same(box, np.zeros((1, dim)))
+
+    def test_wrong_point_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            self.box(2).contains(np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            self.box(2).contains(np.zeros(1))

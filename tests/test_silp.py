@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,39 @@ class TestAssemble:
         b = assemble(p, MonomialBasis(2, 3), GridSpec(state=(5, 5), control=(5, 5)))
         assert np.array_equal(a.matrix, b.matrix)
         assert np.array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("make, degree, grid, block, room", [
+        # 6,561 pairs in blocks of 1,024, the last one short
+        (lambda: builtin_problem("example1"), 7, (9, 9), None, 0),
+        # shift-dense's base LP: 160,801 pairs in blocks of 7,281, with solve_refined's room
+        (lambda: builtin_problem("shift"), 8, (401,), None, 632),
+        # blocks of 9 pairs over the 841 admissible ones of 41 x 41
+        (lambda: drift_problem(), 3, (41,), 37, 5),
+    ], ids=["example1", "shift-dense", "drift"])
+    def test_blocks_match_one_pass_bitwise(self, monkeypatch, make, degree, grid, block, room):
+        if block is not None:
+            monkeypatch.setattr(silp, "_ASSEMBLY_BLOCK", block)
+        p = make()
+        b = MonomialBasis(p.state_dim, degree)
+        spec = GridSpec(state=grid, control=grid)
+        lp = assemble(p, b, spec, room)
+        assert lp.n_columns > max(1, silp._ASSEMBLY_BLOCK // b.count)  # more than one block
+        assert same_arrays(lp, one_pass_assembly(p, b, spec))
+        np.testing.assert_array_equal(lp.rhs, np.eye(b.count)[-1])
+
+    def test_peak_memory_with_room_on_shift_dense(self):
+        # shift-dense's base LP with solve_refined's room.  One pass over all pairs peaked
+        # at 28.3 MiB: constraint_columns' two (160,801, 9) arrays, the stacked matrix and
+        # its copy into the buffer, with the pair grid's (160,801,) arrays of 1.2 MiB each.
+        # In blocks, less than two such arrays come on top of the LP's 14.8 MiB.
+        p = builtin_problem("shift")
+        spec = GridSpec(state=(401,), control=(401,))
+        lp, peak = traced_peak_mib(lambda: assemble(p, MonomialBasis(1, 8), spec, 632))
+        assert lp.n_columns == 160_801
+        buf = lp._buffer
+        lp_mib = sum(a.nbytes for a in (buf.columns, buf.states, buf.controls, buf.cost)) / 2**20
+        assert 14.5 < lp_mib < 15.0
+        assert peak <= lp_mib + 2.0
 
 
 class TestSolve:
@@ -257,6 +291,29 @@ class TestRefine:
             solve_refined(*several_rounds(), max_rounds=5)
 
 
+def traced_peak_mib(fn):
+    """``fn()`` and the peak of the memory tracemalloc sees it allocate, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - base) / 2**20
+
+
+def one_pass_assembly(problem, basis, grid_spec):
+    """Reference LP arrays: every admissible pair's columns from one constraint_columns call."""
+    states, controls, mask = model.pair_grid(
+        problem, model.state_grid_points(problem, grid_spec.state),
+        model.control_grid_points(problem, grid_spec.control))
+    states, controls = states[mask.ravel()], controls[mask.ravel()]
+    cols = constraint_columns(basis, problem, states, controls)[1:]
+    return (states, controls, problem.g(states, controls),
+            np.vstack([cols, np.ones((1, states.shape[0]))]))
+
+
 def stacked(lp, problem, basis, states, controls):
     """Reference extension: every array stacked anew, as a fresh copy per call."""
     cols = constraint_columns(basis, problem, states, controls)[1:]
@@ -273,10 +330,12 @@ def same_arrays(lp, arrays):
 
 
 class TestColumnBuffer:
+    GRID = GridSpec(state=(5,), control=(5,))
+
     def lp_and_columns(self):
         p = builtin_problem("example1")
         b = MonomialBasis(2, 3)
-        lp = assemble(p, b, GridSpec(state=(5,), control=(5,)))
+        lp = assemble(p, b, self.GRID)
         rng = np.random.default_rng(900)
         pick = [rng.choice(lp.n_columns, size=k, replace=False) for k in (3, 5)]
         # pairs off the grid: some of the LP's own pairs with their states scaled by 0.9
@@ -288,7 +347,7 @@ class TestColumnBuffer:
     def test_extending_twice_keeps_each_lps_columns(self, room):
         p, b, lp, ys, us = self.lp_and_columns()
         if room is not None:
-            lp = lp.with_room(room)
+            lp = assemble(p, b, self.GRID, room)
         parent = tuple(a.copy(order="K") for a in (lp.states, lp.controls, lp.cost, lp.matrix))
         first = lp.extended(p, b, ys[0], us[0])
         second = lp.extended(p, b, ys[1], us[1])
@@ -306,7 +365,7 @@ class TestColumnBuffer:
 
     def test_room_is_used_in_place(self):
         p, b, lp, ys, us = self.lp_and_columns()
-        roomy = lp.with_room(ys[0].shape[0] + ys[1].shape[0])
+        roomy = assemble(p, b, self.GRID, ys[0].shape[0] + ys[1].shape[0])
         first = roomy.extended(p, b, ys[0], us[0])
         second = first.extended(p, b, ys[1], us[1])
         assert first.matrix.base is roomy.matrix.base is second.matrix.base
@@ -449,7 +508,7 @@ class TestScan:
                       CandidateSpec(state=(41,), control=(41,), max_new_columns=1),
                       tol=1e-9, max_rounds=20, history=history)
         assert len(history) >= 3
-        # 41 * 41 = 1,681 lattice pairs, then the 5 * 5 pairs of the base LP's pair_grid
+        # 41 * 41 = 1,681 lattice pairs, then the base LP's 5 * 5 pairs in one assembly block
         assert sizes == [500, 500, 500, 181, 25]
 
 

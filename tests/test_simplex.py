@@ -483,6 +483,94 @@ def example1_base_lp():
     return assemble(p, MonomialBasis(p.state_dim, 7), GridSpec(state=(9,), control=(9,)))
 
 
+# The sifting loop as it was before its pricing buffer and its partition-based choice of
+# entering columns: a fresh reduced-cost array per pass and a stable argsort of the negative
+# ones.  Its globals are the simplex module's, as for ``_reference_iterate`` below.
+def _reference_sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done):
+    width = _SIFT_WIDTH * A.shape[0]
+    while True:
+        local = np.searchsorted(work, basis)
+        xB, y, pivots_done = _iterate(A[:, work], b, c[work], local,
+                                      int(np.searchsorted(work, n_enterable)),
+                                      pivot_tol, max_pivots, pivots_done)
+        basis = work[local]
+        rc = c[:n_enterable] - y @ A[:, :n_enterable]
+        rc[work[work < n_enterable]] = 0.0
+        negative = np.nonzero(rc < -pivot_tol)[0]
+        if negative.size == 0:
+            return xB, y, basis, pivots_done
+        entering = negative[np.argsort(rc[negative], kind="stable")[:width]]
+        work = np.union1d(work, entering)
+
+
+reference_sift = types.FunctionType(_reference_sift.__code__, vars(simplex), "reference_sift")
+
+
+def tied_lp(seed, copies=25):
+    """A wide LP whose columns each repeat ``copies`` times: every reduced cost ties."""
+    rng = np.random.default_rng(900 + seed)
+    m, n = 6, 200
+    A = np.vstack([rng.integers(-3, 4, size=(m - 1, n)).astype(float), np.ones(n)])
+    b = A @ rng.dirichlet(np.ones(n))
+    c = rng.integers(-5, 6, size=n).astype(float)
+    return np.repeat(A, copies, axis=1), b, np.repeat(c, copies)
+
+
+class TestSiftPricing:
+    """``_sift`` against its former loop: the same entering columns, so the same bytes."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_most_negative_is_the_stable_argsort_prefix(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n, tol = int(rng.integers(1, 120)), 1e-9
+        # a few distinct values, so ties straddle the width-th lowest; zeros, NaN and
+        # values within the tolerance never enter
+        rc = rng.integers(-12, 3, size=n).astype(float)
+        rc[rng.random(n) < 0.1] = rng.choice([-1e-10, -0.0, np.nan])
+        negative = np.nonzero(rc < -tol)[0]
+        order = negative[np.argsort(rc[negative], kind="stable")]
+        for width in range(1, negative.size + 3):
+            got = simplex._most_negative(rc, width, tol)
+            if negative.size == 0:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(np.sort(got), np.sort(order[:width]))
+
+    @pytest.mark.parametrize("case", ["tied-0", "tied-1", "tied-2", "wide-0", "wide-1",
+                                      "kappa-shift", "kappa-example1", "example1"])
+    def test_matches_the_argsort_loop_bitwise(self, monkeypatch, case):
+        seed = None
+        if case.startswith("tied"):
+            A, b, c = tied_lp(int(case[-1]))
+        elif case.startswith("wide"):
+            A, b, c, rng = feasible_lp(int(case[-1]))
+            A, c = widened(A, c, rng)
+        elif case.startswith("kappa"):
+            lp, rc = kappa_lp(case[6:], 3, (21,) if case == "kappa-shift" else (7,))
+            A, b, c, seed = lp.matrix, lp.rhs, lp.cost, np.argsort(rc, kind="stable")
+        else:
+            lp = example1_base_lp()
+            A, b, c = lp.matrix, lp.rhs, lp.cost
+        sift, passes = simplex._sift, []
+
+        def counted(*args):
+            passes.append(args)
+            return sift(*args)
+
+        monkeypatch.setattr(simplex, "_sift", counted)
+        try:
+            res = solve_equality_lp(A, b, c, seed=seed)
+        except LpUnbounded:
+            res = LpUnbounded
+        assert passes
+        monkeypatch.setattr(simplex, "_sift", reference_sift)
+        try:
+            ref = solve_equality_lp(A, b, c, seed=seed)
+        except LpUnbounded:
+            ref = LpUnbounded
+        assert res is ref if ref is LpUnbounded else same_result(res, ref)
+
+
 class TestUnseededPhaseOne:
     @pytest.mark.parametrize("case", ["drawn-0", "drawn-1", "drawn-2", "example1"])
     def test_matches_full_pricing_bitwise(self, monkeypatch, case):

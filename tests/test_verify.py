@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,41 @@ def per_pair_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
         if diffs[-1] <= threshold:
             break
     return values, diffs
+
+
+def unblocked_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000):
+    """Reference modified policy iteration with every full backup over the whole lattice at
+    once, as ``value_iteration`` ran before its backups were blocked: (the last full backup,
+    sweep_diffs)."""
+    alpha = p.discount
+    axes = tuple(p.state_region.axes(state_grid))
+    nodes = tensor_points(axes)
+    controls = control_grid_points(p, control_grid)
+    kn, kc = len(nodes), len(controls)
+    lattice = model.pair_lattice(p, nodes, controls)
+    stage = np.full(kn * kc, np.inf)
+    successor = np.zeros(kn * kc, dtype=np.intp)
+    for j, succ in lattice.blocks():
+        rows, cols = np.divmod(j, kc)
+        stage[j] = p.g(nodes[rows], controls[cols])
+        successor[j] = succ
+    stage, successor = stage.reshape(kn, kc), successor.reshape(kn, kc)
+    idx, wgt = verify._interp_table(axes, lattice.successors)
+    node, values, diffs = np.arange(kn), np.zeros(kn), []
+    for _ in range(max_iter):
+        cont = alpha * (values[idx] * wgt).sum(axis=1)
+        backup = stage + np.take(cont, successor)
+        choice = backup.argmin(axis=1)
+        new = backup[node, choice]
+        diffs.append(float(np.abs(new - values).max()))
+        if diffs[-1] <= tol * (1.0 - alpha) / alpha:
+            break
+        chosen = successor[node, choice]
+        policy_stage, policy_idx, policy_wgt = stage[node, choice], idx[chosen], wgt[chosen]
+        values = new
+        for _ in range(verify._MPI_SWEEPS):
+            values = policy_stage + alpha * (values[policy_idx] * policy_wgt).sum(axis=1)
+    return new, diffs
 
 
 def bellman_residual(p, state_grid, control_grid, grid):
@@ -212,6 +248,55 @@ class TestValueIteration:
         spacing = np.spacing(np.abs(grid.values).max())
         certificate = p.discount * tol * (1 - p.discount) / p.discount
         assert bellman_residual(p, (11, 11), (5, 5), grid) <= certificate + spacing
+
+    @pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
+        # blocks of 3 nodes end on a block of 2, and every block holds inadmissible pairs
+        (drift_problem, (11,), (5,), 15),
+        (drift_problem, (23,), (7,), 40),
+        # blocks of 8 nodes over 121: the last one holds a single node
+        (lambda: builtin_problem("example1"), (11, 11), (5, 5), 200),
+    ], ids=["drift-3", "drift-5", "example1-8"])
+    def test_backup_blocks_match_per_pair_and_unblocked_bitwise(self, monkeypatch, problem,
+                                                               state_grid, control_grid, chunk):
+        monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
+        p = problem()
+        kn, kc = int(np.prod(state_grid)), int(np.prod(control_grid))
+        per_block = chunk // kc
+        assert kn % per_block != 0
+        if p.state_dim == 1:
+            nodes = tensor_points(p.state_region.axes(state_grid))
+            _, _, mask = model.pair_grid(p, nodes, control_grid_points(p, control_grid))
+            assert all(not mask[lo:lo + per_block].all() for lo in range(0, kn, per_block))
+        with pytest.raises(NotConverged) as err:
+            value_iteration(p, state_grid, control_grid, tol=1e-8, max_iter=1)
+        values, diffs = per_pair_value_iteration(p, state_grid, control_grid, 1e-8, max_iter=1)
+        assert err.value.grid.values.tobytes() == values.tobytes()
+        assert err.value.grid.sweep_diffs == diffs
+        for max_iter in (3, 20_000):
+            try:
+                grid = value_iteration(p, state_grid, control_grid, tol=1e-8, max_iter=max_iter)
+            except NotConverged as exc:
+                grid = exc.grid
+            values, diffs = unblocked_value_iteration(p, state_grid, control_grid, 1e-8,
+                                                      max_iter=max_iter)
+            assert grid.values.tobytes() == values.tobytes()
+            assert grid.sweep_diffs == diffs
+
+    def test_peak_memory_on_example1_oracle(self):
+        # example1's 41^2 nodes x 21^2 controls: 741,321 pairs.  Full backups over the whole
+        # lattice peaked at 27.8 MiB (stage, intp successors and backups, 5.7 MiB each); in
+        # blocks the stage array is the only one of that size, and the successors are uint16.
+        p = builtin_problem("example1")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grid = value_iteration(p, (41, 41), (21, 21))
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert len(grid.sweep_diffs) == 9
+        assert grid.lattice.successor_of.dtype == np.uint16
+        assert peak <= 18.0
 
     def test_distinct_rows_keep_signed_zeros_apart(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.5, -0.0], [0.5, 0.0]])
