@@ -10,8 +10,7 @@ from .errors import (AssumptionIIViolation, AssumptionIViolation, EmptyMeasure,
                      InadmissibleTransition, InsufficientGrid, LpInfeasible,
                      LpUnbounded, NonConverged, NotConverged, RolloutAborted,
                      SolverError, SolverStalled, UnknownProblem)
-from .model import (Box, DiscreteControlProblem, FiniteSet, builtin_problem, one_step,
-                    step)
+from .model import Box, DiscreteControlProblem, builtin_problem, one_step, step
 from .silp import (AtomicMeasure, CandidateSpec, DualCertificate, FiniteLP,
                    GridSpec, assemble, discard_small_atoms, reduced_costs,
                    solve, solve_refined)

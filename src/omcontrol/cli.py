@@ -200,17 +200,25 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_solution(cfg: RunConfig):
+def _load_solution(cfg: RunConfig, problem, basis):
+    """The solution under ``cfg.out``, refused if its problem, alpha, y0 or degree differ."""
     path = Path(cfg.out) / "solution.json"
     if not path.exists():
         raise FileNotFoundError(f"no solution file at {path}; run solve first")
-    return silp.solution_from_json(path.read_text())
+    measure, certificate, doc = silp.solution_from_json(path.read_text())
+    run = {"problem": problem.name, "alpha": problem.discount,
+           "y0": [float(v) for v in problem.initial_state], "degree": basis.max_degree}
+    for key, value in run.items():
+        if key in doc and doc[key] != value:
+            raise ValueError(f"{path} was solved for {key} = {doc[key]}, this run has "
+                             f"{key} = {value}; run solve again")
+    return measure, certificate
 
 
 def cmd_rollout(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
-    measure, certificate, _ = _load_solution(cfg)
+    measure, certificate = _load_solution(cfg, problem, basis)
 
     if cfg.policy == "minimizer":
         policy = synthesis.minimizer_policy(problem, basis, certificate,
@@ -241,7 +249,7 @@ def cmd_rollout(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
-    measure, certificate, _ = _load_solution(cfg)
+    measure, certificate = _load_solution(cfg, problem, basis)
     states, controls, meta = synthesis.read_trajectory_csv(Path(cfg.out) / "trajectory.csv")
     if not len(states):
         raise ValueError("trajectory.csv has no steps: the rollout aborted at t = 0")
@@ -281,10 +289,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks.append(("gap certificate", synthesis.gap_certificate(roll, certificate),
                    cfg.gap_slack))
 
+    oracle_y0 = oracle(problem.initial_state)
     grid, _ = _grid_specs(cfg)
     try:
-        kappa = verify.estimate_kappa(problem, basis, grid, certificate,
-                                      oracle(problem.initial_state),
+        kappa = verify.estimate_kappa(problem, basis, grid, certificate, oracle_y0,
                                       pivot_tol=cfg.pivot_tol)
         kappa_text = f"{kappa:.3e}"
     except SolverError as exc:  # the estimate is INFO only: the checks set the exit status
@@ -293,8 +301,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     passed = [residual <= threshold for _, residual, threshold in checks]
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {residual:.3e} (tol {threshold:.3e})"
              for ok, (name, residual, threshold) in zip(passed, checks)]
+    lines.append(f"INFO truncation bound: {roll.truncation_bound:.3e}")
     lines.append(f"INFO kappa estimate: {kappa_text}")
-    lines.append(f"INFO oracle value at y0: {oracle(problem.initial_state):.6f}")
+    lines.append(f"INFO oracle value at y0: {oracle_y0:.6f}")
     lines.append(f"INFO mu/(1-alpha): {scaled_mu:.6f}")
     text = "\n".join(lines) + "\n"
     out = Path(cfg.out)

@@ -1,11 +1,12 @@
 """Problem data for infinite-horizon discounted control in discrete time.
 
 A :class:`DiscreteControlProblem` bundles the transition map ``f``, the
-running cost ``g``, the state box ``Y``, the control region ``U`` (a box or
-an explicit finite set), a discount factor in (0, 1) and the initial state.
-A state-control pair is *admissible* when the successor ``f(y, u)`` stays
-inside ``Y``.  ``pair_grid`` crosses a state array with a control array
-and masks the pairs by admissibility.  ``pair_lattice`` indexes the
+running cost ``g``, the state box ``Y``, the control box ``U``, a discount
+factor in (0, 1) and the initial state.  A state-control pair is
+*admissible* when the successor ``f(y, u)`` stays inside ``Y``.
+``pair_grid`` crosses a state array with a control array and masks the
+pairs by admissibility, and ``one_step_table`` is the one-step expression
+over such a grid, +inf at the inadmissible pairs.  ``pair_lattice`` indexes the
 admissible pairs of a lattice too large to cross at once (the candidates
 of ``solve``, the oracle grid of ``verify``) one block at a time, by their
 distinct successors.  ``require_admissible`` is the one check of Assumption I,
@@ -19,7 +20,7 @@ numpy expressions satisfy this automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -79,24 +80,6 @@ class Box:
         return tensor_points(self.axes(counts))
 
 
-@dataclass(frozen=True)
-class FiniteSet:
-    """Explicit finite control set, kept in lexicographic order."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        order = np.lexsort(pts.T[::-1])
-        object.__setattr__(self, "points", pts[order])
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
 def _per_axis_counts(counts, dim: int) -> tuple[int, ...]:
     if np.isscalar(counts):
         counts = (int(counts),) * dim
@@ -126,7 +109,7 @@ class DiscreteControlProblem:
     dynamics : batched map (y, u) -> next state.
     cost : batched running cost (y, u) -> scalar.
     state_region : box Y the trajectory must stay in.
-    control_region : box or finite set of raw controls.
+    control_region : box U of raw controls.
     discount : discount factor in (0, 1).
     initial_state : starting state, must lie in Y.
     """
@@ -135,7 +118,7 @@ class DiscreteControlProblem:
     dynamics: Callable
     cost: Callable
     state_region: Box
-    control_region: Union[Box, FiniteSet]
+    control_region: Box
     discount: float
     initial_state: np.ndarray
     name: str = ""
@@ -163,28 +146,26 @@ class DiscreteControlProblem:
         return np.asarray(out, dtype=float)
 
 
-def control_grid_points(problem: DiscreteControlProblem, spec=None) -> np.ndarray:
-    """Resolve a control discretization spec into an ordered (K, d) array.
-
-    ``spec`` may be per-axis counts for a box region, an explicit array of
-    controls (used as given), or None for a finite-set region.
-    """
-    region = problem.control_region
+def _grid_points(region: Box, spec) -> np.ndarray:
     if isinstance(spec, np.ndarray):
-        pts = spec.astype(float)
+        pts = np.asarray(spec, dtype=float)  # no copy of a float64 array
         return pts[:, None] if pts.ndim == 1 else pts
-    if isinstance(region, FiniteSet):
-        return region.points
-    if spec is None:
-        raise ValueError("a box control region needs a grid spec")
     return region.grid(spec)
 
 
+def control_grid_points(problem: DiscreteControlProblem, spec) -> np.ndarray:
+    """Resolve a control discretization spec into an ordered (K, d) array.
+
+    ``spec`` is per-axis counts of a tensor grid of the control box, or an
+    explicit array of controls, used as given: a float64 array comes back
+    as itself (a 1-D one as a column view), not as a copy.
+    """
+    return _grid_points(problem.control_region, spec)
+
+
 def state_grid_points(problem: DiscreteControlProblem, spec) -> np.ndarray:
-    if isinstance(spec, np.ndarray):
-        pts = spec.astype(float)
-        return pts[:, None] if pts.ndim == 1 else pts
-    return problem.state_region.grid(spec)
+    """``control_grid_points`` for the state box."""
+    return _grid_points(problem.state_region, spec)
 
 
 def distinct_rows(points):
@@ -322,6 +303,22 @@ def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
     if psi_f is None:
         psi_f = psi(problem.f(states, controls))
     return problem.g(states, controls) + problem.discount * (psi_f - psi_y)
+
+
+def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, controls,
+                   psi_y=0.0) -> np.ndarray:
+    """``one_step`` at every pair of a (K, m) state and (C, d) control array.
+
+    The (K, C) table, +inf at the inadmissible pairs; ``psi_y`` is a scalar
+    or one value per pair, states varying slowest.  The minimizing control
+    and the minimized one-step expression are its row argmin and row minima.
+    Raises :class:`AssumptionIViolation` at the first state with no
+    admissible control.
+    """
+    pair_states, pair_controls, mask = pair_grid(problem, states, controls)
+    require_admissible(states, mask)
+    vals = one_step(problem, psi, pair_states, pair_controls, psi_y).reshape(mask.shape)
+    return np.where(mask, vals, np.inf)
 
 
 def step(problem: DiscreteControlProblem, y, u) -> np.ndarray:

@@ -208,12 +208,12 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     """Discretize the admissible graph and build the equality-form LP.
 
     The grid's pairs are taken a block at a time, in blocks of
-    ``_ASSEMBLY_BLOCK`` LP entries: one pass counts the admissible pairs,
-    and a second writes their columns straight into a ``_ColumnBuffer``
-    with ``room`` columns to spare for ``FiniteLP.extended``.  A column
-    depends on its own pair alone, so the blocks give the bytes of one pass
-    over every pair, and no array the size of the grid is built but the
-    LP's own.
+    ``_ASSEMBLY_BLOCK`` LP entries: one pass masks each block and writes its
+    admissible columns into a ``_ColumnBuffer`` sized for every pair plus
+    ``room`` columns for ``FiniteLP.extended`` (columns never written take
+    no resident memory).  A column depends on its own pair alone, so the
+    blocks give the bytes of one pass over every pair, and no array the
+    size of the grid is built but the LP's own.
     """
     if basis.dim != problem.state_dim:
         raise ValueError("basis dimension does not match the problem")
@@ -226,16 +226,14 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
         rows, cols = np.divmod(np.arange(start, min(start + block, total)), kc)
         return s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
 
-    starts = range(0, total, block)
-    admissible = [model.admissible_mask(problem, *block_pairs(start)) for start in starts]
-    count = sum(int(keep.sum()) for keep in admissible)
-    if count < n_rows:
-        raise InsufficientGrid(f"{count} admissible grid points for {n_rows} LP rows")
-    buf = _ColumnBuffer(count + room, n_rows, s_pts.shape[1], c_pts.shape[1])
-    for start, keep in zip(starts, admissible):
+    buf = _ColumnBuffer(total + room, n_rows, s_pts.shape[1], c_pts.shape[1])
+    for start in range(0, total, block):
         ys, us = block_pairs(start)
+        keep = model.admissible_mask(problem, ys, us)
         ys, us = ys[keep], us[keep]
         buf.append(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us)[1:])
+    if buf.used < n_rows:
+        raise InsufficientGrid(f"{buf.used} admissible grid points for {n_rows} LP rows")
     rhs = np.zeros(n_rows)
     rhs[-1] = 1.0
     return buf.lp(rhs)

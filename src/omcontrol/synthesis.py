@@ -1,12 +1,12 @@
 """Near-optimal feedback synthesis and trajectory simulation.
 
 Two feedback rules are provided: the surrogate minimizer, which picks the
-grid control minimizing g(y, u) + alpha * psi(f(y, u)) (``model.one_step``
-with psi_y = 0; inadmissible controls score +inf) by exhaustive search
-(the inner problem is generally not convex, and the control spaces here
-are low-dimensional), and the nearest-atom heuristic, which copies the
-control of the concentration point whose state component is closest to
-the current state, breaking distance ties by weight.  ``rollout``
+grid control minimizing g(y, u) + alpha * psi(f(y, u)) (the one row of
+``model.one_step_table`` with psi_y = 0; inadmissible controls score +inf)
+by exhaustive search (the inner problem is generally not convex, and the
+control spaces here are low-dimensional), and the nearest-atom heuristic,
+which copies the control of the concentration point whose state component
+is closest to the current state, breaking distance ties by weight.  ``rollout``
 simulates either rule for long enough that the discounted tail is below a
 requested truncation error, and the gap against the LP value certifies
 near-optimality.
@@ -24,7 +24,7 @@ from . import model
 from .basis import MonomialBasis
 from .errors import (AssumptionIIViolation, AssumptionIViolation,
                      InadmissibleTransition, RolloutAborted)
-from .model import DiscreteControlProblem, control_grid_points, one_step, step
+from .model import DiscreteControlProblem, control_grid_points, step
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate
 
@@ -62,12 +62,9 @@ def minimizer_control(problem: DiscreteControlProblem, basis: MonomialBasis,
     resolve deterministically.  Raises :class:`AssumptionIViolation` when
     no grid control is admissible at y.
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
     grid = control_grid_points(problem, control_grid)
-    states, controls, mask = model.pair_grid(problem, y, grid)
-    model.require_admissible(y, mask)
     psi = functools.partial(certificate.psi, basis)
-    vals = np.where(mask[0], one_step(problem, psi, states, controls), np.inf)
+    vals = model.one_step_table(problem, psi, np.atleast_2d(np.asarray(y, dtype=float)), grid)[0]
     tied = np.nonzero(vals <= vals.min() + _TIE_TOL)[0]
     pick = tied[np.lexsort(tuple(grid[tied, a] for a in range(grid.shape[1] - 1, -1, -1)))[0]]
     return grid[pick].copy()

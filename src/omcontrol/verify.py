@@ -7,9 +7,10 @@ of sweeps of its greedy policy's own operator.  The remaining checks
 certify a solution pipeline: residuals of a measure against every test
 function, stationarity and value-agreement of a rollout under a dual
 certificate, the pointwise bound of the surrogate by the value function,
-and the nonnegativity of the shifted one-step inequality.  Every scan of the one-step expression
-g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through ``model.one_step``, and
-the node grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
+and the nonnegativity of the shifted one-step inequality.  Every scan of the
+one-step expression g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through
+``model.one_step`` or, over a grid, ``model.one_step_table``, and the node
+grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
 Everything here is report-oriented: checks return residual magnitudes and
 the caller compares against slacks.
 """
@@ -177,12 +178,8 @@ def hamiltonian_min(problem: DiscreteControlProblem, psi: Callable, states,
     single = states.ndim == 1
     states = np.atleast_2d(states)
     controls = control_grid_points(problem, control_grid)
-    k, kc = len(states), len(controls)
-    pair_states, pair_controls, mask = model.pair_grid(problem, states, controls)
-    model.require_admissible(states, mask)
-    psi_y = np.repeat(psi(states), kc)
-    vals = model.one_step(problem, psi, pair_states, pair_controls, psi_y).reshape(k, kc)
-    out = np.where(mask, vals, np.inf).min(axis=1)
+    psi_y = np.repeat(psi(states), len(controls))
+    out = model.one_step_table(problem, psi, states, controls, psi_y).min(axis=1)
     return float(out[0]) if single else out
 
 
@@ -286,10 +283,11 @@ def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
     psi = functools.partial(certificate.psi, basis)
     shift = value_at_y0 - psi(problem.initial_state)
     lattice = value_grid.lattice
-    vals = np.full((len(lattice.states), len(lattice.controls)), np.inf)  # inf: inadmissible
+    node_min = np.full(len(lattice.states), np.inf)  # a running minimum per node
     for j, ys, us, psi_y, psi_f in lattice.scan(psi):
-        np.put(vals, j, model.one_step(problem, psi, ys, us, psi_y, psi_f))
-    expr = vals.min(axis=1) - (1.0 - problem.discount) * (psi(lattice.states) + shift)
+        np.minimum.at(node_min, j // len(lattice.controls),
+                      model.one_step(problem, psi, ys, us, psi_y, psi_f))
+    expr = node_min - (1.0 - problem.discount) * (psi(lattice.states) + shift)
     return float((-expr).max())
 
 

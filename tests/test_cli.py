@@ -164,6 +164,26 @@ class TestPipeline:
         np.testing.assert_allclose(controls, 0.0, atol=1e-12)
         assert meta["truncated_value"] == pytest.approx(0.4, abs=1e-6)
 
+    def test_report_gives_the_truncation_bound_after_the_gap(self, tmp_path):
+        # at alpha = 0.999, 50 steps leave a discounted tail of up to 0.999^51 / 0.001 * 2:
+        # the gap FAIL is within the truncation bound, and the report shows both
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "a999.cfg"
+        cfg_path.write_text(
+            "problem = example1\nalpha = 0.999\ndegree = 3\nstate_grid = 7\n"
+            "control_grid = 7\ncandidate_state = 9\ncandidate_control = 7\n"
+            "rollout_control_grid = 21\nvi_state_grid = 11\nvi_control_grid = 5\n"
+            f"steps = 50\nout = {out}\n")
+        for stage, code in (("solve", 0), ("rollout", 0), ("verify", 1)):
+            assert cli.main([stage, "--config", str(cfg_path)]) == code
+        _, _, meta = synthesis.read_trajectory_csv(out / "trajectory.csv")
+        assert meta["truncation_bound"] == pytest.approx(0.999 ** 51 / 0.001 * 2.0, rel=1e-5)
+        lines = (out / "report.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("FAIL gap certificate: "))
+        assert lines[at + 1] == f"INFO truncation bound: {meta['truncation_bound']:.3e}"
+        gap = float(lines[at].split(": ")[1].split(" ")[0])
+        assert 0.35 < gap < meta["truncation_bound"]
+
 
 class TestVerifyLattice:
     def test_verify_masks_each_oracle_pair_once(self, tmp_path, monkeypatch):
@@ -296,6 +316,25 @@ class TestErrorPaths:
         cfg_path = shift_config(tmp_path, tmp_path / "empty")
         assert cli.main(["rollout", "--config", cfg_path]) == 1
         assert "run solve first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field,solved,run", [("--y0=0.2", "y0", "[0.2]", "[0.4]"),
+                                                      ("--degree=2", "degree", "2", "3")])
+    def test_solution_for_another_problem_is_refused(self, tmp_path, capsys, flag, field,
+                                                      solved, run):
+        out = tmp_path / "run"
+        cfg_path = shift_config(tmp_path, out)
+        assert cli.main(["solve", "--config", cfg_path]) == 0
+        assert cli.main(["rollout", "--config", cfg_path]) == 0
+        assert cli.main(["solve", "--config", cfg_path, flag]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        for stage in ("rollout", "verify"):
+            assert cli.main([stage, "--config", cfg_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"solved for {field} = {solved}, this run has {field} = {run}" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == files
+        assert "report.txt" not in files
 
     def test_corrupted_solution_json(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
-                       FiniteSet, InadmissibleTransition, UnknownProblem,
-                       builtin_problem, step)
-from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points, pair_grid,
-                             require_admissible, tensor_points)
+                       InadmissibleTransition, UnknownProblem, builtin_problem, step)
+from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points, one_step,
+                             one_step_table, pair_grid, require_admissible, state_grid_points,
+                             tensor_points)
 
 
 def make_add_problem(y0=0.5):
@@ -126,6 +126,33 @@ class TestAdmissibility:
         assert np.shares_memory(controls, grid) and np.shares_memory(states, y)
 
 
+class TestOneStepTable:
+    @staticmethod
+    def psi(pts):
+        return np.sin(3.0 * pts).sum(axis=1)
+
+    @pytest.mark.parametrize("problem", ["example1", "add"])
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_matches_masked_per_pair_one_step_bitwise(self, problem, anchored):
+        p = builtin_problem("example1") if problem == "example1" else make_add_problem()
+        states = p.state_region.grid(5)
+        controls = control_grid_points(p, 7)
+        pair_s, pair_c, mask = pair_grid(p, states, controls)
+        psi_y = np.repeat(self.psi(states), len(controls)) if anchored else 0.0
+        table = one_step_table(p, self.psi, states, controls, psi_y)
+        expected = np.where(mask, one_step(p, self.psi, pair_s, pair_c, psi_y).reshape(mask.shape),
+                            np.inf)
+        assert table.shape == mask.shape and table.tobytes() == expected.tobytes()
+        assert (problem == "add") == bool(np.isinf(table).any())
+
+    def test_state_without_admissible_control_raises(self):
+        p = make_add_problem()
+        with pytest.raises(AssumptionIViolation) as err:
+            one_step_table(p, self.psi, np.array([[0.0], [1.0], [0.9]]),
+                           np.array([[0.5], [0.75]]))
+        assert err.value.state == (1.0,)
+
+
 class TestStep:
     def test_reference_rows(self):
         p = builtin_problem("example1")
@@ -150,22 +177,24 @@ class TestRegions:
         grid = box.grid((3, 5))
         assert grid.shape == (15, 2)
 
-    def test_finite_set_sorted(self):
-        s = FiniteSet(np.array([[1.0], [0.0], [0.5]]))
-        np.testing.assert_allclose(s.points[:, 0], [0.0, 0.5, 1.0])
-
     def test_tensor_points_order(self):
         pts = tensor_points([np.array([0.0, 1.0]), np.array([5.0, 6.0])])
         np.testing.assert_allclose(pts, [[0, 5], [0, 6], [1, 5], [1, 6]])
 
-    def test_finite_set_control_region(self):
-        p = DiscreteControlProblem(
-            state_dim=1, dynamics=lambda y, u: u.copy(), cost=lambda y, u: y[..., 0],
-            state_region=Box([0.0], [1.0]), control_region=FiniteSet(np.array([0.9, 0.0, 0.3])),
-            discount=0.5, initial_state=[0.5])
-        # counts are ignored: the grid is the set itself, lexicographically sorted
-        _, controls, mask = pair_grid(p, np.array([[0.5]]), control_grid_points(p, None))
-        np.testing.assert_allclose(controls[mask[0], 0], [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("problem,shape", [("shift", (7,)), ("shift", (7, 1)),
+                                               ("example1", (7, 2))])
+    def test_float_array_spec_is_returned_without_a_copy(self, problem, shape):
+        p = builtin_problem(problem)
+        spec = np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape)
+        for resolve in (control_grid_points, state_grid_points):
+            pts = resolve(p, spec)
+            assert pts.shape == (7, shape[-1] if len(shape) == 2 else 1)
+            assert pts.dtype == np.float64 and np.shares_memory(pts, spec)
+            assert pts.tobytes() == spec.tobytes()
+
+    def test_integer_array_spec_becomes_float(self):
+        pts = control_grid_points(builtin_problem("shift"), np.array([0, 1]))
+        assert pts.dtype == np.float64 and pts[:, 0].tolist() == [0.0, 1.0]
 
 
 def reference_contains(box, points, tol=MEMBERSHIP_TOL):

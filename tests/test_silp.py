@@ -375,6 +375,18 @@ class TestColumnBuffer:
         third = second.extended(p, b, ys[0], us[0])
         assert not np.shares_memory(third.matrix, second.matrix)
 
+    def test_inadmissible_pairs_leave_room_in_place(self):
+        # the buffer is sized for every pair of the grid; drift's inadmissible pairs leave
+        # columns that are never written by assemble, and extended fills them in place
+        p, b = drift_problem(), MonomialBasis(1, 3)
+        lp = assemble(p, b, GridSpec(state=(21,), control=(21,)))
+        assert lp._buffer.capacity == 21 * 21 and lp.n_columns < 21 * 21
+        pick = np.nonzero(lp.controls[:, 0] >= 0.0)[0][::7]
+        ys, us = lp.states[pick] * 0.9, lp.controls[pick]
+        more = lp.extended(p, b, ys, us)
+        assert more.matrix.base is lp.matrix.base
+        assert same_arrays(more, stacked(lp, p, b, ys, us))
+
     def test_no_round_copies_the_earlier_columns(self, monkeypatch):
         lps, buffers = [], []
         solve_lp, buffer = silp.solve, silp._ColumnBuffer
