@@ -90,6 +90,14 @@ def _parser(hint):
 _PARSERS = {key: _parser(hint) for key, hint in get_type_hints(RunConfig).items()}
 
 
+def _parse(key: str, text, where: str):
+    """``text`` as the value of config key ``key``; a failure names ``where`` it came from."""
+    try:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_config_file(path) -> RunConfig:
     cfg = RunConfig()
     text = Path(path).read_text()
@@ -103,7 +111,7 @@ def read_config_file(path) -> RunConfig:
         key = key.strip()
         if key not in _PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        cfg = replace(cfg, **{key: _PARSERS[key](val.strip())})
+        cfg = replace(cfg, **{key: _parse(key, val.strip(), f"{path}:{lineno}: {key}")})
     return cfg
 
 
@@ -114,17 +122,18 @@ def _apply_flags(cfg: RunConfig, args) -> RunConfig:
     ``--candidate-grid STATE[:CONTROL]`` sets one or both candidate grids.
     """
     updates = {}
-    for key, val in vars(args).items():
-        if val is None or key not in _PARSERS:
+    for flag, val in vars(args).items():
+        if val is None or flag not in _PARSERS:
             continue
+        key = flag
         if key == "control_grid" and args.command == "rollout":
             key = "rollout_control_grid"
-        updates[key] = _PARSERS[key](val)
+        updates[key] = _parse(key, val, "--" + flag.replace("_", "-"))
     if args.candidate_grid is not None:
         state, sep, control = args.candidate_grid.partition(":")
-        updates["candidate_state"] = _PARSERS["candidate_state"](state)
+        updates["candidate_state"] = _parse("candidate_state", state, "--candidate-grid")
         if sep:
-            updates["candidate_control"] = _PARSERS["candidate_control"](control)
+            updates["candidate_control"] = _parse("candidate_control", control, "--candidate-grid")
     return replace(cfg, **updates)
 
 
@@ -139,6 +148,20 @@ def _grid_specs(cfg: RunConfig):
     cand = CandidateSpec(state=cfg.candidate_state, control=cfg.candidate_control,
                          max_new_columns=cfg.batch)
     return grid, cand
+
+
+def _run_stamp(problem, basis) -> dict:
+    """The fields that tie an output file to the run that wrote it."""
+    return {"problem": problem.name, "alpha": problem.discount,
+            "y0": [float(v) for v in problem.initial_state], "degree": basis.max_degree}
+
+
+def _check_stamp(path, stamp: dict, run: dict, made: str, command: str) -> None:
+    """Refuse the file at ``path`` if a field of its ``stamp`` differs from ``run``'s."""
+    for key, value in run.items():
+        if key in stamp and stamp[key] != value:
+            raise ValueError(f"{path} was {made} for {key} = {stamp[key]}, this run has "
+                             f"{key} = {value}; run {command} again")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -161,12 +184,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "problem": problem.name,
-        "alpha": problem.discount,
-        "y0": [float(v) for v in problem.initial_state],
-        "degree": basis.max_degree,
-    }
+    meta = _run_stamp(problem, basis)
     if failure is not None:
         meta["converged"] = False
     (out / "solution.json").write_text(
@@ -200,25 +218,28 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_solution(cfg: RunConfig, problem, basis):
-    """The solution under ``cfg.out``, refused if its problem, alpha, y0 or degree differ."""
+def _load_solution(cfg: RunConfig, run: dict):
+    """The solution under ``cfg.out``, refused if its stamp differs from ``run``'s."""
     path = Path(cfg.out) / "solution.json"
     if not path.exists():
         raise FileNotFoundError(f"no solution file at {path}; run solve first")
     measure, certificate, doc = silp.solution_from_json(path.read_text())
-    run = {"problem": problem.name, "alpha": problem.discount,
-           "y0": [float(v) for v in problem.initial_state], "degree": basis.max_degree}
-    for key, value in run.items():
-        if key in doc and doc[key] != value:
-            raise ValueError(f"{path} was solved for {key} = {doc[key]}, this run has "
-                             f"{key} = {value}; run solve again")
+    _check_stamp(path, doc, run, "solved", "solve")
     return measure, certificate
+
+
+def _write_trajectory(path: Path, roll, run: dict) -> None:
+    """trajectory.csv, its footer stamped with the run it was rolled out for."""
+    synthesis.write_trajectory_csv(path, roll)
+    with open(path, "a") as fh:
+        fh.write(f"# run,{json.dumps(run)}\n")
 
 
 def cmd_rollout(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
-    measure, certificate = _load_solution(cfg, problem, basis)
+    run = _run_stamp(problem, basis)
+    measure, certificate = _load_solution(cfg, run)
 
     if cfg.policy == "minimizer":
         policy = synthesis.minimizer_policy(problem, basis, certificate,
@@ -234,12 +255,12 @@ def cmd_rollout(cfg: RunConfig) -> int:
     try:
         roll = synthesis.rollout(problem, policy, epsilon=cfg.epsilon, steps=cfg.steps)
     except RolloutAborted as exc:  # the steps taken before the failure, marked by NaN values
-        synthesis.write_trajectory_csv(out / "trajectory.csv", exc.rollout)
+        _write_trajectory(out / "trajectory.csv", exc.rollout, run)
         raise
 
     synthesis.gap_certificate(roll, certificate)
-    synthesis.write_trajectory_csv(out / "trajectory.csv", roll)
-    overlay = silp.discard_small_atoms(measure, cfg.discard) if len(measure) else measure
+    _write_trajectory(out / "trajectory.csv", roll, run)
+    overlay = silp.discard_small_atoms(measure, cfg.discard)
     synthesis.write_trajectory_svg(out / "trajectory.svg", roll, overlay)
     print(f"policy {cfg.policy}: horizon {roll.horizon}, "
           f"value {roll.truncated_value:.6f}, gap {roll.gap:.6f}")
@@ -249,8 +270,11 @@ def cmd_rollout(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
-    measure, certificate = _load_solution(cfg, problem, basis)
-    states, controls, meta = synthesis.read_trajectory_csv(Path(cfg.out) / "trajectory.csv")
+    run = _run_stamp(problem, basis)
+    measure, certificate = _load_solution(cfg, run)
+    path = Path(cfg.out) / "trajectory.csv"
+    states, controls, meta = synthesis.read_trajectory_csv(path)
+    _check_stamp(path, meta.get("run", {}), run, "rolled out", "rollout")
     if not len(states):
         raise ValueError("trajectory.csv has no steps: the rollout aborted at t = 0")
     roll = synthesis.Rollout(states=states, controls=controls,

@@ -10,6 +10,8 @@ cutting-plane loop (column generation): it prices a dense candidate set
 against the certificate, appends the most-violating admissible points
 and re-solves, each round resuming Phase II from the previous optimal
 basis, until the certificate is dually feasible on the candidate set.
+The ``FiniteLP`` owns its columns, with room for every later round's, and
+each round's LP extends the last in place, so no round copies a column.
 
 The candidate set is the admissible pairs of a tensor lattice of states
 and controls.  It does not change between rounds, so ``solve_refined``
@@ -28,9 +30,10 @@ priced again against that choice before it is accepted.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,34 +74,34 @@ class CandidateSpec:
     max_new_columns: int = 8
 
 
-@dataclass
 class FiniteLP:
     """Columns (admissible pairs), cost vector and equality rows.
 
-    The per-column arrays (``states``, ``controls``, ``cost`` and the
-    columns of ``matrix``) are leading views of a ``_ColumnBuffer``;
-    ``assemble`` writes its columns into one with as much room for more
-    columns as it is asked for.  ``extended`` writes its columns into that
-    room when this LP's columns are the whole filled part of the buffer,
-    so a chain of extensions never copies an earlier column, and this LP's
-    views keep seeing only its own columns.  Extending the same LP a
-    second time finds the buffer already filled past its columns; the
-    second extension then copies this LP's columns into a buffer of its
-    own, so each extension holds its own columns and this LP stays as it
-    was.  An LP without room left (or without a buffer, when built
-    directly) is copied the same way, into a buffer of exactly the
-    extended size.  The buffer holds the columns one after the other, so
-    ``matrix`` is Fortran-ordered, as ``np.hstack`` of its blocks lays it
-    out.
+    ``states`` (K, m), ``controls`` (K, d), ``cost`` (K,) and ``matrix``
+    (R, K: the nonconstant test functions' rows, then the normalization row)
+    view the first K columns of arrays the LP owns, which ``assemble``
+    allocates once with room for more.  They hold the columns one after the
+    other, so ``matrix`` is Fortran-ordered, as ``np.hstack`` of its blocks
+    lays it out.  ``rhs`` (R,) is 0 but for the normalization row's 1.
+
+    An LP extends once, within its room: ``extended`` writes the new
+    columns into the room and returns the longer LP over the same arrays,
+    while this LP's views keep only its own columns.  A second extension of
+    the same LP, or one past the room, raises ``ValueError`` and writes
+    nothing, so no LP's columns change and none is copied.
     """
 
-    states: np.ndarray        # (K, m)
-    controls: np.ndarray      # (K, d)
-    cost: np.ndarray          # (K,)
-    matrix: np.ndarray        # (R, K); rows = nonconstant test functions, then normalization
-    rhs: np.ndarray           # (R,)
-    _buffer: Optional["_ColumnBuffer"] = field(default=None, init=False, repr=False,
-                                               compare=False)
+    def __init__(self, capacity: int, rows: int, state_dim: int, control_dim: int):
+        """An LP of no columns with room for ``capacity`` of them."""
+        # matrix columns as rows; allocated before the small arrays, so that this block can
+        # take a free region of the heap that they would otherwise split
+        self._columns = np.empty((capacity, rows))
+        self._states = np.empty((capacity, state_dim))
+        self._controls = np.empty((capacity, control_dim))
+        self._cost = np.empty(capacity)
+        self.rhs = np.eye(1, rows, rows - 1)[0]
+        self._extended = False
+        self._view(0)
 
     @property
     def n_columns(self) -> int:
@@ -108,64 +111,36 @@ class FiniteLP:
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
+    def _view(self, n: int) -> None:
+        """Make the first ``n`` columns this LP's."""
+        self.states, self.controls, self.cost = self._states[:n], self._controls[:n], self._cost[:n]
+        self.matrix = self._columns[:n].T
+
+    def _write(self, states, controls, cost, cols) -> None:
+        """Append columns to this LP: test-function rows ``cols``, then 1."""
+        at, end = self.n_columns, self.n_columns + states.shape[0]
+        self._states[at:end] = states
+        self._controls[at:end] = controls
+        self._cost[at:end] = cost
+        self._columns[at:end, :-1] = cols.T
+        self._columns[at:end, -1] = 1.0
+        self._view(end)
+
     def extended(self, problem: DiscreteControlProblem, basis: MonomialBasis,
                  states, controls) -> "FiniteLP":
         """New LP with extra admissible columns appended in the given order."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
+        if self._extended:
+            raise ValueError("this LP was extended already; an LP extends once")
+        room = self._cost.shape[0] - self.n_columns
+        if states.shape[0] > room:
+            raise ValueError(f"{states.shape[0]} new columns do not fit the LP's room of {room}")
         cols = constraint_columns(basis, problem, states, controls)[1:]
-        cost = problem.g(states, controls)
-        needed = self.n_columns + states.shape[0]
-        buf = self._buffer
-        if buf is None or buf.used != self.n_columns or buf.capacity < needed:
-            buf = _ColumnBuffer.holding(self, needed)
-        buf.append(states, controls, cost, cols)
-        return buf.lp(self.rhs)
-
-
-class _ColumnBuffer:
-    """Preallocated per-column arrays of a chain of LPs with the same rows.
-
-    The first ``used`` of its ``capacity`` columns are written; an LP of the
-    chain views a prefix of them.
-    """
-
-    def __init__(self, capacity: int, rows: int, state_dim: int, control_dim: int):
-        self.capacity, self.used = capacity, 0
-        # matrix columns as rows; allocated before the small arrays, so that this block can
-        # take a free region of the heap that they would otherwise split
-        self.columns = np.empty((capacity, rows))
-        self.states = np.empty((capacity, state_dim))
-        self.controls = np.empty((capacity, control_dim))
-        self.cost = np.empty(capacity)
-
-    @classmethod
-    def holding(cls, lp: FiniteLP, capacity: int) -> "_ColumnBuffer":
-        """A buffer of ``capacity`` columns, filled with a copy of ``lp``'s."""
-        buf = cls(capacity, lp.n_rows, lp.states.shape[1], lp.controls.shape[1])
-        buf.used = lp.n_columns
-        buf.states[:buf.used] = lp.states
-        buf.controls[:buf.used] = lp.controls
-        buf.cost[:buf.used] = lp.cost
-        buf.columns[:buf.used] = lp.matrix.T
-        return buf
-
-    def append(self, states, controls, cost, cols) -> None:
-        """Write columns after the filled part: test-function rows ``cols``, then 1."""
-        at, self.used = self.used, self.used + states.shape[0]
-        self.states[at:self.used] = states
-        self.controls[at:self.used] = controls
-        self.cost[at:self.used] = cost
-        self.columns[at:self.used, :-1] = cols.T
-        self.columns[at:self.used, -1] = 1.0
-
-    def lp(self, rhs: np.ndarray) -> FiniteLP:
-        """The LP over the filled columns, with right-hand side ``rhs``."""
-        k = self.used
-        lp = FiniteLP(states=self.states[:k], controls=self.controls[:k], cost=self.cost[:k],
-                      matrix=self.columns[:k].T, rhs=rhs)
-        lp._buffer = self
-        return lp
+        longer = copy.copy(self)
+        longer._write(states, controls, problem.g(states, controls), cols)
+        self._extended = True
+        return longer
 
 
 @dataclass
@@ -209,9 +184,9 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
 
     The grid's pairs are taken a block at a time, in blocks of
     ``_ASSEMBLY_BLOCK`` LP entries: one pass masks each block and writes its
-    admissible columns into a ``_ColumnBuffer`` sized for every pair plus
-    ``room`` columns for ``FiniteLP.extended`` (columns never written take
-    no resident memory).  A column depends on its own pair alone, so the
+    admissible columns into the LP, whose arrays are sized for every pair
+    plus ``room`` columns for ``FiniteLP.extended`` (columns never written
+    take no resident memory).  A column depends on its own pair alone, so the
     blocks give the bytes of one pass over every pair, and no array the
     size of the grid is built but the LP's own.
     """
@@ -226,17 +201,15 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
         rows, cols = np.divmod(np.arange(start, min(start + block, total)), kc)
         return s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
 
-    buf = _ColumnBuffer(total + room, n_rows, s_pts.shape[1], c_pts.shape[1])
+    lp = FiniteLP(total + room, n_rows, s_pts.shape[1], c_pts.shape[1])
     for start in range(0, total, block):
         ys, us = block_pairs(start)
         keep = model.admissible_mask(problem, ys, us)
         ys, us = ys[keep], us[keep]
-        buf.append(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us)[1:])
-    if buf.used < n_rows:
-        raise InsufficientGrid(f"{buf.used} admissible grid points for {n_rows} LP rows")
-    rhs = np.zeros(n_rows)
-    rhs[-1] = 1.0
-    return buf.lp(rhs)
+        lp._write(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us)[1:])
+    if lp.n_columns < n_rows:
+        raise InsufficientGrid(f"{lp.n_columns} admissible grid points for {n_rows} LP rows")
+    return lp
 
 
 def solve(lp: FiniteLP, pivot_tol: float = 1e-9, start=None,
@@ -405,7 +378,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     lattice = model.pair_lattice(problem,
                                  model.state_grid_points(problem, candidate_spec.state),
                                  model.control_grid_points(problem, candidate_spec.control))
-    # room for every column the rounds can append, so no round copies the earlier ones
+    # room for the columns of every round after the first: each round's LP extends the last
     lp = assemble(problem, basis, grid_spec, (max_rounds - 1) * candidate_spec.max_new_columns)
     measure = certificate = start = done = None
     for rounds in range(1, max_rounds + 1):
@@ -443,6 +416,8 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
         done = measure, certificate, rounds
         if min_rc >= -tol:
             return measure, certificate, rounds
+        if rounds == max_rounds:
+            break
         lp = lp.extended(problem, basis, ys, us)
         start = res.basis
     raise NonConverged(measure, certificate, max_rounds)
@@ -486,14 +461,11 @@ def solution_to_json(measure: AtomicMeasure, certificate: DualCertificate,
 def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]:
     doc = json.loads(text)
     atoms = doc["atoms"]
-    if atoms:
-        states = np.array([a[0] for a in atoms], dtype=float)
-        controls = np.array([a[1] for a in atoms], dtype=float)
-        weights = np.array([a[2] for a in atoms], dtype=float)
-    else:
-        states = np.empty((0, 0))
-        controls = np.empty((0, 0))
-        weights = np.empty(0)
+    if not atoms:  # every solve writes at least one
+        raise ValueError("the solution has no atoms; run solve again")
+    states = np.array([a[0] for a in atoms], dtype=float)
+    controls = np.array([a[1] for a in atoms], dtype=float)
+    weights = np.array([a[2] for a in atoms], dtype=float)
     measure = AtomicMeasure(states=states, controls=controls, weights=weights)
     certificate = DualCertificate(lam=np.array(doc["lambda"], dtype=float), mu=float(doc["mu"]))
     return measure, certificate, doc

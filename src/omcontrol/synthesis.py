@@ -15,6 +15,7 @@ near-optimality.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -224,7 +225,7 @@ def write_trajectory_csv(path, roll: Rollout) -> None:
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Read states, controls and footer metadata back from a trajectory file."""
+    """Read states, controls and footer metadata (floats; the ``run`` stamp is JSON) back."""
     rows, meta = [], {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -235,7 +236,8 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
                 continue
             if line.startswith("#"):
                 key, _, val = line[1:].strip().partition(",")
-                meta[key.strip()] = float(val)
+                key = key.strip()
+                meta[key] = json.loads(val) if key == "run" else float(val)
                 continue
             rows.append([float(v) for v in line.split(",")])
     data = np.array(rows).reshape(-1, len(header))

@@ -44,6 +44,23 @@ class TestConfigParsing:
         p.write_text("# a comment\n\nproblem = shift  # trailing\n")
         assert cli.read_config_file(p).problem == "shift"
 
+    def test_unparsable_value_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = shift\ndegree = x\n")
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: degree: invalid literal for int() with base 10: 'x'\n")
+
+    @pytest.mark.parametrize("stage,flag,value,bad", [
+        ("solve", "--state-grid", "2.5", "2.5"),
+        ("rollout", "--control-grid", "2.5", "2.5"),  # sets rollout_control_grid
+        ("solve", "--candidate-grid", "33:x", "x"),
+    ])
+    def test_unparsable_flag_names_the_flag(self, tmp_path, capsys, stage, flag, value, bad):
+        assert cli.main([stage, flag, value, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag}: invalid literal for int() with base 10: '{bad}'\n")
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("nonsense = 1\n")
@@ -336,6 +353,50 @@ class TestErrorPaths:
         assert {path.name: path.read_bytes() for path in out.iterdir()} == files
         assert "report.txt" not in files
 
+    def test_trajectory_for_another_run_is_refused(self, tmp_path, capsys):
+        # the solution matches the run at y0 = 0.2, but the trajectory was rolled out from 0.4
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        assert cli.main(["solve", *base, "--y0=0.2"]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", *base, "--y0=0.2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / 'trajectory.csv'} was rolled out for y0 = [0.4], this run has "
+            "y0 = [0.2]; run rollout again\n")
+        assert not (out / "report.txt").exists()
+
+    def test_unstamped_trajectory_is_still_read(self, tmp_path):
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        code = cli.main(["verify", *base])
+        report = (out / "report.txt").read_bytes()
+        traj = out / "trajectory.csv"
+        lines = traj.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("# run,")
+        traj.write_text("".join(lines[:-1]))
+        (out / "report.txt").unlink()
+        assert cli.main(["verify", *base]) == code
+        assert (out / "report.txt").read_bytes() == report
+
+    @pytest.mark.parametrize("stage", [["rollout"], ["rollout", "--policy", "heuristic"],
+                                       ["verify"]], ids=["minimizer", "heuristic", "verify"])
+    def test_solution_without_atoms_is_refused(self, tmp_path, capsys, stage):
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        doc["atoms"] = []
+        (out / "solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([*stage, *base]) == 1
+        assert capsys.readouterr().err == "error: the solution has no atoms; run solve again\n"
+        assert not (out / "report.txt").exists()
+
     def test_corrupted_solution_json(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = shift_config(tmp_path, out)
@@ -371,7 +432,8 @@ class TestErrorPaths:
                          "--policy", "heuristic", "--discard", "0"]) == 1
         assert "rollout aborted after 0 steps" in capsys.readouterr().err
         assert (out / "trajectory.csv").read_text() == (
-            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n")
+            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n"
+            '# run,{"problem": "example1", "alpha": 0.9, "y0": [0.5, 0.25], "degree": 7}\n')
 
     def test_verify_rejects_a_trajectory_without_steps(self, tmp_path, capsys):
         # the policy fails at t = 0, so trajectory.csv holds the header and footer only

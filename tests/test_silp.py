@@ -107,8 +107,8 @@ class TestAssemble:
         spec = GridSpec(state=(401,), control=(401,))
         lp, peak = traced_peak_mib(lambda: assemble(p, MonomialBasis(1, 8), spec, 632))
         assert lp.n_columns == 160_801
-        buf = lp._buffer
-        lp_mib = sum(a.nbytes for a in (buf.columns, buf.states, buf.controls, buf.cost)) / 2**20
+        # the views' bases are the LP's own arrays, room included
+        lp_mib = sum(a.base.nbytes for a in (lp.matrix, lp.states, lp.controls, lp.cost)) / 2**20
         assert 14.5 < lp_mib < 15.0
         assert peak <= lp_mib + 2.0
 
@@ -322,6 +322,11 @@ def stacked(lp, problem, basis, states, controls):
             np.hstack([lp.matrix, np.vstack([cols, np.ones((1, states.shape[0]))])]))
 
 
+def store_bytes(lp):
+    """The bytes of every array the LP views, its unused room included."""
+    return tuple(a.base.tobytes() for a in (lp.states, lp.controls, lp.cost, lp.matrix))
+
+
 def same_arrays(lp, arrays):
     """Bitwise equality, layout included, of an LP's per-column arrays and ``arrays``."""
     mine = (lp.states, lp.controls, lp.cost, lp.matrix)
@@ -343,25 +348,36 @@ class TestColumnBuffer:
         us = [lp.controls[i] for i in pick]
         return p, b, lp, ys, us
 
+    def refused(self, lp, extend, match):
+        """``extend()`` raises ``ValueError`` and writes nothing into ``lp``'s arrays."""
+        before = store_bytes(lp)
+        with pytest.raises(ValueError, match=match):
+            extend()
+        assert store_bytes(lp) == before
+
     @pytest.mark.parametrize("room", [None, 0, 4, 100])
     def test_extending_twice_keeps_each_lps_columns(self, room):
-        p, b, lp, ys, us = self.lp_and_columns()
+        # an LP extends once, within its room: a second extension of the same LP, or one
+        # past the room, raises and writes nothing, so every LP keeps its columns
+        p, b, lp, ys, us = self.lp_and_columns()  # 3 columns, then 5
         if room is not None:
             lp = assemble(p, b, self.GRID, room)
         parent = tuple(a.copy(order="K") for a in (lp.states, lp.controls, lp.cost, lp.matrix))
+        if not room:
+            self.refused(lp, lambda: lp.extended(p, b, ys[0], us[0]), "room of 0")
+            self.refused(lp, lambda: lp.extended(p, b, ys[1], us[1]), "room of 0")
+            assert same_arrays(lp, parent)
+            return
         first = lp.extended(p, b, ys[0], us[0])
-        second = lp.extended(p, b, ys[1], us[1])
+        self.refused(lp, lambda: lp.extended(p, b, ys[1], us[1]), "extended already")
+        if room < 8:
+            self.refused(lp, lambda: first.extended(p, b, ys[1], us[1]), "room of 1")
+        else:
+            second = first.extended(p, b, ys[1], us[1])
+            self.refused(lp, lambda: first.extended(p, b, ys[0], us[0]), "extended already")
+            assert same_arrays(second, stacked(first, p, b, ys[1], us[1]))
         assert same_arrays(lp, parent)
         assert same_arrays(first, stacked(lp, p, b, ys[0], us[0]))
-        assert same_arrays(second, stacked(lp, p, b, ys[1], us[1]))
-        # extending the first again does not touch the second, nor the other way round
-        third = first.extended(p, b, ys[1], us[1])
-        fourth = second.extended(p, b, ys[0], us[0])
-        assert same_arrays(first, stacked(lp, p, b, ys[0], us[0]))
-        assert same_arrays(second, stacked(lp, p, b, ys[1], us[1]))
-        assert same_arrays(third, stacked(first, p, b, ys[1], us[1]))
-        assert same_arrays(fourth, stacked(second, p, b, ys[0], us[0]))
-        assert same_arrays(lp, parent)
 
     def test_room_is_used_in_place(self):
         p, b, lp, ys, us = self.lp_and_columns()
@@ -369,18 +385,17 @@ class TestColumnBuffer:
         first = roomy.extended(p, b, ys[0], us[0])
         second = first.extended(p, b, ys[1], us[1])
         assert first.matrix.base is roomy.matrix.base is second.matrix.base
-        full = lp.extended(p, b, ys[0], us[0]).extended(p, b, ys[1], us[1])
-        assert same_arrays(second, (full.states, full.controls, full.cost, full.matrix))
-        # no room left: the next extension copies into a buffer of its own
-        third = second.extended(p, b, ys[0], us[0])
-        assert not np.shares_memory(third.matrix, second.matrix)
+        assert same_arrays(first, stacked(roomy, p, b, ys[0], us[0]))
+        assert same_arrays(second, stacked(first, p, b, ys[1], us[1]))
+        # no room left: the next extension raises instead of copying
+        self.refused(roomy, lambda: second.extended(p, b, ys[0], us[0]), "room of 0")
 
     def test_inadmissible_pairs_leave_room_in_place(self):
-        # the buffer is sized for every pair of the grid; drift's inadmissible pairs leave
+        # the arrays are sized for every pair of the grid; drift's inadmissible pairs leave
         # columns that are never written by assemble, and extended fills them in place
         p, b = drift_problem(), MonomialBasis(1, 3)
         lp = assemble(p, b, GridSpec(state=(21,), control=(21,)))
-        assert lp._buffer.capacity == 21 * 21 and lp.n_columns < 21 * 21
+        assert lp.matrix.base.shape[0] == 21 * 21 and lp.n_columns < 21 * 21
         pick = np.nonzero(lp.controls[:, 0] >= 0.0)[0][::7]
         ys, us = lp.states[pick] * 0.9, lp.controls[pick]
         more = lp.extended(p, b, ys, us)
@@ -388,22 +403,21 @@ class TestColumnBuffer:
         assert same_arrays(more, stacked(lp, p, b, ys, us))
 
     def test_no_round_copies_the_earlier_columns(self, monkeypatch):
-        lps, buffers = [], []
-        solve_lp, buffer = silp.solve, silp._ColumnBuffer
+        lps, stores = [], []
+        solve_lp, init = silp.solve, silp.FiniteLP.__init__
 
         def spy(lp, *a, **k):
             lps.append(lp)
             return solve_lp(lp, *a, **k)
 
-        class Counted(buffer):
-            def __init__(self, *a):
-                buffers.append(None)
-                super().__init__(*a)
+        def counted(self, *a):  # every store of columns is allocated here
+            stores.append(None)
+            init(self, *a)
 
         monkeypatch.setattr(silp, "solve", spy)
-        monkeypatch.setattr(silp, "_ColumnBuffer", Counted)
+        monkeypatch.setattr(silp.FiniteLP, "__init__", counted)
         solve_refined(*several_rounds(), tol=1e-9, max_rounds=20)
-        assert len(lps) > 3 and len(buffers) == 1
+        assert len(lps) > 3 and len(stores) == 1
         start = lps[0].matrix.__array_interface__["data"][0]
         for earlier, later in zip(lps, lps[1:]):
             assert later.n_columns > earlier.n_columns
@@ -411,6 +425,19 @@ class TestColumnBuffer:
             assert later.matrix.__array_interface__["data"][0] == start
             assert np.shares_memory(earlier.states, later.states)
             assert np.shares_memory(earlier.cost, later.cost)
+
+    def test_the_last_round_is_not_extended(self, monkeypatch):
+        # each round but the last extends its LP once, within the room assemble left
+        extend, extended = silp.FiniteLP.extended, []
+
+        def spy(lp, *a):
+            extended.append(lp.n_columns)
+            return extend(lp, *a)
+
+        monkeypatch.setattr(silp.FiniteLP, "extended", spy)
+        with pytest.raises(NonConverged) as err:
+            solve_refined(*several_rounds(), tol=1e-9, max_rounds=3)
+        assert err.value.rounds == 3 and len(extended) == 2
 
     def test_traced_names_keep_their_arguments(self):
         # perfbench/tracer.py reads these arguments by position and name
@@ -620,3 +647,8 @@ class TestSolutionFile:
         assert doc["rounds"] == 3
         for key in ("atoms", "lambda", "mu", "value", "rounds", "max_dual_violation"):
             assert key in json.loads(text)
+
+    def test_no_atoms_is_refused(self):
+        # every solve writes at least one atom, so an empty list is a broken file
+        with pytest.raises(ValueError, match="no atoms"):
+            solution_from_json(json.dumps({"atoms": [], "lambda": [0.0, 0.0], "mu": 0.0}))

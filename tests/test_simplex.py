@@ -478,9 +478,9 @@ def drawn_lp(seed):
     return A, b, rng.normal(size=n)
 
 
-def example1_base_lp():
+def example1_base_lp(room=0):
     p = builtin_problem("example1")
-    return assemble(p, MonomialBasis(p.state_dim, 7), GridSpec(state=(9,), control=(9,)))
+    return assemble(p, MonomialBasis(p.state_dim, 7), GridSpec(state=(9,), control=(9,)), room)
 
 
 # The sifting loop as it was before its pricing buffer and its partition-based choice of
@@ -793,7 +793,7 @@ class TestLeanLoop:
     def test_example1_cold_and_warm_round(self, monkeypatch):
         p = builtin_problem("example1")
         b = MonomialBasis(p.state_dim, 7)
-        lp = example1_base_lp()
+        lp = example1_base_lp(room=8)  # the warm round's columns
         check = LoopCheck(monkeypatch)
         results = []
         _, cert = solve(lp, results=results)
