@@ -136,7 +136,7 @@ def _distinct_values(x: np.ndarray):
 
 
 def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,
-                       states, controls) -> np.ndarray:
+                       states, controls, successors=None) -> np.ndarray:
     """(N, K) coefficients of aligned pairs against every test function.
 
     Row 0 belongs to the constant monomial and is identically zero; the LP
@@ -146,11 +146,14 @@ def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,
     per-pair evaluation gives.  The expression
     a * (phi_f - phi_y) + (1 - a) * (phi_y0 - phi_y) is evaluated in place,
     operation for operation, so at most two (K, N) arrays are alive.
+    ``successors``, when given, are f(states, controls), already evaluated
+    by the caller.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    if successors is None:
+        successors = problem.f(states, np.atleast_2d(np.asarray(controls, dtype=float)))
     ys, y_of = model.distinct_rows(states)
-    fs, f_of = model.distinct_rows(problem.f(states, controls))
+    fs, f_of = model.distinct_rows(successors)
     phi_y = basis.evaluate(ys)[y_of]
     cols = basis.evaluate(fs)[f_of]
     a = problem.discount

@@ -3,14 +3,16 @@
 A :class:`DiscreteControlProblem` bundles the transition map ``f``, the
 running cost ``g``, the state box ``Y``, the control box ``U``, a discount
 factor in (0, 1) and the initial state.  A state-control pair is
-*admissible* when the successor ``f(y, u)`` stays inside ``Y``.
-``pair_grid`` crosses a state array with a control array and masks the
-pairs by admissibility, and ``one_step_table`` is the one-step expression
-over such a grid, +inf at the inadmissible pairs.  ``pair_lattice`` indexes the
-admissible pairs of a lattice too large to cross at once (the candidates
-of ``solve``, the oracle grid of ``verify``) one block at a time, by their
-distinct successors.  ``require_admissible`` is the one check of Assumption I,
-that every state has an admissible control.
+*admissible* when the successor ``f(y, u)`` stays inside ``Y``, and
+``admissible_mask`` tests successors the caller has computed, so every
+walk over pairs evaluates f once per pair.  ``pair_grid`` crosses a state
+array with a control array, evaluates the successors and masks the pairs by
+admissibility, and ``one_step_table`` is the one-step expression over such
+a grid, +inf at the inadmissible pairs, psi read at the same successors.
+``pair_lattice`` indexes the admissible pairs of a lattice too large to
+cross at once (the candidates of ``solve``, the oracle grid of ``verify``)
+one block at a time, by their distinct successors.  ``require_admissible``
+is the one check of Assumption I, that every state has an admissible control.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
 ``(K, m)`` / ``(K, d)`` in, ``(K, m)`` / ``(K,)`` out.  Plain elementwise
@@ -186,25 +188,25 @@ def distinct_rows(points):
     return points[order[first]], inverse
 
 
-def admissible_mask(problem: DiscreteControlProblem, states, controls) -> np.ndarray:
-    """Admissibility of aligned (K, m)/(K, d) state-control pairs."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    return np.atleast_1d(problem.state_region.contains(problem.f(states, controls)))
+def admissible_mask(problem: DiscreteControlProblem, successors) -> np.ndarray:
+    """Admissibility of pairs from their (K, m) successors f(y, u): (K,), True inside Y."""
+    return problem.state_region.contains(np.atleast_2d(np.asarray(successors, dtype=float)))
 
 
 def pair_grid(problem: DiscreteControlProblem, states, controls):
     """Every (state, control) pair of a (K, m) state and (C, d) control array.
 
-    Returns the (K*C, m) pair states and (K*C, d) pair controls, states
-    varying slowest, and the (K, C) admissibility mask.  For one state both
-    pair arrays are views (of the state row and of ``controls``), not copies.
+    Returns the (K*C, m) pair states, the (K*C, d) pair controls and the
+    (K*C, m) successors, states varying slowest, and the (K, C)
+    admissibility mask.  For one state both pair arrays are views (of the
+    state row and of ``controls``), not copies.
     """
     (k, m), (c, d) = states.shape, controls.shape
     pair_states = np.broadcast_to(states[:, None, :], (k, c, m)).reshape(k * c, m)
     pair_controls = np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d)
-    mask = admissible_mask(problem, pair_states, pair_controls).reshape(k, c)
-    return pair_states, pair_controls, mask
+    successors = problem.f(pair_states, pair_controls)
+    mask = admissible_mask(problem, successors).reshape(k, c)
+    return pair_states, pair_controls, successors, mask
 
 
 @dataclass(frozen=True)
@@ -256,22 +258,22 @@ def _index_dtype(count: int):
 def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLattice:
     """Index the admissible pairs of a (K, m) state and (C, d) control array.
 
-    Admissibility is tested once per scan block.  Each block's successors
-    are made distinct on their own and only those are merged, so no array
-    the size of the lattice is built but ``successor_of``.
+    f is evaluated and admissibility tested once per scan block.  Each
+    block's successors are made distinct on their own and only those are
+    merged, so no array the size of the lattice is built but ``successor_of``.
     """
     kc, total = len(controls), len(states) * len(controls)
     admissible, parts = {}, []
     for start in range(0, total, _SCAN_CHUNK):
         idx = np.arange(start, min(start + _SCAN_CHUNK, total))
         rows, cols = np.divmod(idx, kc)
-        ys, us = states.take(rows, axis=0), controls.take(cols, axis=0)
-        mask = admissible_mask(problem, ys, us)
+        succ = problem.f(states.take(rows, axis=0), controls.take(cols, axis=0))
+        mask = admissible_mask(problem, succ)
         if not mask.all():
             admissible[start] = idx = idx[mask]
-            ys, us = ys[mask], us[mask]
+            succ = succ[mask]
         if idx.size:
-            distinct, inverse = distinct_rows(problem.f(ys, us))
+            distinct, inverse = distinct_rows(succ)
             parts.append((distinct, inverse.astype(_index_dtype(len(distinct)))))
     successors, merged = distinct_rows(
         np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
@@ -313,12 +315,12 @@ def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, contr
     or one value per pair, states varying slowest.  The minimizing control
     and the minimized one-step expression are its row argmin and row minima.
     Raises :class:`AssumptionIViolation` at the first state with no
-    admissible control.
+    admissible control.  f is evaluated once per pair, for the mask and psi.
     """
-    pair_states, pair_controls, mask = pair_grid(problem, states, controls)
+    pair_states, pair_controls, successors, mask = pair_grid(problem, states, controls)
     require_admissible(states, mask)
-    vals = one_step(problem, psi, pair_states, pair_controls, psi_y).reshape(mask.shape)
-    return np.where(mask, vals, np.inf)
+    vals = one_step(problem, psi, pair_states, pair_controls, psi_y, psi(successors))
+    return np.where(mask, vals.reshape(mask.shape), np.inf)
 
 
 def step(problem: DiscreteControlProblem, y, u) -> np.ndarray:

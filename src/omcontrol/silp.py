@@ -183,12 +183,13 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     """Discretize the admissible graph and build the equality-form LP.
 
     The grid's pairs are taken a block at a time, in blocks of
-    ``_ASSEMBLY_BLOCK`` LP entries: one pass masks each block and writes its
-    admissible columns into the LP, whose arrays are sized for every pair
-    plus ``room`` columns for ``FiniteLP.extended`` (columns never written
-    take no resident memory).  A column depends on its own pair alone, so the
-    blocks give the bytes of one pass over every pair, and no array the
-    size of the grid is built but the LP's own.
+    ``_ASSEMBLY_BLOCK`` LP entries: one pass evaluates f once per pair of a
+    block, masks the block by those successors and writes its admissible
+    columns, built from the same successors, into the LP, whose arrays are
+    sized for every pair plus ``room`` columns for ``FiniteLP.extended``
+    (columns never written take no resident memory).  A column depends on
+    its own pair alone, so the blocks give the bytes of one pass over every
+    pair, and no array the size of the grid is built but the LP's own.
     """
     if basis.dim != problem.state_dim:
         raise ValueError("basis dimension does not match the problem")
@@ -204,9 +205,10 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     lp = FiniteLP(total + room, n_rows, s_pts.shape[1], c_pts.shape[1])
     for start in range(0, total, block):
         ys, us = block_pairs(start)
-        keep = model.admissible_mask(problem, ys, us)
-        ys, us = ys[keep], us[keep]
-        lp._write(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us)[1:])
+        fs = problem.f(ys, us)
+        keep = model.admissible_mask(problem, fs)
+        ys, us, fs = ys[keep], us[keep], fs[keep]
+        lp._write(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us, fs)[1:])
     if lp.n_columns < n_rows:
         raise InsufficientGrid(f"{lp.n_columns} admissible grid points for {n_rows} LP rows")
     return lp
@@ -466,6 +468,10 @@ def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]
     states = np.array([a[0] for a in atoms], dtype=float)
     controls = np.array([a[1] for a in atoms], dtype=float)
     weights = np.array([a[2] for a in atoms], dtype=float)
+    lam, mu = np.array(doc["lambda"], dtype=float), float(doc["mu"])
+    for name, values in (("lambda", lam), ("mu", mu), ("atoms", states), ("atoms", controls),
+                         ("atoms", weights)):
+        if not np.isfinite(values).all():  # a solve writes finite numbers only
+            raise ValueError(f"the solution's {name} is not finite; run solve again")
     measure = AtomicMeasure(states=states, controls=controls, weights=weights)
-    certificate = DualCertificate(lam=np.array(doc["lambda"], dtype=float), mu=float(doc["mu"]))
-    return measure, certificate, doc
+    return measure, DualCertificate(lam=lam, mu=mu), doc

@@ -176,21 +176,21 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
             inv[leave] = row
 
 
-def _most_negative(rc, width, pivot_tol):
-    """The at most ``width`` columns of lowest reduced cost below ``-pivot_tol``, ties to the
+def lowest_below(rc, width, bound):
+    """The at most ``width`` columns of lowest reduced cost below ``bound``, ties to the
     lower index (the first ``width`` of a stable sort), or None when there is none.
 
     The result is in index order within each part, not in the sort's order.  The only
-    (count,) temporary is the negative costs, partitioned in place: every column below the
-    width-th lowest of them, then the first columns equal to it.
+    (count,) temporary is the costs below ``bound``, partitioned in place: every column
+    below the width-th lowest of them, then the first columns equal to it.
     """
-    negative = rc < -pivot_tol
-    count = np.count_nonzero(negative)
+    kept = rc < bound
+    count = np.count_nonzero(kept)
     if count == 0:
         return None
     if count <= width:
-        return np.nonzero(negative)[0]
-    values = rc[negative]
+        return np.nonzero(kept)[0]
+    values = rc[kept]
     values.partition(width - 1)
     kth = values[width - 1]
     below = np.nonzero(rc < kth)[0]
@@ -219,7 +219,7 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
         np.matmul(y, A[:, :n_enterable], out=rc)
         np.subtract(c[:n_enterable], rc, out=rc)
         rc[work[work < n_enterable]] = 0.0
-        entering = _most_negative(rc, width, pivot_tol)
+        entering = lowest_below(rc, width, -pivot_tol)
         if entering is None:
             return xB, y, basis, pivots_done
         work = np.union1d(work, entering)

@@ -6,10 +6,12 @@ grid control minimizing g(y, u) + alpha * psi(f(y, u)) (the one row of
 by exhaustive search (the inner problem is generally not convex, and the
 control spaces here are low-dimensional), and the nearest-atom heuristic,
 which copies the control of the concentration point whose state component
-is closest to the current state, breaking distance ties by weight.  ``rollout``
-simulates either rule for long enough that the discounted tail is below a
-requested truncation error, and the gap against the LP value certifies
-near-optimality.
+is closest to the current state, breaking distance ties by weight.  A
+feedback rule is a function of the state alone, so ``minimizer_policy``
+searches once per distinct state (by its bytes) and repeats its choice when
+the trajectory comes back to it.  ``rollout`` simulates either rule for
+long enough that the discounted tail is below a requested truncation
+error, and the gap against the LP value certifies near-optimality.
 """
 
 from __future__ import annotations
@@ -103,8 +105,22 @@ def heuristic_control(measure: AtomicMeasure, y) -> np.ndarray:
 
 
 def minimizer_policy(problem, basis, certificate, control_grid) -> Callable:
+    """``minimizer_control`` as a feedback law, searched once per distinct state.
+
+    The choice at each state is kept by the state's bytes, so a trajectory
+    that repeats a state (a steady state) repeats its control without a
+    search; each call returns a copy.
+    """
     grid = control_grid_points(problem, control_grid)
-    return lambda y: minimizer_control(problem, basis, certificate, y, grid)
+    chosen: dict = {}
+
+    def policy(y):
+        key = np.asarray(y, dtype=float).tobytes()
+        if key not in chosen:
+            chosen[key] = minimizer_control(problem, basis, certificate, y, grid)
+        return chosen[key].copy()
+
+    return policy
 
 
 def heuristic_policy(measure: AtomicMeasure) -> Callable:
@@ -115,7 +131,7 @@ def cost_bound(problem: DiscreteControlProblem) -> float:
     """max |g| over a coarse state-control tensor sample, computed once."""
     s_pts = problem.state_region.grid(_COST_SAMPLE)
     c_pts = control_grid_points(problem, _COST_SAMPLE)
-    states, controls, _ = model.pair_grid(problem, s_pts, c_pts)
+    states, controls, _, _ = model.pair_grid(problem, s_pts, c_pts)
     return float(np.abs(problem.g(states, controls)).max())
 
 

@@ -30,7 +30,7 @@ from .errors import NotConverged
 from .model import DiscreteControlProblem, control_grid_points
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
 from .silp import AtomicMeasure, DualCertificate, GridSpec, assemble, solve
-from .simplex import seed_length
+from .simplex import lowest_below, seed_length
 from .synthesis import Rollout
 
 _MPI_SWEEPS = 30  # policy-operator sweeps after each full backup in value_iteration
@@ -304,17 +304,18 @@ def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,
     a 401 x 401 grid at degree 9), the shape the simplex's sifting is for.
 
     ``certificate``, the solution's certificate at the current degree,
-    prices the base grid's columns once, and the columns in order of
-    increasing reduced cost (ties to the lower index) seed the working sets
-    of both simplex phases.  The seed only orders the pricing: mu' is
-    certified over every column, so a wrong certificate costs pivots, never
-    the value.
+    prices the base grid's columns once, and the ``seed_length`` columns of
+    lowest reduced cost (ties to the lower index) seed the working sets of
+    both simplex phases.  They are selected by partition
+    (``simplex.lowest_below``, as the simplex selects entering columns), not
+    sorted: the simplex reads the seed as a set.  The seed only steers the
+    pricing: mu' is certified over every column, so a wrong certificate
+    costs pivots, never the value.
     """
     richer = MonomialBasis(basis.dim, basis.max_degree + 1)
     lp = assemble(problem, richer, grid_spec)
-    # the leading columns the simplex reads, copied so the full order is freed before it runs
-    seed = np.argsort(silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls),
-                      kind="stable")[:seed_length(lp.n_rows)].copy()
+    seed = lowest_below(silp.reduced_costs(problem, basis, certificate, lp.states, lp.controls),
+                        seed_length(lp.n_rows), np.inf)
     _, cert = solve(lp, pivot_tol=pivot_tol, seed=seed)
     increment = max(0.0, cert.mu - certificate.mu)
     oracle_gap = max(0.0, (1.0 - problem.discount) * oracle_value - cert.mu)

@@ -125,8 +125,8 @@ class TestConstraintCoefficient:
         # must gather exactly the rows a per-pair evaluation gives
         p = builtin_problem(name)
         b = MonomialBasis(p.state_dim, degree)
-        states, controls, mask = model.pair_grid(p, model.state_grid_points(p, grid),
-                                                 model.control_grid_points(p, grid))
+        states, controls, _, mask = model.pair_grid(p, model.state_grid_points(p, grid),
+                                                    model.control_grid_points(p, grid))
         states, controls = states[mask.ravel()], controls[mask.ravel()]
         succ = p.f(states, controls)
         assert len(model.distinct_rows(succ)[0]) < len(succ)
@@ -134,6 +134,7 @@ class TestConstraintCoefficient:
         direct = (a * (b.evaluate(succ) - b.evaluate(states))
                   + (1.0 - a) * (b.evaluate(p.initial_state)[None, :] - b.evaluate(states))).T
         assert constraint_columns(b, p, states, controls).tobytes() == direct.tobytes()
+        assert constraint_columns(b, p, states, controls, succ).tobytes() == direct.tobytes()
 
 
 class TestEvaluateCoefficients:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -206,20 +207,25 @@ class TestVerifyLattice:
     def test_verify_masks_each_oracle_pair_once(self, tmp_path, monkeypatch):
         # the oracle's node x control lattice is built once, by value iteration, and
         # shared by the stationarity scan and the shifted inequality; only the one-step
-        # identity masks the oracle's controls again, once per visited state
+        # identity evaluates f at the oracle's controls again, once per visited state.
+        # Every f evaluation is counted per (y, u) pair: besides those, f runs once per
+        # rollout pair (its one-step value) and once per atom (the measure residuals)
         out = tmp_path / "run"
         base = ["--problem", "shift", "--out", str(out)]
         assert cli.main(["solve"] + base) == 0
         assert cli.main(["rollout"] + base) == 0
-        seen, paused = {}, []
-        mask, kappa = model.admissible_mask, verify.estimate_kappa
+        seen, paused = collections.Counter(), []
+        factory, kappa = model.PROBLEM_REGISTRY["shift"], verify.estimate_kappa
 
-        def counted_mask(problem, states, controls):
-            if not paused:
-                for y, u in zip(np.atleast_2d(states), np.atleast_2d(controls)):
-                    key = (y.tobytes(), u.tobytes())
-                    seen[key] = seen.get(key, 0) + 1
-            return mask(problem, states, controls)
+        def counted_problem(**kwargs):
+            problem = factory(**kwargs)
+
+            def counted_f(states, controls):
+                if not paused:
+                    seen.update((y.tobytes(), u.tobytes())
+                                for y, u in zip(np.atleast_2d(states), np.atleast_2d(controls)))
+                return problem.dynamics(states, controls)
+            return dataclasses.replace(problem, dynamics=counted_f)
 
         def uncounted_kappa(*args, **kwargs):
             # its LP grid is the solve's base grid, which here has the oracle's points
@@ -229,7 +235,7 @@ class TestVerifyLattice:
             finally:
                 paused.pop()
 
-        monkeypatch.setattr(model, "admissible_mask", counted_mask)
+        monkeypatch.setitem(model.PROBLEM_REGISTRY, "shift", counted_problem)
         monkeypatch.setattr(verify, "estimate_kappa", uncounted_kappa)
         assert cli.main(["verify"] + base) == 0
 
@@ -237,14 +243,20 @@ class TestVerifyLattice:
         problem, _ = cli._build(cfg)
         nodes = model.state_grid_points(problem, cfg.vi_state_grid)
         controls = model.control_grid_points(problem, cfg.vi_control_grid)
-        states, _, _ = synthesis.read_trajectory_csv(out / "trajectory.csv")
-        visits = {}
-        for y in states:
-            visits[y.tobytes()] = visits.get(y.tobytes(), 0) + 1
-        assert visits.get(nodes[0].tobytes()) == cfg.steps  # y = 0 after the first step
+        states, moves, _ = synthesis.read_trajectory_csv(out / "trajectory.csv")
+        measure, _, _ = silp.solution_from_json((out / "solution.json").read_text())
+        visits = collections.Counter(y.tobytes() for y in states)
+        assert visits[nodes[0].tobytes()] == cfg.steps  # y = 0 after the first step
+        expected = collections.Counter()
         for y in nodes:
             for u in controls:
-                assert seen[(y.tobytes(), u.tobytes())] == 1 + visits.get(y.tobytes(), 0)
+                expected[(y.tobytes(), u.tobytes())] = 1  # the lattice
+        for y in states:
+            for u in controls:
+                expected[(y.tobytes(), u.tobytes())] += 1  # the one-step identity
+        for ys, us in ((states, moves), (measure.states, measure.controls)):
+            expected.update((y.tobytes(), u.tobytes()) for y, u in zip(ys, us))
+        assert seen == expected
 
 
 class TestVertexChoice:
@@ -396,6 +408,31 @@ class TestErrorPaths:
         assert cli.main([*stage, *base]) == 1
         assert capsys.readouterr().err == "error: the solution has no atoms; run solve again\n"
         assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("stage", [["rollout"], ["rollout", "--policy", "heuristic"],
+                                       ["verify"]], ids=["minimizer", "heuristic", "verify"])
+    @pytest.mark.parametrize("key, value", [("lambda", "nan"), ("mu", "inf"), ("atoms", "nan")])
+    def test_non_finite_solution_is_refused(self, tmp_path, capsys, stage, key, value):
+        # a NaN lambda left the minimizer's tie set empty (an IndexError) and an infinite
+        # mu printed gap inf; now each stage refuses the file and writes nothing
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        if key == "lambda":
+            doc["lambda"][1] = float(value)
+        elif key == "mu":
+            doc["mu"] = float(value)
+        else:
+            doc["atoms"][0][2] = float(value)
+        (out / "solution.json").write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main([*stage, *base]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the solution's {key} is not finite; run solve again\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_corrupted_solution_json(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -53,7 +53,7 @@ class TestAdmissibility:
         p = builtin_problem("example1")
         y = np.array([[0.5, 0.25]])
         grid = control_grid_points(p, (9, 9))
-        states, controls, mask = pair_grid(p, y, grid)
+        states, controls, _, mask = pair_grid(p, y, grid)
         assert mask.shape == (1, len(grid)) and mask.all()
         np.testing.assert_array_equal(controls, grid)
         np.testing.assert_array_equal(states, np.broadcast_to(y, (len(grid), 2)))
@@ -65,25 +65,25 @@ class TestAdmissibility:
         controls = control_grid_points(p, (9, 9))
         rep_s = np.repeat(states, len(controls), axis=0)
         rep_c = np.tile(controls, (len(states), 1))
-        assert admissible_mask(p, rep_s, rep_c).all()
+        assert admissible_mask(p, p.f(rep_s, rep_c)).all()
 
     def test_shift_explicit_control_set(self):
         p = builtin_problem("shift")
         grid = control_grid_points(p, np.array([0.0, 0.5, 1.0]))
-        _, controls, mask = pair_grid(p, np.array([[0.3]]), grid)
+        _, controls, _, mask = pair_grid(p, np.array([[0.3]]), grid)
         np.testing.assert_allclose(controls[mask[0], 0], [0.0, 0.5, 1.0])
 
     def test_state_dependent_filtering(self):
         # frozen by direct membership check: f(1, -0.5) = 0.5 in Y, f(1, 0.5) = 1.5 not,
         # and the other way round at y = 0
         p = make_add_problem()
-        _, _, mask = pair_grid(p, np.array([[1.0], [0.0]]), np.array([[-0.5], [0.5]]))
+        _, _, _, mask = pair_grid(p, np.array([[1.0], [0.0]]), np.array([[-0.5], [0.5]]))
         np.testing.assert_array_equal(mask, [[True, False], [False, True]])
 
     def test_empty_admissible_set_is_hard_error(self):
         p = make_add_problem()
         states = np.array([[0.0], [1.0]])
-        _, _, mask = pair_grid(p, states, np.array([[0.5], [0.75]]))
+        _, _, _, mask = pair_grid(p, states, np.array([[0.5], [0.75]]))
         with pytest.raises(AssumptionIViolation) as err:
             require_admissible(states, mask)
         assert err.value.state == (1.0,)
@@ -92,8 +92,8 @@ class TestAdmissibility:
         p = builtin_problem("example1")
         y = np.array([[0.1, -0.3]])
         grid = control_grid_points(p, (5, 5))
-        _, ca, ma = pair_grid(p, y, grid)
-        _, cb, mb = pair_grid(p, y, grid)
+        _, ca, _, ma = pair_grid(p, y, grid)
+        _, cb, _, mb = pair_grid(p, y, grid)
         a, b = ca[ma[0]], cb[mb[0]]
         np.testing.assert_array_equal(a, b)
         # tensor enumeration is ascending lexicographic
@@ -102,7 +102,7 @@ class TestAdmissibility:
     def test_membership_tolerance_band(self):
         # landing within 1e-12 outside a face must not flip admissibility
         p = make_add_problem(y0=0.5)
-        _, _, mask = pair_grid(p, np.array([[0.5]]), np.array([[0.5 + 5e-13]]))
+        _, _, _, mask = pair_grid(p, np.array([[0.5]]), np.array([[0.5 + 5e-13]]))
         assert mask.all()
 
     @pytest.mark.parametrize("problem", ["example1", "add"])
@@ -110,19 +110,21 @@ class TestAdmissibility:
         p = builtin_problem("example1") if problem == "example1" else make_add_problem()
         states = p.state_region.grid(5)
         controls = control_grid_points(p, 3)
-        pair_s, pair_c, mask = pair_grid(p, states, controls)
+        pair_s, pair_c, succ, mask = pair_grid(p, states, controls)
         rep_s = np.repeat(states, len(controls), axis=0)
         rep_c = np.tile(controls, (len(states), 1))
         np.testing.assert_array_equal(pair_s, rep_s)
         np.testing.assert_array_equal(pair_c, rep_c)
+        assert succ.tobytes() == p.f(rep_s, rep_c).tobytes()
         np.testing.assert_array_equal(
-            mask, admissible_mask(p, rep_s, rep_c).reshape(len(states), len(controls)))
+            mask, admissible_mask(p, p.f(rep_s, rep_c)).reshape(len(states), len(controls)))
+        assert (problem == "add") == (not mask.all())
 
     def test_one_state_pairs_are_views(self):
         p = builtin_problem("example1")
         y = np.array([[0.5, 0.25]])
         grid = control_grid_points(p, (9, 9))
-        states, controls, _ = pair_grid(p, y, grid)
+        states, controls, _, _ = pair_grid(p, y, grid)
         assert np.shares_memory(controls, grid) and np.shares_memory(states, y)
 
 
@@ -137,7 +139,7 @@ class TestOneStepTable:
         p = builtin_problem("example1") if problem == "example1" else make_add_problem()
         states = p.state_region.grid(5)
         controls = control_grid_points(p, 7)
-        pair_s, pair_c, mask = pair_grid(p, states, controls)
+        pair_s, pair_c, _, mask = pair_grid(p, states, controls)
         psi_y = np.repeat(self.psi(states), len(controls)) if anchored else 0.0
         table = one_step_table(p, self.psi, states, controls, psi_y)
         expected = np.where(mask, one_step(p, self.psi, pair_s, pair_c, psi_y).reshape(mask.shape),

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import inspect
 import json
 import tracemalloc
@@ -305,7 +307,7 @@ def traced_peak_mib(fn):
 
 def one_pass_assembly(problem, basis, grid_spec):
     """Reference LP arrays: every admissible pair's columns from one constraint_columns call."""
-    states, controls, mask = model.pair_grid(
+    states, controls, _, mask = model.pair_grid(
         problem, model.state_grid_points(problem, grid_spec.state),
         model.control_grid_points(problem, grid_spec.control))
     states, controls = states[mask.ravel()], controls[mask.ravel()]
@@ -507,7 +509,7 @@ class TestScan:
         assert sum(priced) == lattice.successor_of.size
         assert len(ys) == candidates.max_new_columns  # the first LP is violated
         assert len(np.unique(np.hstack([ys, us]), axis=0)) == len(ys)  # distinct (y, u)
-        assert silp.admissible_mask(p, ys, us).all()
+        assert silp.admissible_mask(p, p.f(ys, us)).all()
         assert np.float64(min_rc).tobytes() == np.float64(ref_rc).tobytes()
         assert ys.tobytes() == ref_ys.tobytes()
         assert us.tobytes() == ref_us.tobytes()
@@ -518,7 +520,7 @@ class TestScan:
         monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
         p = drift_problem()
         lattice = candidate_lattice(p, CandidateSpec(state=(41,), control=(41,)))
-        states, controls, mask = model.pair_grid(p, lattice.states, lattice.controls)
+        states, controls, _, mask = model.pair_grid(p, lattice.states, lattice.controls)
         j = np.concatenate([idx for idx, _ in lattice.blocks()])
         succ = np.concatenate([rows for _, rows in lattice.blocks()])
         np.testing.assert_array_equal(j, np.flatnonzero(mask))
@@ -528,13 +530,18 @@ class TestScan:
 
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through
-        # admissible_mask once, and no round's scan masks anything again
-        sizes = []
+        # admissible_mask once, and no round's scan masks anything again; f is
+        # evaluated once per lattice pair, once per base pair and once per appended column
+        sizes, evaluated = [], []
         mask = model.admissible_mask
 
-        def counted_mask(problem, states, controls):
-            sizes.append(len(states))
-            return mask(problem, states, controls)
+        def counted_mask(problem, successors):
+            sizes.append(len(successors))
+            return mask(problem, successors)
+
+        def counted_f(y, u):
+            evaluated.append(len(y))
+            return np.array(u, dtype=float, copy=True)
 
         monkeypatch.setattr(model, "_SCAN_CHUNK", 500)
         # the lattice masks through model's name; silp's is patched too, so a scan that
@@ -543,12 +550,58 @@ class TestScan:
         monkeypatch.setattr(silp, "admissible_mask", counted_mask)
         coarse = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         history = []
-        solve_refined(shift_problem(), MonomialBasis(1, 3), GridSpec(state=coarse, control=coarse),
+        solve_refined(dataclasses.replace(shift_problem(), dynamics=counted_f),
+                      MonomialBasis(1, 3), GridSpec(state=coarse, control=coarse),
                       CandidateSpec(state=(41,), control=(41,), max_new_columns=1),
                       tol=1e-9, max_rounds=20, history=history)
         assert len(history) >= 3
         # 41 * 41 = 1,681 lattice pairs, then the base LP's 5 * 5 pairs in one assembly block
         assert sizes == [500, 500, 500, 181, 25]
+        assert evaluated == sizes + [1] * (len(history) - 1)
+
+
+class TestOneEvaluationPerPair:
+    """Every walk over a grid of pairs evaluates f once per pair: the mask and the
+    one-step value (or the LP column) read the same successors."""
+
+    @staticmethod
+    def counted_drift():
+        # f counts every (y, u) pair it evaluates, by bytes
+        seen = collections.Counter()
+        problem = drift_problem()
+
+        def f(y, u):
+            seen.update((a.tobytes(), b.tobytes()) for a, b in zip(y, u))
+            return problem.dynamics(y, u)
+        return dataclasses.replace(problem, dynamics=f), seen
+
+    @staticmethod
+    def every_pair_once(states, controls):
+        return collections.Counter({(y.tobytes(), u.tobytes()): 1
+                                    for y in states for u in controls})
+
+    def test_one_step_table(self):
+        p, seen = self.counted_drift()
+        states, controls = p.state_region.grid(9), model.control_grid_points(p, 7)
+        table = model.one_step_table(p, lambda pts: pts[:, 0] ** 2, states, controls)
+        assert np.isinf(table).any() and np.isfinite(table).any(axis=1).all()
+        assert seen == self.every_pair_once(states, controls)
+
+    def test_pair_lattice(self, monkeypatch):
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 10)  # blocks of 10 pairs, most masked
+        p, seen = self.counted_drift()
+        states, controls = p.state_region.grid(9), model.control_grid_points(p, 7)
+        lattice = model.pair_lattice(p, states, controls)
+        assert lattice.admissible
+        assert seen == self.every_pair_once(states, controls)
+
+    def test_assemble(self, monkeypatch):
+        monkeypatch.setattr(silp, "_ASSEMBLY_BLOCK", 30)  # blocks of 10 pairs at 3 rows
+        p, seen = self.counted_drift()
+        lp = assemble(p, MonomialBasis(1, 2), GridSpec(state=(9,), control=(7,)))
+        assert 0 < lp.n_columns < 9 * 7
+        assert seen == self.every_pair_once(p.state_region.grid(9),
+                                            model.control_grid_points(p, 7))
 
 
 def solved(lp):
@@ -647,6 +700,21 @@ class TestSolutionFile:
         assert doc["rounds"] == 3
         for key in ("atoms", "lambda", "mu", "value", "rounds", "max_dual_violation"):
             assert key in json.loads(text)
+
+    @pytest.mark.parametrize("field", ["lambda", "mu", "state", "control", "weight"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused(self, field, bad):
+        doc = {"atoms": [[[0.4], [0.0], 0.5], [[0.0], [0.0], 0.5]], "lambda": [0.0, 1.0],
+               "mu": 0.2}
+        solution_from_json(json.dumps(doc))
+        if field in ("lambda", "mu"):
+            doc[field] = [0.0, bad] if field == "lambda" else bad
+        else:
+            at = ("state", "control", "weight").index(field)
+            doc["atoms"][1][at] = [bad] if at < 2 else bad
+        name = field if field in ("lambda", "mu") else "atoms"
+        with pytest.raises(ValueError, match=f"solution's {name} is not finite"):
+            solution_from_json(json.dumps(doc))
 
     def test_no_atoms_is_refused(self):
         # every solve writes at least one atom, so an empty list is a broken file

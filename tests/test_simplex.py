@@ -530,8 +530,17 @@ class TestSiftPricing:
         negative = np.nonzero(rc < -tol)[0]
         order = negative[np.argsort(rc[negative], kind="stable")]
         for width in range(1, negative.size + 3):
-            got = simplex._most_negative(rc, width, tol)
+            got = simplex.lowest_below(rc, width, -tol)
             if negative.size == 0:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(np.sort(got), np.sort(order[:width]))
+        # verify.estimate_kappa's seed: below +inf, the stable argsort prefix of the finite costs
+        finite = np.nonzero(np.isfinite(rc))[0]
+        order = finite[np.argsort(rc[finite], kind="stable")]
+        for width in range(1, n + 2):
+            got = simplex.lowest_below(rc, width, np.inf)
+            if finite.size == 0:
                 assert got is None
             else:
                 np.testing.assert_array_equal(np.sort(got), np.sort(order[:width]))

@@ -5,7 +5,7 @@ from omcontrol import (AssumptionIIViolation, AtomicMeasure, DualCertificate,
                        MonomialBasis, Rollout, RolloutAborted, builtin_problem,
                        control_pattern, gap_certificate, heuristic_control,
                        heuristic_policy, minimizer_control, minimizer_policy,
-                       rollout)
+                       rollout, synthesis)
 from omcontrol.synthesis import (cost_bound, read_trajectory_csv,
                                  truncation_horizon, write_trajectory_csv,
                                  write_trajectory_svg)
@@ -29,6 +29,37 @@ def atom_fixture():
 
 def zero_certificate(n):
     return DualCertificate(lam=np.zeros(n), mu=0.0)
+
+
+class TestMinimizerPolicy:
+    def test_searches_once_per_distinct_state(self, monkeypatch):
+        # psi(u) = u - u^2/2 + u^3/4 increases on [0, 1], so from 0.4 the minimizer
+        # moves shift to its steady state y = 0 at t = 1 and keeps it there: two states
+        p = builtin_problem("shift", alpha=0.5, y0=0.4)
+        b = MonomialBasis(1, 3)
+        cert = DualCertificate(lam=np.array([0.0, 1.0, -0.5, 0.25]), mu=0.0)
+        direct = rollout(p, lambda y: minimizer_control(p, b, cert, y, (101,)), steps=50)
+        searched = []
+        search = synthesis.minimizer_control
+
+        def counted(*args, **kwargs):
+            searched.append(args[3])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "minimizer_control", counted)
+        cached = rollout(p, minimizer_policy(p, b, cert, (101,)), steps=50)
+        assert len(searched) == 2
+        assert cached.states.tobytes() == direct.states.tobytes()
+        assert cached.controls.tobytes() == direct.controls.tobytes()
+        assert np.unique(direct.states).tolist() == [0.0, 0.4]
+
+    def test_returns_a_copy(self):
+        p = builtin_problem("shift", alpha=0.5, y0=0.4)
+        b = MonomialBasis(1, 1)
+        policy = minimizer_policy(p, b, zero_certificate(b.count), (5,))
+        u = policy(np.array([0.4]))
+        u[0] = 7.0
+        np.testing.assert_array_equal(policy(np.array([0.4])), [0.0])
 
 
 class TestMinimizerControl:

@@ -42,7 +42,7 @@ def per_pair_backup(p, state_grid, control_grid):
     kn, kc = len(nodes), len(controls)
     states = np.repeat(nodes, kc, axis=0)
     pair_controls = np.tile(controls, (kn, 1))
-    mask = admissible_mask(p, states, pair_controls).reshape(kn, kc)
+    mask = admissible_mask(p, p.f(states, pair_controls)).reshape(kn, kc)
     stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
     idx, wgt = verify._interp_table(axes, p.f(states, pair_controls))
 
@@ -130,7 +130,7 @@ def per_pair_optimality_residuals(p, roll, cert, value_grid, basis, control_grid
     cg = control_grid_points(p, control_grid)
     scan_states = np.repeat(nodes, len(cg), axis=0)
     scan_controls = np.tile(cg, (len(nodes), 1))
-    mask = admissible_mask(p, scan_states, scan_controls)
+    mask = admissible_mask(p, p.f(scan_states, scan_controls))
     scan_states = np.vstack([scan_states[mask], roll.states])
     scan_controls = np.vstack([scan_controls[mask], roll.controls])
 
@@ -265,7 +265,7 @@ class TestValueIteration:
         assert kn % per_block != 0
         if p.state_dim == 1:
             nodes = tensor_points(p.state_region.axes(state_grid))
-            _, _, mask = model.pair_grid(p, nodes, control_grid_points(p, control_grid))
+            _, _, _, mask = model.pair_grid(p, nodes, control_grid_points(p, control_grid))
             assert all(not mask[lo:lo + per_block].all() for lo in range(0, kn, per_block))
         with pytest.raises(NotConverged) as err:
             value_iteration(p, state_grid, control_grid, tol=1e-8, max_iter=1)
@@ -337,7 +337,7 @@ class TestHamiltonian:
         grid = control_grid_points(p, (7, 7))
         expected = []
         for y in states:
-            u = grid[admissible_mask(p, np.broadcast_to(y, grid.shape), grid)]
+            u = grid[admissible_mask(p, p.f(np.broadcast_to(y, grid.shape), grid))]
             ys = np.broadcast_to(y, u.shape)
             expected.append((p.g(ys, u) + p.discount * (psi(p.f(ys, u)) - psi(y))).min())
         np.testing.assert_array_equal(hamiltonian_min(p, psi, states, (7, 7)), expected)
@@ -581,7 +581,7 @@ class TestShiftedInequality:
             ys = np.broadcast_to(y, grid.shape)
             steps = p.g(ys, grid) + p.discount * (psi(p.f(ys, grid)) - psi(y))
             anchored = (1.0 - p.discount) * (psi(y) + shift)
-            expected.append(-(steps[admissible_mask(p, ys, grid)].min() - anchored))
+            expected.append(-(steps[admissible_mask(p, p.f(ys, grid))].min() - anchored))
             unmasked.append(-(steps.min() - anchored))
         viol = check_shifted_inequality(cert, 0.7, p, oracle, b)
         assert np.float64(viol).tobytes() == np.max(expected).tobytes()
