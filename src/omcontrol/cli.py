@@ -223,7 +223,10 @@ def _load_solution(cfg: RunConfig, run: dict):
     path = Path(cfg.out) / "solution.json"
     if not path.exists():
         raise FileNotFoundError(f"no solution file at {path}; run solve first")
-    measure, certificate, doc = silp.solution_from_json(path.read_text())
+    try:
+        measure, certificate, doc = silp.solution_from_json(path.read_text())
+    except KeyError as exc:
+        raise ValueError(f"{path} has no field {exc}; run solve again") from None
     _check_stamp(path, doc, run, "solved", "solve")
     return measure, certificate
 
@@ -240,12 +243,12 @@ def cmd_rollout(cfg: RunConfig) -> int:
     problem, basis = _build(cfg)
     run = _run_stamp(problem, basis)
     measure, certificate = _load_solution(cfg, run)
+    trimmed = silp.discard_small_atoms(measure, cfg.discard)  # refused before a file is written
 
     if cfg.policy == "minimizer":
         policy = synthesis.minimizer_policy(problem, basis, certificate,
                                             cfg.rollout_control_grid)
     elif cfg.policy == "heuristic":
-        trimmed = silp.discard_small_atoms(measure, cfg.discard)
         policy = synthesis.heuristic_policy(trimmed)
     else:
         raise ValueError(f"unknown policy {cfg.policy!r}")
@@ -260,8 +263,7 @@ def cmd_rollout(cfg: RunConfig) -> int:
 
     synthesis.gap_certificate(roll, certificate)
     _write_trajectory(out / "trajectory.csv", roll, run)
-    overlay = silp.discard_small_atoms(measure, cfg.discard)
-    synthesis.write_trajectory_svg(out / "trajectory.svg", roll, overlay)
+    synthesis.write_trajectory_svg(out / "trajectory.svg", roll, trimmed)
     print(f"policy {cfg.policy}: horizon {roll.horizon}, "
           f"value {roll.truncated_value:.6f}, gap {roll.gap:.6f}")
     return 0
@@ -277,10 +279,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     _check_stamp(path, meta.get("run", {}), run, "rolled out", "rollout")
     if not len(states):
         raise ValueError("trajectory.csv has no steps: the rollout aborted at t = 0")
-    roll = synthesis.Rollout(states=states, controls=controls,
-                             truncated_value=meta["truncated_value"],
-                             truncation_bound=meta["truncation_bound"],
-                             discount=problem.discount)
+    try:
+        roll = synthesis.Rollout(states=states, controls=controls,
+                                 truncated_value=meta["truncated_value"],
+                                 truncation_bound=meta["truncation_bound"],
+                                 discount=problem.discount)
+    except KeyError as exc:
+        raise ValueError(f"{path} has no field {exc}; run rollout again") from None
 
     scaled_mu = certificate.mu / (1.0 - problem.discount)
     checks = []
@@ -314,6 +319,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                    cfg.gap_slack))
 
     oracle_y0 = oracle(problem.initial_state)
+    del oracle  # its pair lattice is freed before the kappa re-solve asks for room
     grid, _ = _grid_specs(cfg)
     try:
         kappa = verify.estimate_kappa(problem, basis, grid, certificate, oracle_y0,

@@ -5,14 +5,17 @@ running cost ``g``, the state box ``Y``, the control box ``U``, a discount
 factor in (0, 1) and the initial state.  A state-control pair is
 *admissible* when the successor ``f(y, u)`` stays inside ``Y``, and
 ``admissible_mask`` tests successors the caller has computed, so every
-walk over pairs evaluates f once per pair.  ``pair_grid`` crosses a state
-array with a control array, evaluates the successors and masks the pairs by
-admissibility, and ``one_step_table`` is the one-step expression over such
-a grid, +inf at the inadmissible pairs, psi read at the same successors.
-``pair_lattice`` indexes the admissible pairs of a lattice too large to
-cross at once (the candidates of ``solve``, the oracle grid of ``verify``)
-one block at a time, by their distinct successors.  ``require_admissible``
-is the one check of Assumption I, that every state has an admissible control.
+walk over pairs evaluates f once per pair.  ``pairs`` crosses a state array
+with a control array, states varying slowest: the one pair order.
+``pair_grid`` adds the successors and the admissibility mask, and
+``one_step_table`` is the one-step expression over such a grid, psi read
+at the same successors.  ``pair_lattice`` indexes every pair of a lattice
+too large to cross at once (the candidates of ``solve``, the oracle grid of
+``verify``) by its distinct successors, built and scanned in blocks of
+whole states whose size this module alone sets.  Off the graph is always
++inf: the table, and the lattice's scan, price an inadmissible pair at
++inf.  ``require_admissible`` is the one check of Assumption I, that every
+state has an admissible control.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
 ``(K, m)`` / ``(K, d)`` in, ``(K, m)`` / ``(K,)`` out.  Plain elementwise
@@ -193,97 +196,101 @@ def admissible_mask(problem: DiscreteControlProblem, successors) -> np.ndarray:
     return problem.state_region.contains(np.atleast_2d(np.asarray(successors, dtype=float)))
 
 
-def pair_grid(problem: DiscreteControlProblem, states, controls):
+def pairs(states, controls):
     """Every (state, control) pair of a (K, m) state and (C, d) control array.
 
-    Returns the (K*C, m) pair states, the (K*C, d) pair controls and the
-    (K*C, m) successors, states varying slowest, and the (K, C)
-    admissibility mask.  For one state both pair arrays are views (of the
-    state row and of ``controls``), not copies.
+    Returns the (K*C, m) pair states and the (K*C, d) pair controls, states
+    varying slowest, the one pair order of every walk over a grid.  For one
+    state both are views (of the state row and of ``controls``), not copies.
     """
     (k, m), (c, d) = states.shape, controls.shape
-    pair_states = np.broadcast_to(states[:, None, :], (k, c, m)).reshape(k * c, m)
-    pair_controls = np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d)
+    return (np.broadcast_to(states[:, None, :], (k, c, m)).reshape(k * c, m),
+            np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d))
+
+
+def pair_grid(problem: DiscreteControlProblem, states, controls):
+    """``pairs`` of a (K, m) state and (C, d) control array, with their successors.
+
+    Returns the (K*C, m) pair states, the (K*C, d) pair controls and the
+    (K*C, m) successors, and the (K, C) admissibility mask.
+    """
+    pair_states, pair_controls = pairs(states, controls)
     successors = problem.f(pair_states, pair_controls)
-    mask = admissible_mask(problem, successors).reshape(k, c)
+    mask = admissible_mask(problem, successors).reshape(len(states), len(controls))
     return pair_states, pair_controls, successors, mask
+
+
+def _state_blocks(states: int, controls: int):
+    """Slices of whole states, about ``_SCAN_CHUNK`` pairs each: the blocks of a lattice."""
+    per_block = max(1, _SCAN_CHUNK // controls)
+    for lo in range(0, states, per_block):
+        yield slice(lo, min(lo + per_block, states))
 
 
 @dataclass(frozen=True)
 class PairLattice:
-    """The admissible pairs of a state x control lattice, indexed by successor.
+    """Every pair of a state x control lattice, indexed by successor.
 
-    Pair j of the lattice is (states[j // C], controls[j % C]) with C the
-    number of controls; scans walk the pairs in ``_SCAN_CHUNK`` blocks of
-    consecutive j.  ``admissible`` maps a block's first j to the j of its
-    admissible pairs, for the blocks that have an inadmissible pair only.
+    The pairs are in ``pairs`` order, states varying slowest.
     ``successors`` are the distinct f(y, u) of the admissible pairs, and
-    ``successor_of`` gives, for the admissible pairs in order of j, the row
-    of their successor, in the smallest unsigned dtype that holds it.
+    ``successor_of`` gives, for every pair, the row of its successor, or
+    S = ``len(successors)`` for an inadmissible pair, in the smallest
+    unsigned dtype that holds S.
     """
 
     states: np.ndarray         # (Ks, m)
     controls: np.ndarray       # (C, d)
     successors: np.ndarray     # (S, m)
-    successor_of: np.ndarray   # (admissible pairs,) unsigned
-    admissible: dict
+    successor_of: np.ndarray   # (Ks * C,) unsigned, S off the graph
 
     def blocks(self):
-        """Yield (j of the admissible pairs, their successor rows) per scan block."""
-        total, at = len(self.states) * len(self.controls), 0
-        for start in range(0, total, _SCAN_CHUNK):
-            idx = self.admissible.get(start)
-            if idx is None:
-                idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-            yield idx, self.successor_of[at:at + idx.size]
-            at += idx.size
+        """Yield each block's slice of ``states``: whole states, about ``_SCAN_CHUNK`` pairs."""
+        return _state_blocks(len(self.states), len(self.controls))
 
     def scan(self, psi: Callable):
-        """Yield (j, states, controls, psi(states), psi(successors)) per nonempty block,
-        psi evaluated once per lattice state and once per distinct successor."""
-        psi_s, psi_f = psi(self.states), psi(self.successors)
-        for idx, succ in self.blocks():
-            if idx.size:
-                rows, cols = np.divmod(idx, len(self.controls))
-                # take, not fancy indexing: an order of magnitude faster on (K, 1-2) arrays
-                yield (idx, self.states.take(rows, axis=0), self.controls.take(cols, axis=0),
-                       psi_s.take(rows), psi_f.take(succ))
+        """Yield (rows, states, controls, psi(states), psi(successors)) per block of pairs,
+        ``rows`` the block's slice of ``states``.
 
-
-def _index_dtype(count: int):
-    """The smallest unsigned dtype that holds the indices 0 .. count - 1."""
-    return np.min_scalar_type(max(count - 1, 0))
+        psi is evaluated once per lattice state and once per distinct
+        successor, and read as +inf at an inadmissible pair's S, so every
+        one-step value and reduced cost there is +inf, as in ``one_step_table``.
+        """
+        psi_s, psi_f = psi(self.states), np.append(psi(self.successors), np.inf)
+        successor = self.successor_of.reshape(len(self.states), -1)
+        for rows in self.blocks():
+            ys, us = pairs(self.states[rows], self.controls)
+            yield (rows, ys, us, np.repeat(psi_s[rows], len(self.controls)),
+                   psi_f.take(successor[rows].ravel()))
 
 
 def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLattice:
-    """Index the admissible pairs of a (K, m) state and (C, d) control array.
+    """Index every pair of a (K, m) state and (C, d) control array by its successor.
 
-    f is evaluated and admissibility tested once per scan block.  Each
-    block's successors are made distinct on their own and only those are
-    merged, so no array the size of the lattice is built but ``successor_of``.
+    f is evaluated and admissibility tested once per block, through
+    ``pair_grid``.  Each block's admissible successors are made distinct on
+    their own and only those are merged, so no array the size of the
+    lattice is built but ``successor_of``.
     """
-    kc, total = len(controls), len(states) * len(controls)
-    admissible, parts = {}, []
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total))
-        rows, cols = np.divmod(idx, kc)
-        succ = problem.f(states.take(rows, axis=0), controls.take(cols, axis=0))
-        mask = admissible_mask(problem, succ)
-        if not mask.all():
-            admissible[start] = idx = idx[mask]
-            succ = succ[mask]
-        if idx.size:
-            distinct, inverse = distinct_rows(succ)
-            parts.append((distinct, inverse.astype(_index_dtype(len(distinct)))))
+    parts = []
+    for rows in _state_blocks(len(states), len(controls)):
+        _, _, succ, mask = pair_grid(problem, states[rows], controls)
+        mask = mask.ravel()
+        distinct, inverse = distinct_rows(succ[mask])
+        # the smallest unsigned dtype that holds the block's S, as successor_of below
+        local = np.full(mask.size, len(distinct), dtype=np.min_scalar_type(len(distinct)))
+        local[mask] = inverse
+        parts.append((distinct, local))
     successors, merged = distinct_rows(
         np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
-    successor_of = np.empty(sum(inv.size for _, inv in parts), dtype=_index_dtype(len(successors)))
+    s = len(successors)
+    successor_of = np.empty(len(states) * len(controls), dtype=np.min_scalar_type(s))
     at = base = 0
-    for distinct, inverse in parts:
-        successor_of[at:at + inverse.size] = merged[base:base + len(distinct)].take(inverse)
-        at, base = at + inverse.size, base + len(distinct)
+    for distinct, local in parts:
+        to_lattice = np.append(merged[base:base + len(distinct)], s)  # the block's S reads S
+        successor_of[at:at + local.size] = to_lattice.take(local)
+        at, base = at + local.size, base + len(distinct)
     return PairLattice(states=states, controls=controls, successors=successors,
-                       successor_of=successor_of, admissible=admissible)
+                       successor_of=successor_of)
 
 
 def require_admissible(states, mask) -> None:
@@ -312,13 +319,15 @@ def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, contr
     """``one_step`` at every pair of a (K, m) state and (C, d) control array.
 
     The (K, C) table, +inf at the inadmissible pairs; ``psi_y`` is a scalar
-    or one value per pair, states varying slowest.  The minimizing control
-    and the minimized one-step expression are its row argmin and row minima.
-    Raises :class:`AssumptionIViolation` at the first state with no
-    admissible control.  f is evaluated once per pair, for the mask and psi.
+    or one value per state.  The minimizing control and the minimized
+    one-step expression are its row argmin and row minima.  Raises
+    :class:`AssumptionIViolation` at the first state with no admissible
+    control.  f is evaluated once per pair, for the mask and psi.
     """
     pair_states, pair_controls, successors, mask = pair_grid(problem, states, controls)
     require_admissible(states, mask)
+    if np.ndim(psi_y):
+        psi_y = np.repeat(psi_y, len(controls))
     vals = one_step(problem, psi, pair_states, pair_controls, psi_y, psi(successors))
     return np.where(mask, vals.reshape(mask.shape), np.inf)
 

@@ -15,10 +15,11 @@ each round's LP extends the last in place, so no round copies a column.
 
 The candidate set is the admissible pairs of a tensor lattice of states
 and controls.  It does not change between rounds, so ``solve_refined``
-builds it once per solve with ``model.pair_lattice``: the lattice's
-admissible pairs and, for each, the row of its successor f(y, u) among the
-distinct successors.  A scan then evaluates psi once per lattice state and
-once per distinct successor and gathers both per pair.
+builds it once per solve with ``model.pair_lattice``: for every lattice
+pair, the row of its successor f(y, u) among the distinct successors.  A
+scan then evaluates psi once per lattice state and once per distinct
+successor and gathers both per pair; an inadmissible pair's reduced cost
+is +inf, so it is never a violator.
 
 When the dual is degenerate, the vertex the simplex stops at is one of
 many optimal duals, and its surrogate can be dually infeasible between
@@ -182,29 +183,26 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
              grid_spec: GridSpec, room: int = 0) -> FiniteLP:
     """Discretize the admissible graph and build the equality-form LP.
 
-    The grid's pairs are taken a block at a time, in blocks of
-    ``_ASSEMBLY_BLOCK`` LP entries: one pass evaluates f once per pair of a
-    block, masks the block by those successors and writes its admissible
-    columns, built from the same successors, into the LP, whose arrays are
-    sized for every pair plus ``room`` columns for ``FiniteLP.extended``
-    (columns never written take no resident memory).  A column depends on
-    its own pair alone, so the blocks give the bytes of one pass over every
-    pair, and no array the size of the grid is built but the LP's own.
+    The grid's pairs are taken a block of whole states at a time, about
+    ``_ASSEMBLY_BLOCK`` LP entries (at least one state): one pass evaluates
+    f once per pair of a block, masks the block by those successors and
+    writes its admissible columns, built from the same successors, into
+    the LP, whose arrays are sized for every pair plus ``room`` columns for
+    ``FiniteLP.extended`` (columns never written take no resident memory).
+    A column depends on its own pair alone, so the blocks give the bytes of
+    one pass over every pair, and no array the size of the grid is built
+    but the LP's own.
     """
     if basis.dim != problem.state_dim:
         raise ValueError("basis dimension does not match the problem")
     s_pts = model.state_grid_points(problem, grid_spec.state)
     c_pts = model.control_grid_points(problem, grid_spec.control)
     n_rows, kc = basis.count, len(c_pts)
-    total, block = len(s_pts) * kc, max(1, _ASSEMBLY_BLOCK // n_rows)
+    per_block = max(1, _ASSEMBLY_BLOCK // n_rows // kc)  # whole states per block
 
-    def block_pairs(start):
-        rows, cols = np.divmod(np.arange(start, min(start + block, total)), kc)
-        return s_pts.take(rows, axis=0), c_pts.take(cols, axis=0)
-
-    lp = FiniteLP(total + room, n_rows, s_pts.shape[1], c_pts.shape[1])
-    for start in range(0, total, block):
-        ys, us = block_pairs(start)
+    lp = FiniteLP(len(s_pts) * kc + room, n_rows, s_pts.shape[1], c_pts.shape[1])
+    for lo in range(0, len(s_pts), per_block):
+        ys, us = model.pairs(s_pts[lo:lo + per_block], c_pts)
         fs = problem.f(ys, us)
         keep = model.admissible_mask(problem, fs)
         ys, us, fs = ys[keep], us[keep], fs[keep]
@@ -318,9 +316,9 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
 
     The candidates are the admissible pairs of ``lattice``, the
     ``model.pair_lattice`` of the candidate spec's grids built once per
-    solve.  The violators are the at most ``max_new_columns`` candidates
-    with reduced cost below -tol, most violating first, ties broken
-    lexicographically on (y, u).
+    solve; its scan prices the others at +inf.  The violators are the at
+    most ``max_new_columns`` candidates with reduced cost below -tol, most
+    violating first, ties broken lexicographically on (y, u).
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
@@ -374,6 +372,8 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
+    if not tol >= 0:  # NaN too: it finds no violator, yet never passes the scan
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     if candidate_spec.max_new_columns < 1:
         raise ValueError("max_new_columns (batch) must be at least 1")
     # built before the LP, so the build's temporaries never share memory with its matrix

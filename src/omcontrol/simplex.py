@@ -300,6 +300,8 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     m, n = A.shape
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("inconsistent LP shapes")
+    if not 0.0 < pivot_tol < np.inf:
+        raise ValueError(f"pivot_tol must be positive and finite, got {pivot_tol}")
     if seed is not None:
         seed = np.asarray(seed, dtype=np.int64).ravel()[:seed_length(m)]
         if seed.size and (seed.min() < 0 or seed.max() >= n):

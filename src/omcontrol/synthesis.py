@@ -131,7 +131,7 @@ def cost_bound(problem: DiscreteControlProblem) -> float:
     """max |g| over a coarse state-control tensor sample, computed once."""
     s_pts = problem.state_region.grid(_COST_SAMPLE)
     c_pts = control_grid_points(problem, _COST_SAMPLE)
-    states, controls, _, _ = model.pair_grid(problem, s_pts, c_pts)
+    states, controls = model.pairs(s_pts, c_pts)
     return float(np.abs(problem.g(states, controls)).max())
 
 

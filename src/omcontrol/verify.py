@@ -11,6 +11,8 @@ and the nonnegativity of the shifted one-step inequality.  Every scan of the
 one-step expression g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through
 ``model.one_step`` or, over a grid, ``model.one_step_table``, and the node
 grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
+They walk it in the lattice's own blocks of whole nodes, where an
+inadmissible pair prices at +inf, so no pair index is computed here.
 Everything here is report-oriented: checks return residual magnitudes and
 the caller compares against slacks.
 """
@@ -112,9 +114,10 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     ``model.pair_lattice`` once and scatters the result to its pairs.
     Every pair still gets the same products, the same summation order and
     the same additions as a per-pair sweep, so a full backup matches it
-    bit for bit.  A full backup runs over blocks of about ``_SCAN_CHUNK``
-    pairs (whole nodes each), so no array of backups the size of the
-    lattice is built.
+    bit for bit.  A full backup runs over the lattice's blocks of whole
+    nodes, so no array of backups the size of the lattice is built, and it
+    reads the lattice's own successor table, where an inadmissible pair's
+    row S meets a +inf stage.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -125,34 +128,32 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     kn, kc = len(nodes), len(controls)
 
     lattice = model.pair_lattice(problem, nodes, controls)
-    stage = np.full(kn * kc, np.inf)  # stays inf at the inadmissible pairs
-    successor = np.zeros(kn * kc, dtype=lattice.successor_of.dtype)
-    for j, succ in lattice.blocks():
-        rows, cols = np.divmod(j, kc)
-        stage[j] = problem.g(nodes.take(rows, axis=0), controls.take(cols, axis=0))
-        successor[j] = succ
-    stage, successor = stage.reshape(kn, kc), successor.reshape(kn, kc)
+    successor = lattice.successor_of.reshape(kn, kc)  # S at the inadmissible pairs
+    idx, wgt = _interp_table(axes, lattice.successors)  # before the stage, to keep the peak low
+    stage = np.empty((kn, kc))
+    for rows in lattice.blocks():
+        ys, us = model.pairs(nodes[rows], controls)
+        stage[rows] = problem.g(ys, us).reshape(-1, kc)
+        stage[rows][successor[rows] == len(lattice.successors)] = np.inf
     model.require_admissible(nodes, stage < np.inf)
-    idx, wgt = _interp_table(axes, lattice.successors)
 
     shape = tuple(len(ax) for ax in axes)
     values = np.zeros(kn)
     diffs = []
     grid = ValueFunctionGrid(axes=axes, values=values.reshape(shape), lattice=lattice,
                              threshold=tol * (1.0 - alpha) / alpha, sweep_diffs=diffs)
-    per_block = max(1, model._SCAN_CHUNK // kc)  # nodes per block of a full backup
-    backup = np.empty((min(per_block, kn), kc))
+    backup = np.empty_like(stage[next(lattice.blocks())])  # the first block is the largest
     node = np.arange(kn)
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
         choice, new = np.empty(kn, dtype=np.intp), np.empty(kn)
-        for lo in range(0, kn, per_block):
-            hi = min(lo + per_block, kn)
-            block = backup[:hi - lo]
-            np.take(cont, successor[lo:hi], out=block)
-            np.add(stage[lo:hi], block, out=block)
-            block.argmin(axis=1, out=choice[lo:hi])
-            new[lo:hi] = block[node[:hi - lo], choice[lo:hi]]  # the row minimum itself
+        for rows in lattice.blocks():
+            block = backup[:rows.stop - rows.start]
+            # clipped, S reads the last successor's value, and the stage's +inf outweighs it
+            np.take(cont, successor[rows], out=block, mode="clip")
+            np.add(stage[rows], block, out=block)
+            block.argmin(axis=1, out=choice[rows])
+            new[rows] = block[node[:len(block)], choice[rows]]  # the row minimum itself
         diff = float(np.abs(new - values).max())
         diffs.append(diff)
         values = new
@@ -178,8 +179,7 @@ def hamiltonian_min(problem: DiscreteControlProblem, psi: Callable, states,
     single = states.ndim == 1
     states = np.atleast_2d(states)
     controls = control_grid_points(problem, control_grid)
-    psi_y = np.repeat(psi(states), len(controls))
-    out = model.one_step_table(problem, psi, states, controls, psi_y).min(axis=1)
+    out = model.one_step_table(problem, psi, states, controls, psi(states)).min(axis=1)
     return float(out[0]) if single else out
 
 
@@ -283,10 +283,10 @@ def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
     psi = functools.partial(certificate.psi, basis)
     shift = value_at_y0 - psi(problem.initial_state)
     lattice = value_grid.lattice
-    node_min = np.full(len(lattice.states), np.inf)  # a running minimum per node
-    for j, ys, us, psi_y, psi_f in lattice.scan(psi):
-        np.minimum.at(node_min, j // len(lattice.controls),
-                      model.one_step(problem, psi, ys, us, psi_y, psi_f))
+    node_min = np.empty(len(lattice.states))
+    for rows, ys, us, psi_y, psi_f in lattice.scan(psi):  # +inf at the inadmissible pairs
+        steps = model.one_step(problem, psi, ys, us, psi_y, psi_f)
+        node_min[rows] = steps.reshape(-1, len(lattice.controls)).min(axis=1)
     expr = node_min - (1.0 - problem.discount) * (psi(lattice.states) + shift)
     return float((-expr).max())
 

@@ -434,6 +434,70 @@ class TestErrorPaths:
             f"error: the solution's {key} is not finite; run solve again\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("discard, message", [
+        ("1.5", "threshold must lie in [0, 1)"),
+        ("0.999", "every atom weighs less than 0.999"),
+    ], ids=["out-of-range", "every-atom-dropped"])
+    def test_refused_discard_writes_no_trajectory(self, tmp_path, capsys, discard, message):
+        # the threshold is checked before the rollout, so a fresh directory holding the
+        # solution only gets no trajectory file, nor an SVG
+        solved, out = tmp_path / "solved", tmp_path / "fresh"
+        assert cli.main(["solve", "--problem", "shift", "--out", str(solved)]) == 0
+        out.mkdir()
+        (out / "solution.json").write_bytes((solved / "solution.json").read_bytes())
+        capsys.readouterr()
+        assert cli.main(["rollout", "--problem", "shift", "--out", str(out),
+                         "--discard", discard]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [path.name for path in out.iterdir()] == ["solution.json"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", "-1", "tol must be nonnegative, got -1.0"),
+        ("tol", "nan", "tol must be nonnegative, got nan"),
+        ("pivot_tol", "0", "pivot_tol must be positive and finite, got 0.0"),
+        ("pivot_tol", "-1", "pivot_tol must be positive and finite, got -1.0"),
+        ("pivot_tol", "inf", "pivot_tol must be positive and finite, got inf"),
+    ], ids=["tol-negative", "tol-nan", "pivot-tol-zero", "pivot-tol-negative",
+            "pivot-tol-inf"])
+    def test_refused_tolerance_writes_nothing(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "run"
+        cfg_path = shift_config(tmp_path, out, f"{key} = {value}\n")
+        assert cli.main(["solve", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["atoms", "lambda", "mu"])
+    def test_solution_missing_a_field_names_file_and_field(self, tmp_path, capsys, field):
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        del doc[field]
+        (out / "solution.json").write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        for stage in ("rollout", "verify"):
+            assert cli.main([stage, *base]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {out / 'solution.json'} has no field '{field}'; run solve again\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("field", ["truncated_value", "truncation_bound"])
+    def test_trajectory_missing_a_footer_names_file_and_field(self, tmp_path, capsys, field):
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        traj = out / "trajectory.csv"
+        lines = traj.read_text().splitlines(keepends=True)
+        traj.write_text("".join(line for line in lines if not line.startswith(f"# {field},")))
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj} has no field '{field}'; run rollout again\n")
+        assert not (out / "report.txt").exists()
+
     def test_corrupted_solution_json(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg_path = shift_config(tmp_path, out)

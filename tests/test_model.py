@@ -141,7 +141,8 @@ class TestOneStepTable:
         controls = control_grid_points(p, 7)
         pair_s, pair_c, _, mask = pair_grid(p, states, controls)
         psi_y = np.repeat(self.psi(states), len(controls)) if anchored else 0.0
-        table = one_step_table(p, self.psi, states, controls, psi_y)
+        table = one_step_table(p, self.psi, states, controls,
+                               self.psi(states) if anchored else 0.0)  # one psi_y per state
         expected = np.where(mask, one_step(p, self.psi, pair_s, pair_c, psi_y).reshape(mask.shape),
                             np.inf)
         assert table.shape == mask.shape and table.tobytes() == expected.tobytes()

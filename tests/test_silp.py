@@ -82,11 +82,12 @@ class TestAssemble:
         assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("make, degree, grid, block, room", [
-        # 6,561 pairs in blocks of 1,024, the last one short
+        # 6,561 pairs in blocks of 12 states (972 pairs), the last one short
         (lambda: builtin_problem("example1"), 7, (9, 9), None, 0),
-        # shift-dense's base LP: 160,801 pairs in blocks of 7,281, with solve_refined's room
+        # shift-dense's base LP: 160,801 pairs in blocks of 18 states (7,218 pairs), with
+        # solve_refined's room
         (lambda: builtin_problem("shift"), 8, (401,), None, 632),
-        # blocks of 9 pairs over the 841 admissible ones of 41 x 41
+        # blocks of one state's 41 pairs over the 841 admissible ones of 41 x 41
         (lambda: drift_problem(), 3, (41,), 37, 5),
     ], ids=["example1", "shift-dense", "drift"])
     def test_blocks_match_one_pass_bitwise(self, monkeypatch, make, degree, grid, block, room):
@@ -481,7 +482,7 @@ class TestScan:
          CandidateSpec(state=(33, 33), control=(9, 9)), None),
         (lambda: builtin_problem("shift"), 3, GridSpec(state=(5,), control=(5,)),
          CandidateSpec(state=(41,), control=(41,)), None),
-        # every block has inadmissible pairs, and blocks of 100 split states' 41 controls
+        # every block of 2 states' 41 controls has inadmissible pairs
         (drift_problem, 3, GridSpec(state=(5,), control=(5,)),
          CandidateSpec(state=(41,), control=(41,)), 100),
     ], ids=["example1", "shift", "drift"])
@@ -501,12 +502,15 @@ class TestScan:
 
         def reference(problem, basis, certificate, states, controls, *given):
             priced.append(len(states))
-            return per_pair_reduced_costs(problem, basis, certificate, states, controls)
+            rc = per_pair_reduced_costs(problem, basis, certificate, states, controls)
+            # off the graph is +inf: an inadmissible pair is never a violator
+            return np.where(model.admissible_mask(problem, problem.f(states, controls)), rc, np.inf)
 
         monkeypatch.setattr(silp, "reduced_costs", reference)
         ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lattice, candidates, 1e-9)
-        # every admissible lattice pair, and nothing else, went through the reference
-        assert sum(priced) == lattice.successor_of.size
+        # every lattice pair went through the reference once
+        assert sum(priced) == lattice.successor_of.size \
+            == len(lattice.states) * len(lattice.controls)
         assert len(ys) == candidates.max_new_columns  # the first LP is violated
         assert len(np.unique(np.hstack([ys, us]), axis=0)) == len(ys)  # distinct (y, u)
         assert silp.admissible_mask(p, p.f(ys, us)).all()
@@ -515,18 +519,43 @@ class TestScan:
         assert us.tobytes() == ref_us.tobytes()
 
     def test_lattice_matches_pair_grid(self, monkeypatch):
-        # blocks of 100 pairs, each with inadmissible pairs, give back the
-        # pair grid's admissible pairs in order and their successors' bits
+        # blocks of 2 states' 41 controls, each with inadmissible pairs, give back every pair
+        # of the pair grid in order: S where it is masked, else its successor's bits
         monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
         p = drift_problem()
         lattice = candidate_lattice(p, CandidateSpec(state=(41,), control=(41,)))
-        states, controls, _, mask = model.pair_grid(p, lattice.states, lattice.controls)
-        j = np.concatenate([idx for idx, _ in lattice.blocks()])
-        succ = np.concatenate([rows for _, rows in lattice.blocks()])
-        np.testing.assert_array_equal(j, np.flatnonzero(mask))
-        assert len(lattice.admissible) == 17  # every block
+        _, _, succ, mask = model.pair_grid(p, lattice.states, lattice.controls)
+        blocks = list(lattice.blocks())
+        assert [(rows.start, rows.stop) for rows in blocks] == [(lo, min(lo + 2, 41))
+                                                               for lo in range(0, 41, 2)]
+        assert all(not mask[rows].all() for rows in blocks)  # every block
         assert lattice.successor_of.dtype == np.uint8
-        assert lattice.successors[succ].tobytes() == p.f(states[j], controls[j]).tobytes()
+        s, admissible = len(lattice.successors), mask.ravel()
+        np.testing.assert_array_equal(lattice.successor_of < s, admissible)
+        assert (lattice.successor_of[~admissible] == s).all()
+        assert lattice.successors[lattice.successor_of[admissible]].tobytes() \
+            == succ[admissible].tobytes()
+
+    def test_scan_yields_every_pair_at_inf_off_the_graph(self, monkeypatch):
+        # the scan walks the lattice's blocks and yields every pair of the pair grid; psi at
+        # the successor is +inf exactly where f(y, u) leaves Y, and psi(f(y, u)) elsewhere
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
+        p = drift_problem()
+        lattice = candidate_lattice(p, CandidateSpec(state=(41,), control=(41,)))
+        states, controls, succ, mask = model.pair_grid(p, lattice.states, lattice.controls)
+        admissible = mask.ravel()
+        assert admissible.any() and not admissible.all()
+
+        def psi(pts):
+            return np.sin(3.0 * pts[:, 0])
+
+        parts = list(lattice.scan(psi))
+        assert [rows for rows, *_ in parts] == list(lattice.blocks())
+        ys, us, psi_y, psi_f = (np.concatenate([part[k] for part in parts]) for k in range(1, 5))
+        assert ys.tobytes() == states.tobytes() and us.tobytes() == controls.tobytes()
+        assert psi_y.tobytes() == psi(states).tobytes()
+        np.testing.assert_array_equal(np.isposinf(psi_f), ~admissible)
+        assert psi_f[admissible].tobytes() == psi(succ[admissible]).tobytes()
 
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through
@@ -555,8 +584,9 @@ class TestScan:
                       CandidateSpec(state=(41,), control=(41,), max_new_columns=1),
                       tol=1e-9, max_rounds=20, history=history)
         assert len(history) >= 3
-        # 41 * 41 = 1,681 lattice pairs, then the base LP's 5 * 5 pairs in one assembly block
-        assert sizes == [500, 500, 500, 181, 25]
+        # 41 * 41 = 1,681 lattice pairs in blocks of 12 whole states (492 pairs), then the base
+        # LP's 5 * 5 pairs in one assembly block
+        assert sizes == [492, 492, 492, 205, 25]
         assert evaluated == sizes + [1] * (len(history) - 1)
 
 
@@ -588,11 +618,11 @@ class TestOneEvaluationPerPair:
         assert seen == self.every_pair_once(states, controls)
 
     def test_pair_lattice(self, monkeypatch):
-        monkeypatch.setattr(model, "_SCAN_CHUNK", 10)  # blocks of 10 pairs, most masked
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 10)  # blocks of one state's 7 pairs, most masked
         p, seen = self.counted_drift()
         states, controls = p.state_region.grid(9), model.control_grid_points(p, 7)
         lattice = model.pair_lattice(p, states, controls)
-        assert lattice.admissible
+        assert (lattice.successor_of == len(lattice.successors)).any()
         assert seen == self.every_pair_once(states, controls)
 
     def test_assemble(self, monkeypatch):

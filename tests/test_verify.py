@@ -75,15 +75,12 @@ def unblocked_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000)
     nodes = tensor_points(axes)
     controls = control_grid_points(p, control_grid)
     kn, kc = len(nodes), len(controls)
-    lattice = model.pair_lattice(p, nodes, controls)
-    stage = np.full(kn * kc, np.inf)
-    successor = np.zeros(kn * kc, dtype=np.intp)
-    for j, succ in lattice.blocks():
-        rows, cols = np.divmod(j, kc)
-        stage[j] = p.g(nodes[rows], controls[cols])
-        successor[j] = succ
-    stage, successor = stage.reshape(kn, kc), successor.reshape(kn, kc)
-    idx, wgt = verify._interp_table(axes, lattice.successors)
+    states, pair_controls, succ, mask = model.pair_grid(p, nodes, controls)
+    successors, inverse = model.distinct_rows(succ[mask.ravel()])
+    stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
+    successor = np.zeros((kn, kc), dtype=np.intp)  # 0, under a +inf stage, off the graph
+    successor[mask] = inverse
+    idx, wgt = verify._interp_table(axes, successors)
     node, values, diffs = np.arange(kn), np.zeros(kn), []
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
@@ -196,7 +193,7 @@ class TestValueIteration:
         (shift_problem, (21,), (21,), None),
         # y + u leaves [0, 1] for some pairs; u = 0 keeps every node admissible
         (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), None),
-        # lattice blocks of 7 pairs split nodes' 5 controls, and most hold inadmissible pairs
+        # lattice blocks of one node's 5 controls, and most hold inadmissible pairs
         (lambda: one_d_problem(lambda y, u: y + u), (11,), (5,), 7),
         # successors 0.0 for y > 0 and -0.0 otherwise
         (lambda: one_d_problem(lambda y, u: np.where(y > 0, u, -u), controls=(-1.0, 1.0),
@@ -281,6 +278,26 @@ class TestValueIteration:
                                                       max_iter=max_iter)
             assert grid.values.tobytes() == values.tobytes()
             assert grid.sweep_diffs == diffs
+
+    def test_backups_read_the_lattice_successor_table(self, monkeypatch):
+        # shift with its control u = 0 marked S, off the graph, in the lattice's own successor
+        # table backs up, bit for bit, as shift without u = 0 in its control grid
+        p, controls = shift_problem(), np.linspace(0.0, 1.0, 11)[:, None]
+        build = model.pair_lattice
+
+        def without_zero(problem, states, controls):
+            lattice = build(problem, states, controls)
+            lattice.successor_of.reshape(len(states), -1)[:, 0] = len(lattice.successors)
+            return lattice
+
+        full = value_iteration(p, (11,), controls, tol=1e-10)
+        monkeypatch.setattr(model, "pair_lattice", without_zero)
+        marked = value_iteration(p, (11,), controls, tol=1e-10)
+        monkeypatch.undo()
+        reference = value_iteration(p, (11,), controls[1:], tol=1e-10)
+        assert marked.values.tobytes() == reference.values.tobytes()
+        assert marked.sweep_diffs == reference.sweep_diffs
+        assert marked.values.tobytes() != full.values.tobytes()
 
     def test_peak_memory_on_example1_oracle(self):
         # example1's 41^2 nodes x 21^2 controls: 741,321 pairs.  Full backups over the whole
@@ -490,15 +507,18 @@ class TestOptimalityConditions:
         assert rep.hamiltonian.tobytes() == ham.tobytes()
 
     def test_inadmissible_pairs_in_split_blocks_match_per_pair_psi_bitwise(self, monkeypatch):
-        # blocks of 20 pairs split nodes' 9 controls, and f = y + u leaves [0, 1] for
-        # some of every node's controls
+        # blocks of 2 nodes' 9 controls (20 pairs would split a node; blocks hold whole
+        # nodes), and f = y + u leaves [0, 1] for some of every node's controls
         monkeypatch.setattr(model, "_SCAN_CHUNK", 20)
         p = drift_problem()
         b = MonomialBasis(1, 3)
         _, cert = solve(assemble(p, b, GridSpec(state=(5,), control=(5,))))
         roll = rollout(p, minimizer_policy(p, b, cert, (5,)), steps=20)
         oracle = value_iteration(p, (11,), (9,), tol=1e-6)
-        assert len(oracle.lattice.admissible) == 5  # every block
+        lattice = oracle.lattice
+        off = (lattice.successor_of == len(lattice.successors)).reshape(11, 9)
+        assert off.any(axis=1).all()  # every node, so every one of the 6 blocks
+        assert len(list(lattice.blocks())) == 6
         rep = check_optimality_conditions(p, roll, cert, oracle, b)
         # no visited pair attains the scan minimum: a lattice pair past the first block does
         assert rep.stationarity.min() > 0.0
@@ -560,7 +580,7 @@ class TestShiftedInequality:
 
     @pytest.mark.parametrize("problem, state_grid, control_grid, chunk", [
         (lambda: builtin_problem("example1"), (9, 9), (7, 7), None),
-        # blocks of 20 pairs split nodes' 9 controls; f = y + u leaves [0, 1]
+        # blocks of 2 nodes' 9 controls; f = y + u leaves [0, 1]
         (drift_problem, (11,), (9,), 20),
     ], ids=["example1", "drift-split-blocks"])
     def test_matches_per_node_loop_bitwise(self, monkeypatch, problem, state_grid,
