@@ -231,13 +231,6 @@ def _load_solution(cfg: RunConfig, run: dict):
     return measure, certificate
 
 
-def _write_trajectory(path: Path, roll, run: dict) -> None:
-    """trajectory.csv, its footer stamped with the run it was rolled out for."""
-    synthesis.write_trajectory_csv(path, roll)
-    with open(path, "a") as fh:
-        fh.write(f"# run,{json.dumps(run)}\n")
-
-
 def cmd_rollout(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
@@ -258,11 +251,11 @@ def cmd_rollout(cfg: RunConfig) -> int:
     try:
         roll = synthesis.rollout(problem, policy, epsilon=cfg.epsilon, steps=cfg.steps)
     except RolloutAborted as exc:  # the steps taken before the failure, marked by NaN values
-        _write_trajectory(out / "trajectory.csv", exc.rollout, run)
+        synthesis.write_trajectory_csv(out / "trajectory.csv", exc.rollout, run)
         raise
 
     synthesis.gap_certificate(roll, certificate)
-    _write_trajectory(out / "trajectory.csv", roll, run)
+    synthesis.write_trajectory_csv(out / "trajectory.csv", roll, run)
     synthesis.write_trajectory_svg(out / "trajectory.svg", roll, trimmed)
     print(f"policy {cfg.policy}: horizon {roll.horizon}, "
           f"value {roll.truncated_value:.6f}, gap {roll.gap:.6f}")
@@ -313,7 +306,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     psi_violation = verify.check_psi_bound(certificate, oracle, problem, basis)
     checks.append(("surrogate bound violation", psi_violation, cfg.psi_slack))
 
-    shifted = verify.check_shifted_inequality(certificate, scaled_mu, problem, oracle, basis)
+    shifted = verify.check_shifted_inequality(report, certificate, scaled_mu, problem)
     checks.append(("shifted inequality violation", shifted, cfg.psi_slack))
     checks.append(("gap certificate", synthesis.gap_certificate(roll, certificate),
                    cfg.gap_slack))

@@ -45,7 +45,7 @@ from .errors import (EmptyMeasure, InsufficientGrid, LpInfeasible, LpUnbounded, 
                      SolverStalled)
 from .model import DiscreteControlProblem
 from .model import admissible_mask  # noqa: F401  perfbench/tracer.py wraps this name here
-from .simplex import LpResult, solve_equality_lp
+from .simplex import LpResult, lowest_below, solve_equality_lp
 
 _WEIGHT_CLIP = 1e-12
 _SUPPORT_TOL = 1e-9  # selection pins rc = 0 above this weight; atoms of 1e-12 are round-off
@@ -311,25 +311,23 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
 
 def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
                     certificate: DualCertificate, lattice: model.PairLattice,
-                    candidate_spec: CandidateSpec, tol: float):
-    """Price the candidate set; return (min reduced cost, worst violators).
+                    cap: int, tol: float):
+    """Price the admissible pairs of ``lattice``; return (min reduced cost, worst violators).
 
-    The candidates are the admissible pairs of ``lattice``, the
-    ``model.pair_lattice`` of the candidate spec's grids built once per
-    solve; its scan prices the others at +inf.  The violators are the at
-    most ``max_new_columns`` candidates with reduced cost below -tol, most
-    violating first, ties broken lexicographically on (y, u).
+    ``lattice`` is a ``model.pair_lattice`` built once per solve or per
+    verify; its scan prices the inadmissible pairs at +inf.  The violators
+    are the at most ``cap`` pairs with reduced cost below -tol, most
+    violating first, ties broken lexicographically on (y, u); with tol = inf
+    there are none, and only the minimum is priced.
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
-    cap = candidate_spec.max_new_columns
     psi = functools.partial(certificate.psi, basis)
     for _, ys, us, psi_y, psi_f in lattice.scan(psi):
         rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f)
         min_rc = min(min_rc, float(rc.min()))
-        viol = np.nonzero(rc < -tol)[0]
-        if viol.size:
-            keep = viol[np.argsort(rc[viol], kind="stable")[:cap]]
+        keep = lowest_below(rc, cap, -tol)
+        if keep is not None:
             best_rc.append(rc[keep])
             best_y.append(ys[keep])
             best_u.append(us[keep])
@@ -389,14 +387,14 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
             measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
             res = results[0]
             min_rc, ys, us = scan_candidates(problem, basis, certificate, lattice,
-                                             candidate_spec, tol)
+                                             candidate_spec.max_new_columns, tol)
             margin, selection_pivots = None, 0
             if min_rc >= -tol:
                 certificate, margin, selection_pivots = select_certificate(
                     lp, res, certificate, pivot_tol)
                 if margin is not None:
                     min_rc, ys, us = scan_candidates(problem, basis, certificate, lattice,
-                                                     candidate_spec, tol)
+                                                     candidate_spec.max_new_columns, tol)
         except (LpInfeasible, LpUnbounded, SolverStalled) as exc:
             if done is None:
                 raise
@@ -462,9 +460,18 @@ def solution_to_json(measure: AtomicMeasure, certificate: DualCertificate,
 
 def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("the solution is not a JSON object; run solve again")
     atoms = doc["atoms"]
+    if not isinstance(atoms, list):
+        raise ValueError("the solution's atoms is not a list; run solve again")
     if not atoms:  # every solve writes at least one
         raise ValueError("the solution has no atoms; run solve again")
+    for k, atom in enumerate(atoms):
+        if not (isinstance(atom, list) and len(atom) == 3
+                and isinstance(atom[0], list) and isinstance(atom[1], list)):
+            raise ValueError(f"the solution's atom {k} is not a [state, control, weight] "
+                             "triple; run solve again")
     states = np.array([a[0] for a in atoms], dtype=float)
     controls = np.array([a[1] for a in atoms], dtype=float)
     weights = np.array([a[2] for a in atoms], dtype=float)

@@ -224,7 +224,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_trajectory_csv(path, roll: Rollout) -> None:
+def write_trajectory_csv(path, roll: Rollout, run: dict) -> None:
+    """One row per step, then the footer, which ends with the ``run`` stamp as JSON."""
     m = roll.states.shape[1]
     d = roll.controls.shape[1]
     header = ["t"] + [f"y{i+1}" for i in range(m)] + [f"u{i+1}" for i in range(d)]
@@ -236,6 +237,7 @@ def write_trajectory_csv(path, roll: Rollout) -> None:
     lines.append(f"# truncation_bound,{_fmt(roll.truncation_bound)}")
     if roll.gap is not None:
         lines.append(f"# gap,{_fmt(roll.gap)}")
+    lines.append(f"# run,{json.dumps(run)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -9,10 +9,13 @@ function, stationarity and value-agreement of a rollout under a dual
 certificate, the pointwise bound of the surrogate by the value function,
 and the nonnegativity of the shifted one-step inequality.  Every scan of the
 one-step expression g(y, u) + alpha * (psi(f(y, u)) - psi(y)) goes through
-``model.one_step`` or, over a grid, ``model.one_step_table``, and the node
-grid's scans share the ``model.pair_lattice`` ``value_iteration`` builds.
-They walk it in the lattice's own blocks of whole nodes, where an
-inadmissible pair prices at +inf, so no pair index is computed here.
+``model.one_step`` or, over a grid, ``model.one_step_table``.  Stationarity
+and the shifted inequality rest on one quantity, the reduced cost
+rc = g + alpha * (psi(f) - psi) + (1 - alpha) * (psi(y0) - psi) - mu that
+``solve`` prices, so ``check_optimality_conditions`` prices the pair
+lattice ``value_iteration`` builds once, through ``silp.scan_candidates``,
+and ``check_shifted_inequality`` reads its minimum: at the anchor
+mu / (1 - alpha) the shifted inequality's violation is -min rc.
 Everything here is report-oriented: checks return residual magnitudes and
 the caller compares against slacks.
 """
@@ -224,6 +227,7 @@ class OptimalityReport:
     stationarity: np.ndarray        # one-step argmin residual per step
     value_agreement_std: float      # spread of surrogate-minus-value along the path
     hamiltonian: np.ndarray         # one-step identity residual per step
+    min_reduced_cost: float         # min rc over the value grid's pair lattice
 
 
 def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
@@ -232,9 +236,11 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     """Residuals of the three optimality conditions along the rollout.
 
     (a) stationarity: each visited pair must attain the graph-wide minimum
-    of g + alpha * psi(f) - psi; the scan covers the value grid's lattice
-    plus the visited pairs themselves, so the residual is nonnegative by
-    construction.
+    of the reduced cost rc = g + alpha * psi(f) - psi + const; the minimum
+    is taken over the value grid's lattice, priced once by
+    ``silp.scan_candidates``, and the visited pairs themselves, so the
+    residual is nonnegative by construction.  The lattice minimum is kept
+    as ``min_reduced_cost``.
     (b) value agreement: psi and the oracle value may differ only by a
     constant along the path; reported as the standard deviation.
     (c) the minimized one-step expression over the oracle's controls must
@@ -245,17 +251,17 @@ def check_optimality_conditions(problem: DiscreteControlProblem, roll: Rollout,
     lattice = value_grid.lattice
 
     psi_roll = psi(roll.states)
-    roll_step = model.one_step(problem, psi, roll.states, roll.controls) - psi_roll
-    mins = [float((model.one_step(problem, psi, ys, us, psi_f=psi_f) - psi_y).min())
-            for _, ys, us, psi_y, psi_f in lattice.scan(psi)]
-    stationarity = roll_step - min(mins + [float(roll_step.min(initial=np.inf))])
+    rc_roll = silp.reduced_costs(problem, basis, certificate, roll.states, roll.controls,
+                                 psi_roll)
+    min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lattice, 1, np.inf)
+    stationarity = rc_roll - min(min_rc, float(rc_roll.min(initial=np.inf)))
 
     value_std = float(np.std(psi_roll - value_grid(roll.states)))
     target = (1.0 - alpha) * (value_grid(problem.initial_state) - psi(problem.initial_state))
     ham = hamiltonian_min(problem, psi, roll.states, lattice.controls) \
         - (1.0 - alpha) * psi_roll - target
     return OptimalityReport(stationarity=stationarity, value_agreement_std=value_std,
-                            hamiltonian=np.abs(ham))
+                            hamiltonian=np.abs(ham), min_reduced_cost=min_rc)
 
 
 def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
@@ -270,25 +276,19 @@ def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
     return float((certificate.psi(basis, nodes) - value_grid(nodes) - anchor).max())
 
 
-def check_shifted_inequality(certificate: DualCertificate, value_at_y0: float,
-                             problem: DiscreteControlProblem, value_grid: ValueFunctionGrid,
-                             basis: MonomialBasis) -> float:
+def check_shifted_inequality(report: OptimalityReport, certificate: DualCertificate,
+                             value_at_y0: float, problem: DiscreteControlProblem) -> float:
     """Worst negativity of the one-step inequality after anchoring at y0.
 
     It is checked at the value grid's nodes over its lattice's controls.
-    The surrogate is re-anchored so its value at the initial state equals
-    ``value_at_y0``; constant shifts cancel inside the minimized
-    expression, so only the anchoring constant matters.
+    The surrogate is re-anchored by a constant so its value at the initial
+    state equals ``value_at_y0``.  With H = g + alpha * psi(f) - psi(y), the
+    node's expression min_u H - (1 - alpha) * (value_at_y0 - psi(y0)) has
+    no psi(y) term left, and rc = H + (1 - alpha) * psi(y0) - mu, so the
+    worst negativity is read off the lattice's minimum reduced cost in
+    ``report``; at the anchor mu / (1 - alpha) it is -min rc.
     """
-    psi = functools.partial(certificate.psi, basis)
-    shift = value_at_y0 - psi(problem.initial_state)
-    lattice = value_grid.lattice
-    node_min = np.empty(len(lattice.states))
-    for rows, ys, us, psi_y, psi_f in lattice.scan(psi):  # +inf at the inadmissible pairs
-        steps = model.one_step(problem, psi, ys, us, psi_y, psi_f)
-        node_min[rows] = steps.reshape(-1, len(lattice.controls)).min(axis=1)
-    expr = node_min - (1.0 - problem.discount) * (psi(lattice.states) + shift)
-    return float((-expr).max())
+    return (1.0 - problem.discount) * value_at_y0 - certificate.mu - report.min_reduced_cost
 
 
 def estimate_kappa(problem: DiscreteControlProblem, basis: MonomialBasis,

@@ -140,7 +140,7 @@ def test_criterion_4_shift_exactness(shift):
     residuals += [float(rep.stationarity.max()), rep.value_agreement_std,
                   float(rep.hamiltonian.max())]
     residuals.append(om.check_psi_bound(cert, oracle, p, b))
-    residuals.append(om.check_shifted_inequality(cert, cert.mu / (1 - p.discount), p, oracle, b))
+    residuals.append(om.check_shifted_inequality(rep, cert, cert.mu / (1 - p.discount), p))
     residuals.append(abs(oracle(p.initial_state) - cert.mu / (1 - p.discount)))
     verify_ok = max(residuals) <= 1e-6
     time_ok = shift["elapsed"] <= 5.0

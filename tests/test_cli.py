@@ -146,7 +146,8 @@ class TestPipeline:
         _, certificate, doc = silp.solution_from_json((out / "solution.json").read_text())
         lattice = model.pair_lattice(problem, model.state_grid_points(problem, cand.state),
                                      model.control_grid_points(problem, cand.control))
-        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lattice, cand, cfg.tol)
+        min_rc, _, _ = silp.scan_candidates(problem, basis, certificate, lattice,
+                                             cand.max_new_columns, cfg.tol)
         assert doc["max_dual_violation"] == max(0.0, -min_rc)
 
     def test_epsilon_sets_horizon_unless_steps_given(self, tmp_path, capsys):
@@ -206,7 +207,7 @@ class TestPipeline:
 class TestVerifyLattice:
     def test_verify_masks_each_oracle_pair_once(self, tmp_path, monkeypatch):
         # the oracle's node x control lattice is built once, by value iteration, and
-        # shared by the stationarity scan and the shifted inequality; only the one-step
+        # priced once, for stationarity and the shifted inequality alike; only the one-step
         # identity evaluates f at the oracle's controls again, once per visited state.
         # Every f evaluation is counted per (y, u) pair: besides those, f runs once per
         # rollout pair (its one-step value) and once per atom (the measure residuals)
@@ -257,6 +258,24 @@ class TestVerifyLattice:
         for ys, us in ((states, moves), (measure.states, measure.controls)):
             expected.update((y.tobytes(), u.tobytes()) for y, u in zip(ys, us))
         assert seen == expected
+
+    def test_verify_prices_the_oracle_lattice_once(self, tmp_path, monkeypatch):
+        # stationarity and the shifted inequality read one minimum reduced cost
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve"] + base) == 0
+        assert cli.main(["rollout"] + base) == 0
+        scan, scans = model.PairLattice.scan, []
+
+        def counted_scan(lattice, psi):
+            scans.append(len(lattice.states))
+            return scan(lattice, psi)
+
+        monkeypatch.setattr(model.PairLattice, "scan", counted_scan)
+        assert cli.main(["verify"] + base) == 0
+        cfg = cli.RunConfig(problem="shift").resolved()
+        problem, _ = cli._build(cfg)
+        assert scans == [len(model.state_grid_points(problem, cfg.vi_state_grid))]
 
 
 class TestVertexChoice:
@@ -496,6 +515,27 @@ class TestErrorPaths:
         assert cli.main(["verify", *base]) == 1
         assert capsys.readouterr().err == (
             f"error: {traj} has no field '{field}'; run rollout again\n")
+        assert not (out / "report.txt").exists()
+
+    @pytest.mark.parametrize("stage", [["rollout"], ["verify"]], ids=["rollout", "verify"])
+    @pytest.mark.parametrize("doc, message", [
+        ([], "the solution is not a JSON object"),
+        ({"atoms": 3, "lambda": [0.0, 1.0], "mu": 0.2}, "the solution's atoms is not a list"),
+        ({"atoms": [1, 2], "lambda": [0.0, 1.0], "mu": 0.2},
+         "the solution's atom 0 is not a [state, control, weight] triple"),
+        ({"atoms": [[[0.4], [0.0], 1.0], [[0.4], 0.0, 1.0]], "lambda": [0.0, 1.0], "mu": 0.2},
+         "the solution's atom 1 is not a [state, control, weight] triple"),
+    ], ids=["top-level-list", "atoms-int", "atom-int", "control-scalar"])
+    def test_malformed_solution_is_refused(self, tmp_path, capsys, stage, doc, message):
+        # the first three ended rollout and verify with a TypeError traceback
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        (out / "solution.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([*stage, *base]) == 1
+        assert capsys.readouterr().err == f"error: {message}; run solve again\n"
+        assert not (out / "trajectory.csv").exists()
         assert not (out / "report.txt").exists()
 
     def test_corrupted_solution_json(self, tmp_path, capsys):

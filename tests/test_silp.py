@@ -497,7 +497,8 @@ class TestScan:
         b = MonomialBasis(p.state_dim, degree)
         _, cert = solve(assemble(p, b, grid))
         lattice = candidate_lattice(p, candidates)
-        min_rc, ys, us = silp.scan_candidates(p, b, cert, lattice, candidates, 1e-9)
+        cap = candidates.max_new_columns
+        min_rc, ys, us = silp.scan_candidates(p, b, cert, lattice, cap, 1e-9)
         priced = []
 
         def reference(problem, basis, certificate, states, controls, *given):
@@ -507,11 +508,11 @@ class TestScan:
             return np.where(model.admissible_mask(problem, problem.f(states, controls)), rc, np.inf)
 
         monkeypatch.setattr(silp, "reduced_costs", reference)
-        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lattice, candidates, 1e-9)
+        ref_rc, ref_ys, ref_us = silp.scan_candidates(p, b, cert, lattice, cap, 1e-9)
         # every lattice pair went through the reference once
         assert sum(priced) == lattice.successor_of.size \
             == len(lattice.states) * len(lattice.controls)
-        assert len(ys) == candidates.max_new_columns  # the first LP is violated
+        assert len(ys) == cap  # the first LP is violated
         assert len(np.unique(np.hstack([ys, us]), axis=0)) == len(ys)  # distinct (y, u)
         assert silp.admissible_mask(p, p.f(ys, us)).all()
         assert np.float64(min_rc).tobytes() == np.float64(ref_rc).tobytes()

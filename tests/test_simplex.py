@@ -810,7 +810,7 @@ class TestLeanLoop:
         spec = silp.CandidateSpec(state=(33,), control=(9,))
         lattice = model.pair_lattice(p, model.state_grid_points(p, spec.state),
                                      model.control_grid_points(p, spec.control))
-        _, ys, us = silp.scan_candidates(p, b, cert, lattice, spec, 1e-6)
+        _, ys, us = silp.scan_candidates(p, b, cert, lattice, spec.max_new_columns, 1e-6)
         assert len(ys) == spec.max_new_columns
         cold_calls = len(check.calls)
         solve(lp.extended(p, b, ys, us), start=results[0].basis, results=results)

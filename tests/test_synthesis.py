@@ -213,9 +213,10 @@ class TestRollout:
             rollout(p, fails, steps=10)
         part = err.value.rollout
         assert part.states.shape == (0, 2) and part.controls.shape == (0, 2)
-        write_trajectory_csv(tmp_path / "t.csv", part)
+        write_trajectory_csv(tmp_path / "t.csv", part, {"problem": "example1"})
         assert (tmp_path / "t.csv").read_text() == (
-            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n")
+            "t,y1,y2,u1,u2\n# truncated_value,nan\n# truncation_bound,nan\n"
+            '# run,{"problem": "example1"}\n')
 
     def test_cost_bound_example1(self):
         assert cost_bound(builtin_problem("example1")) == pytest.approx(2.0)
@@ -270,7 +271,8 @@ class TestExports:
     def test_csv_roundtrip(self, tmp_path):
         roll = self.make_rollout()
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, roll)
+        stamp = {"problem": "example1", "alpha": 0.9, "y0": [0.5, 0.25], "degree": 3}
+        write_trajectory_csv(path, roll, stamp)
         text = path.read_text()
         assert text.splitlines()[0] == "t,y1,y2,u1,u2"
         assert len([l for l in text.splitlines() if not l.startswith("#") and l]) == 12
@@ -278,14 +280,15 @@ class TestExports:
         assert states.shape == (11, 2) and controls.shape == (11, 2)
         assert meta["truncated_value"] == pytest.approx(roll.truncated_value, rel=1e-5)
         assert meta["gap"] == pytest.approx(0.5)
+        assert meta["run"] == stamp
         # six significant digits stored
         np.testing.assert_allclose(states, roll.states, atol=1e-5)
 
     def test_csv_deterministic(self, tmp_path):
         roll = self.make_rollout()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(a, roll)
-        write_trajectory_csv(b, roll)
+        write_trajectory_csv(a, roll, {"problem": "example1"})
+        write_trajectory_csv(b, roll, {"problem": "example1"})
         assert a.read_bytes() == b.read_bytes()
 
     def test_svg_structure(self, tmp_path):

@@ -119,24 +119,36 @@ def one_d_problem(dynamics, controls=(-0.5, 0.5), states=(0.0, 1.0)):
         discount=0.8, initial_state=[0.5])
 
 
+def per_pair_reduced_costs(p, cert, basis, states, controls):
+    """Reference rc = g + alpha * (psi(f) - psi) + (1 - alpha) * (psi(y0) - psi) - mu,
+    psi(y) and psi(f(y, u)) evaluated for every pair."""
+    alpha = p.discount
+    psi_y = cert.psi(basis, states)
+    return (p.g(states, controls) + alpha * (cert.psi(basis, p.f(states, controls)) - psi_y)
+            + (1.0 - alpha) * (cert.psi(basis, p.initial_state) - psi_y) - cert.mu)
+
+
+def admissible_lattice_pairs(p, value_grid, control_grid):
+    """The admissible (node, control) pairs of the value grid, nodes varying slowest."""
+    nodes = tensor_points(value_grid.axes)
+    cg = control_grid_points(p, control_grid)
+    states = np.repeat(nodes, len(cg), axis=0)
+    controls = np.tile(cg, (len(nodes), 1))
+    mask = admissible_mask(p, p.f(states, controls))
+    return states[mask], controls[mask]
+
+
 def per_pair_optimality_residuals(p, roll, cert, value_grid, basis, control_grid):
     """Reference stationarity and one-step identity: psi(y) evaluated for every scanned pair."""
     alpha = p.discount
     psi = functools.partial(cert.psi, basis)
-    nodes = tensor_points(value_grid.axes)
-    cg = control_grid_points(p, control_grid)
-    scan_states = np.repeat(nodes, len(cg), axis=0)
-    scan_controls = np.tile(cg, (len(nodes), 1))
-    mask = admissible_mask(p, p.f(scan_states, scan_controls))
-    scan_states = np.vstack([scan_states[mask], roll.states])
-    scan_controls = np.vstack([scan_controls[mask], roll.controls])
-
-    def one_step(states, controls):
-        return p.g(states, controls) + alpha * psi(p.f(states, controls)) - psi(states)
-
-    stationarity = one_step(roll.states, roll.controls) \
-        - float(one_step(scan_states, scan_controls).min())
+    scan_states, scan_controls = admissible_lattice_pairs(p, value_grid, control_grid)
+    scan_states = np.vstack([scan_states, roll.states])
+    scan_controls = np.vstack([scan_controls, roll.controls])
+    stationarity = per_pair_reduced_costs(p, cert, basis, roll.states, roll.controls) \
+        - float(per_pair_reduced_costs(p, cert, basis, scan_states, scan_controls).min())
     target = (1.0 - alpha) * (value_grid(p.initial_state) - psi(p.initial_state))
+    cg = control_grid_points(p, control_grid)
     ham = hamiltonian_min(p, psi, roll.states, cg) - (1.0 - alpha) * psi(roll.states) - target
     return stationarity, np.abs(ham)
 
@@ -555,11 +567,17 @@ class TestPsiBound:
 
 
 class TestShiftedInequality:
+    def shifted(self, p, cert, oracle, basis, value_at_y0):
+        # the report's lattice minimum does not depend on the rollout it is checked along
+        roll = rollout(p, minimizer_policy(p, basis, cert, oracle.lattice.controls), steps=5)
+        report = check_optimality_conditions(p, roll, cert, oracle, basis)
+        return check_shifted_inequality(report, cert, value_at_y0, p)
+
     def test_exact_certificate_zero_violation(self):
         p = shift_problem()
         cert = shift_exact_certificate()
         oracle = value_iteration(p, (21,), (21,), tol=1e-10)
-        viol = check_shifted_inequality(cert, 0.4, p, oracle, MonomialBasis(1, 3))
+        viol = self.shifted(p, cert, oracle, MonomialBasis(1, 3), 0.4)
         assert viol == pytest.approx(0.0, abs=1e-12)
 
     def test_raised_anchor_violates_by_scaled_constant(self):
@@ -568,7 +586,7 @@ class TestShiftedInequality:
         cert = shift_exact_certificate()
         oracle = value_iteration(p, (21,), (21,), tol=1e-10)
         for c in (0.1, 0.25):
-            viol = check_shifted_inequality(cert, 0.4 + c, p, oracle, MonomialBasis(1, 3))
+            viol = self.shifted(p, cert, oracle, MonomialBasis(1, 3), 0.4 + c)
             assert viol == pytest.approx((1 - p.discount) * c, abs=1e-12)
 
     def test_one_dimensional_array_grid_is_a_column_of_states(self):
@@ -583,30 +601,28 @@ class TestShiftedInequality:
         # blocks of 2 nodes' 9 controls; f = y + u leaves [0, 1]
         (drift_problem, (11,), (9,), 20),
     ], ids=["example1", "drift-split-blocks"])
-    def test_matches_per_node_loop_bitwise(self, monkeypatch, problem, state_grid,
+    def test_matches_per_pair_loop_bitwise(self, monkeypatch, problem, state_grid,
                                            control_grid, chunk):
-        # the per-node formula over the admissible grid controls is the reference, bit for bit
+        # (1 - alpha) * V(y0) - mu - rc over every admissible grid pair is the reference,
+        # bit for bit
         if chunk is not None:
             monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
         p = problem()
         b = MonomialBasis(p.state_dim, 4)
         lam = np.random.default_rng(3).normal(size=b.count)
         cert = DualCertificate(lam=lam, mu=0.0)
-        psi = functools.partial(cert.psi, b)
         oracle = value_iteration(p, state_grid, control_grid, tol=1e-6)
+        anchored = (1.0 - p.discount) * 0.7 - cert.mu
+        states, controls = admissible_lattice_pairs(p, oracle, control_grid)
+        min_rc = per_pair_reduced_costs(p, cert, b, states, controls).min()
+        nodes = tensor_points(oracle.axes)
         grid = control_grid_points(p, control_grid)
-        shift = 0.7 - psi(p.initial_state)
-        expected, unmasked = [], []
-        for y in tensor_points(oracle.axes):
-            ys = np.broadcast_to(y, grid.shape)
-            steps = p.g(ys, grid) + p.discount * (psi(p.f(ys, grid)) - psi(y))
-            anchored = (1.0 - p.discount) * (psi(y) + shift)
-            expected.append(-(steps[admissible_mask(p, p.f(ys, grid))].min() - anchored))
-            unmasked.append(-(steps.min() - anchored))
-        viol = check_shifted_inequality(cert, 0.7, p, oracle, b)
-        assert np.float64(viol).tobytes() == np.max(expected).tobytes()
+        every = per_pair_reduced_costs(p, cert, b, np.repeat(nodes, len(grid), axis=0),
+                                       np.tile(grid, (len(nodes), 1)))
+        viol = self.shifted(p, cert, oracle, b, 0.7)
+        assert np.float64(viol).tobytes() == np.float64(anchored - min_rc).tobytes()
         # on drift the inadmissible pairs would change the answer
-        assert (np.max(unmasked) != np.max(expected)) == (chunk is not None)
+        assert (every.min() != min_rc) == (chunk is not None)
 
 
 class TestOracleBracket:
