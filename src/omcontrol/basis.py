@@ -93,11 +93,11 @@ class MonomialBasis:
         acc = np.zeros((self.count, 1))
         acc[self._tensor_index, 0] = coef
         x = pts[:, -1]
-        values, inverse = _distinct_values(x) if self.dim > 1 else (None, None)
-        if inverse is None:
-            acc = self._contract(acc, x)
+        values, inverse = model.distinct_rows(x[:, None]) if self.dim > 1 else (x, None)
+        if inverse is not None and 2 * len(values) <= len(x):  # gathering saves more than it costs
+            acc = self._contract(acc, values[:, 0]).take(inverse, axis=1)
         else:
-            acc = self._contract(acc, values).take(inverse, axis=1)
+            acc = self._contract(acc, x)
         for a in range(self.dim - 2, -1, -1):
             acc = self._contract(acc, pts[:, a])
         return acc[0]
@@ -115,24 +115,6 @@ class MonomialBasis:
 
     def __repr__(self) -> str:
         return f"MonomialBasis(dim={self.dim}, max_degree={self.max_degree}, count={self.count})"
-
-
-def _distinct_values(x: np.ndarray):
-    """Distinct bit patterns of a float vector and each entry's row among them.
-
-    (None, None) when more than half the entries are distinct, as gathering
-    then saves less than the index costs.  Sorting the uint64 view is an
-    order of magnitude faster than ``np.unique`` and keeps -0.0 apart from 0.0.
-    """
-    bits = x.view(np.uint64)
-    ordered = np.sort(bits)
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 2 * distinct.size > bits.size:
-        return None, None
-    return distinct.view(np.float64), np.searchsorted(distinct, bits)
 
 
 def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,

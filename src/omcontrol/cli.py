@@ -10,7 +10,6 @@ runs with the same configuration produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -157,7 +156,9 @@ def _run_stamp(problem, basis) -> dict:
 
 
 def _check_stamp(path, stamp: dict, run: dict, made: str, command: str) -> None:
-    """Refuse the file at ``path`` if a field of its ``stamp`` differs from ``run``'s."""
+    """Refuse the file at ``path`` if its ``stamp`` is not an object or differs from ``run``'s."""
+    if not isinstance(stamp, dict):
+        raise ValueError(f"{path}'s run stamp is not an object; run {command} again")
     for key, value in run.items():
         if key in stamp and stamp[key] != value:
             raise ValueError(f"{path} was {made} for {key} = {stamp[key]}, this run has "
@@ -345,20 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--problem", help="built-in problem name")
-        p.add_argument("--alpha", type=float, help="discount factor override")
+        p.add_argument("--alpha", help="discount factor override")
         p.add_argument("--y0", help="initial state, comma separated")
-        p.add_argument("--degree", type=int, help="per-coordinate monomial degree cap")
+        p.add_argument("--degree", help="per-coordinate monomial degree cap")
         p.add_argument("--state-grid", help="state grid points per axis")
         p.add_argument("--control-grid", help="control grid points per axis "
                        "(rollout: the policy's search grid)")
         p.add_argument("--candidate-grid", help="refinement candidates, STATE[:CONTROL]")
-        p.add_argument("--tol", type=float, help="dual feasibility tolerance")
-        p.add_argument("--epsilon", type=float, help="truncation error target")
-        p.add_argument("--steps", type=int, help="fixed rollout horizon")
+        p.add_argument("--tol", help="dual feasibility tolerance")
+        p.add_argument("--epsilon", help="truncation error target")
+        p.add_argument("--steps", help="fixed rollout horizon")
         p.add_argument("--policy", choices=["minimizer", "heuristic"])
-        p.add_argument("--discard", type=float, help="atom discard threshold")
-        p.add_argument("--batch", type=int, help="columns added per refinement pass")
-        p.add_argument("--max-rounds", dest="max_rounds", type=int)
+        p.add_argument("--discard", help="atom discard threshold")
+        p.add_argument("--batch", help="columns added per refinement pass")
+        p.add_argument("--max-rounds")
         p.add_argument("--out", help="output directory")
 
     for name in ("solve", "rollout", "verify"):
@@ -376,7 +377,7 @@ def main(argv=None) -> int:
         if args.command == "rollout":
             return cmd_rollout(cfg)
         return cmd_verify(cfg)
-    except (SolverError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (SolverError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

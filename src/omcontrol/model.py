@@ -179,8 +179,16 @@ def distinct_rows(points):
     Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
     ``distinct[inverse]`` has exactly the bytes of ``points``.
     """
-    points = np.ascontiguousarray(points, dtype=float)
-    bits = points.view(np.uint64)
+    points = np.asarray(points, dtype=float)
+    if points.shape[1] == 1:  # sorting the bits and searching them is faster than lexsort
+        bits = points[:, 0].view(np.uint64)  # a view, also of a strided column
+        ordered = np.sort(bits)
+        first = np.empty(ordered.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
+        return distinct.view(np.float64)[:, None], np.searchsorted(distinct, bits)
+    bits = np.ascontiguousarray(points).view(np.uint64)
     order = np.lexsort(bits.T[::-1])
     ordered = bits[order]
     first = np.empty(len(order), dtype=bool)
@@ -220,9 +228,14 @@ def pair_grid(problem: DiscreteControlProblem, states, controls):
     return pair_states, pair_controls, successors, mask
 
 
-def _state_blocks(states: int, controls: int):
-    """Slices of whole states, about ``_SCAN_CHUNK`` pairs each: the blocks of a lattice."""
-    per_block = max(1, _SCAN_CHUNK // controls)
+def state_blocks(states: int, per_state: int):
+    """Slices of whole states, about ``_SCAN_CHUNK`` entries each (at least one state).
+
+    The one block rule of every walk over pairs: ``per_state`` is a state's
+    pairs in a lattice, its LP entries in ``silp.assemble``.  Slices, not
+    arrays, so no two blocks' temporaries are alive at once.
+    """
+    per_block = max(1, _SCAN_CHUNK // per_state)
     for lo in range(0, states, per_block):
         yield slice(lo, min(lo + per_block, states))
 
@@ -245,7 +258,7 @@ class PairLattice:
 
     def blocks(self):
         """Yield each block's slice of ``states``: whole states, about ``_SCAN_CHUNK`` pairs."""
-        return _state_blocks(len(self.states), len(self.controls))
+        return state_blocks(len(self.states), len(self.controls))
 
     def scan(self, psi: Callable):
         """Yield (rows, states, controls, psi(states), psi(successors)) per block of pairs,
@@ -272,7 +285,7 @@ def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLatti
     lattice is built but ``successor_of``.
     """
     parts = []
-    for rows in _state_blocks(len(states), len(controls)):
+    for rows in state_blocks(len(states), len(controls)):
         _, _, succ, mask = pair_grid(problem, states[rows], controls)
         mask = mask.ravel()
         distinct, inverse = distinct_rows(succ[mask])

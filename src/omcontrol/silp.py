@@ -11,7 +11,7 @@ against the certificate, appends the most-violating admissible points
 and re-solves, each round resuming Phase II from the previous optimal
 basis, until the certificate is dually feasible on the candidate set.
 The ``FiniteLP`` owns its columns, with room for every later round's, and
-each round's LP extends the last in place, so no round copies a column.
+each round extends it in place, so no round copies a column.
 
 The candidate set is the admissible pairs of a tensor lattice of states
 and controls.  It does not change between rounds, so ``solve_refined``
@@ -31,7 +31,6 @@ priced again against that choice before it is accepted.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 from dataclasses import dataclass
@@ -49,9 +48,6 @@ from .simplex import LpResult, lowest_below, solve_equality_lp
 
 _WEIGHT_CLIP = 1e-12
 _SUPPORT_TOL = 1e-9  # selection pins rc = 0 above this weight; atoms of 1e-12 are round-off
-# LP entries per block of assemble: its (pairs, N) temporaries stay at 0.5 MB whatever N,
-# so no temporary the size of the LP is allocated and freed beside it
-_ASSEMBLY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,10 @@ class FiniteLP:
     other, so ``matrix`` is Fortran-ordered, as ``np.hstack`` of its blocks
     lays it out.  ``rhs`` (R,) is 0 but for the normalization row's 1.
 
-    An LP extends once, within its room: ``extended`` writes the new
-    columns into the room and returns the longer LP over the same arrays,
-    while this LP's views keep only its own columns.  A second extension of
-    the same LP, or one past the room, raises ``ValueError`` and writes
-    nothing, so no LP's columns change and none is copied.
+    An LP extends in place, within its room: ``extended`` writes the new
+    columns into the room and returns this LP, now longer, so no column is
+    copied.  An extension past the room raises ``ValueError`` and writes
+    nothing.
     """
 
     def __init__(self, capacity: int, rows: int, state_dim: int, control_dim: int):
@@ -101,7 +96,6 @@ class FiniteLP:
         self._controls = np.empty((capacity, control_dim))
         self._cost = np.empty(capacity)
         self.rhs = np.eye(1, rows, rows - 1)[0]
-        self._extended = False
         self._view(0)
 
     @property
@@ -129,19 +123,15 @@ class FiniteLP:
 
     def extended(self, problem: DiscreteControlProblem, basis: MonomialBasis,
                  states, controls) -> "FiniteLP":
-        """New LP with extra admissible columns appended in the given order."""
+        """This LP with extra admissible columns appended in the given order."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
-        if self._extended:
-            raise ValueError("this LP was extended already; an LP extends once")
         room = self._cost.shape[0] - self.n_columns
         if states.shape[0] > room:
             raise ValueError(f"{states.shape[0]} new columns do not fit the LP's room of {room}")
         cols = constraint_columns(basis, problem, states, controls)[1:]
-        longer = copy.copy(self)
-        longer._write(states, controls, problem.g(states, controls), cols)
-        self._extended = True
-        return longer
+        self._write(states, controls, problem.g(states, controls), cols)
+        return self
 
 
 @dataclass
@@ -183,8 +173,9 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
              grid_spec: GridSpec, room: int = 0) -> FiniteLP:
     """Discretize the admissible graph and build the equality-form LP.
 
-    The grid's pairs are taken a block of whole states at a time, about
-    ``_ASSEMBLY_BLOCK`` LP entries (at least one state): one pass evaluates
+    The grid's pairs are taken a block of whole states at a time, cut by
+    ``model.state_blocks`` from a state's LP entries, so a block's (pairs,
+    N) temporaries stay at 0.5 MB whatever N: one pass evaluates
     f once per pair of a block, masks the block by those successors and
     writes its admissible columns, built from the same successors, into
     the LP, whose arrays are sized for every pair plus ``room`` columns for
@@ -198,11 +189,10 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
     s_pts = model.state_grid_points(problem, grid_spec.state)
     c_pts = model.control_grid_points(problem, grid_spec.control)
     n_rows, kc = basis.count, len(c_pts)
-    per_block = max(1, _ASSEMBLY_BLOCK // n_rows // kc)  # whole states per block
 
     lp = FiniteLP(len(s_pts) * kc + room, n_rows, s_pts.shape[1], c_pts.shape[1])
-    for lo in range(0, len(s_pts), per_block):
-        ys, us = model.pairs(s_pts[lo:lo + per_block], c_pts)
+    for rows in model.state_blocks(len(s_pts), kc * n_rows):
+        ys, us = model.pairs(s_pts[rows], c_pts)
         fs = problem.f(ys, us)
         keep = model.admissible_mask(problem, fs)
         ys, us, fs = ys[keep], us[keep], fs[keep]
@@ -378,7 +368,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     lattice = model.pair_lattice(problem,
                                  model.state_grid_points(problem, candidate_spec.state),
                                  model.control_grid_points(problem, candidate_spec.control))
-    # room for the columns of every round after the first: each round's LP extends the last
+    # room for the columns of every round after the first, which extend the LP in place
     lp = assemble(problem, basis, grid_spec, (max_rounds - 1) * candidate_spec.max_new_columns)
     measure = certificate = start = done = None
     for rounds in range(1, max_rounds + 1):
@@ -418,7 +408,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
             return measure, certificate, rounds
         if rounds == max_rounds:
             break
-        lp = lp.extended(problem, basis, ys, us)
+        lp.extended(problem, basis, ys, us)
         start = res.basis
     raise NonConverged(measure, certificate, max_rounds)
 
@@ -458,6 +448,11 @@ def solution_to_json(measure: AtomicMeasure, certificate: DualCertificate,
     return json.dumps(doc, indent=2)
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -475,7 +470,12 @@ def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]
     states = np.array([a[0] for a in atoms], dtype=float)
     controls = np.array([a[1] for a in atoms], dtype=float)
     weights = np.array([a[2] for a in atoms], dtype=float)
-    lam, mu = np.array(doc["lambda"], dtype=float), float(doc["mu"])
+    lam, mu = doc["lambda"], doc["mu"]
+    if not (isinstance(lam, list) and all(map(_is_number, lam))):
+        raise ValueError("the solution's lambda is not a list of numbers; run solve again")
+    if not _is_number(mu):
+        raise ValueError("the solution's mu is not a number; run solve again")
+    lam, mu = np.array(lam, dtype=float), float(mu)
     for name, values in (("lambda", lam), ("mu", mu), ("atoms", states), ("atoms", controls),
                          ("atoms", weights)):
         if not np.isfinite(values).all():  # a solve writes finite numbers only

@@ -271,9 +271,9 @@ def check_psi_bound(certificate: DualCertificate, value_grid: ValueFunctionGrid,
     Zero only for exact max-min solutions; finite bases and grid
     interpolation both contribute, so callers compare it against a slack.
     """
-    nodes = value_grid.lattice.states
+    nodes = value_grid.lattice.states  # V at the nodes is the stored values: no interpolation
     anchor = certificate.psi(basis, problem.initial_state) - value_grid(problem.initial_state)
-    return float((certificate.psi(basis, nodes) - value_grid(nodes) - anchor).max())
+    return float((certificate.psi(basis, nodes) - value_grid.values.ravel() - anchor).max())
 
 
 def check_shifted_inequality(report: OptimalityReport, certificate: DualCertificate,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omcontrol import MonomialBasis, builtin_problem, model
-from omcontrol.basis import _distinct_values, constraint_columns
+from omcontrol.basis import constraint_columns
 
 
 class TestEnumeration:
@@ -242,9 +242,11 @@ class TestHornerKernel:
             assert self.same(b, pts, coef)
             # all-negative-zero coefficients: the sign of each zero value depends on x's
             assert self.same(b, pts, np.full(b.count, -0.0))
-        # -0.0 and 0.0 are distinct values of the last coordinate
-        values, inverse = _distinct_values(pts[:, -1])
-        assert inverse is not None and len(values) == 10
+        # -0.0 and 0.0 are distinct values of the last coordinate, and at most half of the
+        # 40 values are distinct, so the first contraction gathers
+        values, inverse = model.distinct_rows(pts[:, -1][:, None])
+        assert len(values) == 10 and 2 * len(values) <= len(pts)
+        assert np.array_equal(values[inverse].view(np.uint64), pts[:, -1:].view(np.uint64))
 
     @DIMS_DEGREES
     def test_empty_batch_and_single_point(self, dim, degree):
@@ -260,13 +262,23 @@ class TestHornerKernel:
         assert one.tobytes() == reference_horner(b, pt[None, :], coef)[0].tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_both_sides_of_the_distinct_value_fallback(self, dim):
+    def test_both_sides_of_the_distinct_value_fallback(self, monkeypatch, dim):
         rng = np.random.default_rng(500 + dim)
         b = MonomialBasis(dim, 7)
         coef = rng.standard_normal(b.count)
         pts = rng.uniform(-1, 1, (200, dim))
+        widths, contract = [], b._contract  # the points of each contraction
+
+        def spy(acc, x):
+            widths.append(len(x))
+            return contract(acc, x)
+
+        monkeypatch.setattr(b, "_contract", spy)
         for distinct, gathered in ((100, True), (101, False)):
             pts[:, -1] = np.concatenate([np.arange(distinct) / distinct,
                                          np.zeros(200 - distinct)])
-            assert (_distinct_values(pts[:, -1])[1] is not None) == gathered
+            assert len(model.distinct_rows(pts[:, -1][:, None])[0]) == distinct
+            widths.clear()
             assert self.same(b, pts, coef)
+            # the last axis is contracted at the distinct values only when at most half are
+            assert widths[0] == (distinct if gathered else 200)

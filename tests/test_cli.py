@@ -56,11 +56,18 @@ class TestConfigParsing:
         ("solve", "--state-grid", "2.5", "2.5"),
         ("rollout", "--control-grid", "2.5", "2.5"),  # sets rollout_control_grid
         ("solve", "--candidate-grid", "33:x", "x"),
+        # parsed once, as a config file's value is, not by argparse, which exited with 2
+        ("solve", "--degree", "x", "x"),
+        ("rollout", "--steps", "2.5", "2.5"),
+        ("solve", "--batch", "x", "x"),
+        ("solve", "--max-rounds", "1e3", "1e3"),
+        ("solve", "--alpha", "abc", "abc"),
     ])
     def test_unparsable_flag_names_the_flag(self, tmp_path, capsys, stage, flag, value, bad):
         assert cli.main([stage, flag, value, "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {flag}: invalid literal for int() with base 10: '{bad}'\n")
+        failure = ("could not convert string to float" if flag == "--alpha"
+                   else "invalid literal for int() with base 10")
+        assert capsys.readouterr().err == f"error: {flag}: {failure}: '{bad}'\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -525,9 +532,21 @@ class TestErrorPaths:
          "the solution's atom 0 is not a [state, control, weight] triple"),
         ({"atoms": [[[0.4], [0.0], 1.0], [[0.4], 0.0, 1.0]], "lambda": [0.0, 1.0], "mu": 0.2},
          "the solution's atom 1 is not a [state, control, weight] triple"),
-    ], ids=["top-level-list", "atoms-int", "atom-int", "control-scalar"])
+        ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": [0.0, 1.0], "mu": [1]},
+         "the solution's mu is not a number"),
+        ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": [0.0, 1.0], "mu": "0.4"},
+         "the solution's mu is not a number"),
+        ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": [0.0, 1.0], "mu": True},
+         "the solution's mu is not a number"),
+        ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": {"a": 1}, "mu": 0.2},
+         "the solution's lambda is not a list of numbers"),
+        ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": [0.0, "1"], "mu": 0.2},
+         "the solution's lambda is not a list of numbers"),
+    ], ids=["top-level-list", "atoms-int", "atom-int", "control-scalar", "mu-list",
+            "mu-string", "mu-bool", "lambda-dict", "lambda-string"])
     def test_malformed_solution_is_refused(self, tmp_path, capsys, stage, doc, message):
-        # the first three ended rollout and verify with a TypeError traceback
+        # the first three, mu-list and lambda-dict ended rollout and verify with a TypeError
+        # traceback; the strings and the bool were read as numbers
         out = tmp_path / "run"
         base = ["--problem", "shift", "--out", str(out)]
         assert cli.main(["solve", *base]) == 0
@@ -536,6 +555,22 @@ class TestErrorPaths:
         assert cli.main([*stage, *base]) == 1
         assert capsys.readouterr().err == f"error: {message}; run solve again\n"
         assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.txt").exists()
+
+    def test_trajectory_stamp_not_an_object_is_refused(self, tmp_path, capsys):
+        # verify read a stamp that is not an object as one, and ended with a TypeError
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        traj = out / "trajectory.csv"
+        lines = traj.read_text().splitlines(keepends=True)
+        traj.write_text("".join('# run,"problem"\n' if line.startswith("# run,") else line
+                                for line in lines))
+        capsys.readouterr()
+        assert cli.main(["verify", *base]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {traj}'s run stamp is not an object; run rollout again\n")
         assert not (out / "report.txt").exists()
 
     def test_corrupted_solution_json(self, tmp_path, capsys):

@@ -3,9 +3,9 @@ import pytest
 
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
                        InadmissibleTransition, UnknownProblem, builtin_problem, step)
-from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points, one_step,
-                             one_step_table, pair_grid, require_admissible, state_grid_points,
-                             tensor_points)
+from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points,
+                             distinct_rows, one_step, one_step_table, pair_grid,
+                             require_admissible, state_blocks, state_grid_points, tensor_points)
 
 
 def make_add_problem(y0=0.5):
@@ -259,3 +259,37 @@ class TestContainsKernel:
             self.box(2).contains(np.zeros((4, 3)))
         with pytest.raises(ValueError):
             self.box(2).contains(np.zeros(1))
+
+
+class TestDistinctRows:
+    def test_one_column_matches_the_lexsort_path(self):
+        # one column sorts its bits; beside a zero column the same values take the lexsort
+        # path, which must give the same distinct bits in the same order and the same inverse
+        rng = np.random.default_rng(1100)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 1e-300])
+        x = np.concatenate([rng.choice(special, 200), rng.uniform(-1, 1, 50)])
+        one, one_of = distinct_rows(x[:, None])
+        two, two_of = distinct_rows(np.stack([x, np.zeros_like(x)], axis=1))
+        assert one.shape == (len(two), 1)
+        assert one.tobytes() == np.ascontiguousarray(two[:, :1]).tobytes()
+        assert np.array_equal(one_of, two_of) and one_of.dtype == two_of.dtype
+        assert one[one_of].tobytes() == x[:, None].tobytes()
+        zeros = one[:, 0][one[:, 0] == 0.0]
+        assert sorted(np.signbit(zeros)) == [False, True]  # 0.0 and -0.0 stay apart
+
+    def test_empty_column(self):
+        distinct, inverse = distinct_rows(np.empty((0, 1)))
+        assert distinct.shape == (0, 1) and inverse.shape == (0,)
+
+
+class TestStateBlocks:
+    @pytest.mark.parametrize("states, controls, rows", [
+        (81, 81, 64), (81, 81, 81),    # example1's base LP and its kappa LP
+        (401, 401, 9), (401, 401, 10),  # shift-dense's
+    ])
+    def test_assembly_blocks_follow_the_former_rule(self, states, controls, rows):
+        # assemble's former rule cut max(1, 2**16 // N // C) states per block
+        per_block = max(1, 2**16 // rows // controls)
+        expected = [slice(lo, min(lo + per_block, states)) for lo in range(0, states, per_block)]
+        assert list(state_blocks(states, controls * rows)) == expected
+        assert len(expected) > 1

@@ -92,12 +92,12 @@ class TestAssemble:
     ], ids=["example1", "shift-dense", "drift"])
     def test_blocks_match_one_pass_bitwise(self, monkeypatch, make, degree, grid, block, room):
         if block is not None:
-            monkeypatch.setattr(silp, "_ASSEMBLY_BLOCK", block)
+            monkeypatch.setattr(model, "_SCAN_CHUNK", block)
         p = make()
         b = MonomialBasis(p.state_dim, degree)
         spec = GridSpec(state=grid, control=grid)
         lp = assemble(p, b, spec, room)
-        assert lp.n_columns > max(1, silp._ASSEMBLY_BLOCK // b.count)  # more than one block
+        assert lp.n_columns > max(1, model._SCAN_CHUNK // b.count)  # more than one block
         assert same_arrays(lp, one_pass_assembly(p, b, spec))
         np.testing.assert_array_equal(lp.rhs, np.eye(b.count)[-1])
 
@@ -330,6 +330,11 @@ def store_bytes(lp):
     return tuple(a.base.tobytes() for a in (lp.states, lp.controls, lp.cost, lp.matrix))
 
 
+def columns_of(lp):
+    """A copy of an LP's per-column arrays, layout included."""
+    return tuple(a.copy(order="K") for a in (lp.states, lp.controls, lp.cost, lp.matrix))
+
+
 def same_arrays(lp, arrays):
     """Bitwise equality, layout included, of an LP's per-column arrays and ``arrays``."""
     mine = (lp.states, lp.controls, lp.cost, lp.matrix)
@@ -358,40 +363,42 @@ class TestColumnBuffer:
             extend()
         assert store_bytes(lp) == before
 
+    def extended_in_place(self, lp, p, b, ys, us):
+        """``lp.extended`` returns ``lp`` itself, its columns the stacked reference's,
+        written into the store it had."""
+        reference, store = stacked(lp, p, b, ys, us), lp.matrix.base
+        assert lp.extended(p, b, ys, us) is lp
+        assert lp.matrix.base is store
+        assert same_arrays(lp, reference)
+
     @pytest.mark.parametrize("room", [None, 0, 4, 100])
     def test_extending_twice_keeps_each_lps_columns(self, room):
-        # an LP extends once, within its room: a second extension of the same LP, or one
-        # past the room, raises and writes nothing, so every LP keeps its columns
+        # an LP extends in place, within its room: each extension keeps the columns before
+        # it, and one past the room raises and writes nothing
         p, b, lp, ys, us = self.lp_and_columns()  # 3 columns, then 5
         if room is not None:
             lp = assemble(p, b, self.GRID, room)
-        parent = tuple(a.copy(order="K") for a in (lp.states, lp.controls, lp.cost, lp.matrix))
         if not room:
+            parent = columns_of(lp)
             self.refused(lp, lambda: lp.extended(p, b, ys[0], us[0]), "room of 0")
             self.refused(lp, lambda: lp.extended(p, b, ys[1], us[1]), "room of 0")
             assert same_arrays(lp, parent)
             return
-        first = lp.extended(p, b, ys[0], us[0])
-        self.refused(lp, lambda: lp.extended(p, b, ys[1], us[1]), "extended already")
+        self.extended_in_place(lp, p, b, ys[0], us[0])
         if room < 8:
-            self.refused(lp, lambda: first.extended(p, b, ys[1], us[1]), "room of 1")
+            first = columns_of(lp)
+            self.refused(lp, lambda: lp.extended(p, b, ys[1], us[1]), "room of 1")
+            assert same_arrays(lp, first)
         else:
-            second = first.extended(p, b, ys[1], us[1])
-            self.refused(lp, lambda: first.extended(p, b, ys[0], us[0]), "extended already")
-            assert same_arrays(second, stacked(first, p, b, ys[1], us[1]))
-        assert same_arrays(lp, parent)
-        assert same_arrays(first, stacked(lp, p, b, ys[0], us[0]))
+            self.extended_in_place(lp, p, b, ys[1], us[1])
 
     def test_room_is_used_in_place(self):
         p, b, lp, ys, us = self.lp_and_columns()
         roomy = assemble(p, b, self.GRID, ys[0].shape[0] + ys[1].shape[0])
-        first = roomy.extended(p, b, ys[0], us[0])
-        second = first.extended(p, b, ys[1], us[1])
-        assert first.matrix.base is roomy.matrix.base is second.matrix.base
-        assert same_arrays(first, stacked(roomy, p, b, ys[0], us[0]))
-        assert same_arrays(second, stacked(first, p, b, ys[1], us[1]))
+        self.extended_in_place(roomy, p, b, ys[0], us[0])
+        self.extended_in_place(roomy, p, b, ys[1], us[1])
         # no room left: the next extension raises instead of copying
-        self.refused(roomy, lambda: second.extended(p, b, ys[0], us[0]), "room of 0")
+        self.refused(roomy, lambda: roomy.extended(p, b, ys[0], us[0]), "room of 0")
 
     def test_inadmissible_pairs_leave_room_in_place(self):
         # the arrays are sized for every pair of the grid; drift's inadmissible pairs leave
@@ -401,16 +408,17 @@ class TestColumnBuffer:
         assert lp.matrix.base.shape[0] == 21 * 21 and lp.n_columns < 21 * 21
         pick = np.nonzero(lp.controls[:, 0] >= 0.0)[0][::7]
         ys, us = lp.states[pick] * 0.9, lp.controls[pick]
-        more = lp.extended(p, b, ys, us)
-        assert more.matrix.base is lp.matrix.base
-        assert same_arrays(more, stacked(lp, p, b, ys, us))
+        self.extended_in_place(lp, p, b, ys, us)
 
     def test_no_round_copies_the_earlier_columns(self, monkeypatch):
-        lps, stores = [], []
+        # one LP per solve, in one store: every round solves it, longer, at the same address
+        lps, columns, data, stores = [], [], [], []
         solve_lp, init = silp.solve, silp.FiniteLP.__init__
 
         def spy(lp, *a, **k):
             lps.append(lp)
+            columns.append(lp.n_columns)
+            data.append(lp.matrix.__array_interface__["data"][0])
             return solve_lp(lp, *a, **k)
 
         def counted(self, *a):  # every store of columns is allocated here
@@ -421,16 +429,12 @@ class TestColumnBuffer:
         monkeypatch.setattr(silp.FiniteLP, "__init__", counted)
         solve_refined(*several_rounds(), tol=1e-9, max_rounds=20)
         assert len(lps) > 3 and len(stores) == 1
-        start = lps[0].matrix.__array_interface__["data"][0]
-        for earlier, later in zip(lps, lps[1:]):
-            assert later.n_columns > earlier.n_columns
-            assert np.shares_memory(earlier.matrix, later.matrix)
-            assert later.matrix.__array_interface__["data"][0] == start
-            assert np.shares_memory(earlier.states, later.states)
-            assert np.shares_memory(earlier.cost, later.cost)
+        assert all(lp is lps[0] for lp in lps)
+        assert all(later > earlier for earlier, later in zip(columns, columns[1:]))
+        assert data == [data[0]] * len(data)
 
     def test_the_last_round_is_not_extended(self, monkeypatch):
-        # each round but the last extends its LP once, within the room assemble left
+        # each round but the last extends the LP once, within the room assemble left
         extend, extended = silp.FiniteLP.extended, []
 
         def spy(lp, *a):
@@ -627,7 +631,7 @@ class TestOneEvaluationPerPair:
         assert seen == self.every_pair_once(states, controls)
 
     def test_assemble(self, monkeypatch):
-        monkeypatch.setattr(silp, "_ASSEMBLY_BLOCK", 30)  # blocks of 10 pairs at 3 rows
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 30)  # blocks of one state's 7 pairs at 3 rows
         p, seen = self.counted_drift()
         lp = assemble(p, MonomialBasis(1, 2), GridSpec(state=(9,), control=(7,)))
         assert 0 < lp.n_columns < 9 * 7

@@ -1,6 +1,7 @@
 """The benchmark's span tracer must find every name it patches in the package."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,21 @@ import numpy as np
 from omcontrol import (DualCertificate, MonomialBasis, basis, builtin_problem, cli,
                        model, silp, synthesis, verify)
 
-_TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the thread variables perfbench/child.py pins when it is imported
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load("tracer")
 
 
 def test_install_and_restore_against_the_package():
@@ -94,3 +102,21 @@ def test_extend_counter_counts_the_appended_columns():
     layers = tracer_module.aggregate(tracer.spans)
     assert layers["silp.extend"]["calls"] == len(history) - 1
     assert layers["silp.extend"]["counters"]["columns"] == appended
+
+
+def test_benchmark_reads_the_pipeline_outputs(tmp_path, monkeypatch):
+    # perfbench/child.py's inspect_outputs reads solution.json's fields and what
+    # synthesis.read_trajectory_csv returns; if it could not, every benchmark run would
+    # report its outputs incorrect.  Its import-time writes are undone after the test.
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    child = load("child")
+    assert set(child.THREAD_VARS) <= set(_THREAD_VARS)
+    out = tmp_path / "run"
+    for stage in child.STAGES:
+        assert cli.main([stage, "--problem", "shift", "--out", str(out)]) == 0
+    found = child.inspect_outputs(out)
+    assert {"mu", "rollout_value"} <= found.keys()
+    assert found["duality_gap"] <= 1e-6
+    assert found["checks_failed"] == 0
