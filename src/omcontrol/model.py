@@ -35,6 +35,11 @@ from .errors import AssumptionIViolation, InadmissibleTransition, UnknownProblem
 # must not flip admissibility under floating-point drift.
 MEMBERSHIP_TOL = 1e-12
 _SCAN_CHUNK = 1 << 16
+# distinct_rows dedups K rows through a presence table when their key space,
+# the product of the per-axis distinct counts, is at most 4 K + 1024 keys:
+# the table then costs a few bytes a row.  A larger space (generic rows, not
+# on a lattice) takes the lexsort.
+_KEYS_PER_ROW, _KEYS_FREE = 4, 1024
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,17 @@ def distinct_rows(points):
     """Distinct rows of a (K, m) float array by bit pattern, and the (K,) inverse map.
 
     Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
-    ``distinct[inverse]`` has exactly the bytes of ``points``.
+    ``distinct[inverse]`` has exactly the bytes of ``points``.  The rows come
+    in ascending lexicographic order of their uint64 bit patterns, by one of
+    three paths that agree bit for bit:
+
+    - one column sorts its bits and searches them;
+    - a lattice-like input, whose per-axis distinct counts multiply to at
+      most 4 K + 1024 keys (``_KEYS_PER_ROW``, ``_KEYS_FREE``), ranks each
+      column among its sorted distinct bits, folds the ranks into one key
+      (first column slowest) and marks the keys in a presence table, so no
+      row is sorted;
+    - any other input takes ``np.lexsort`` over the columns' bits.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[1] == 1:  # sorting the bits and searching them is faster than lexsort
@@ -189,6 +204,9 @@ def distinct_rows(points):
         distinct = ordered[first]
         return distinct.view(np.float64)[:, None], np.searchsorted(distinct, bits)
     bits = np.ascontiguousarray(points).view(np.uint64)
+    axes = _axis_values(bits, _KEYS_PER_ROW * len(bits) + _KEYS_FREE)
+    if axes is not None:
+        return _table_rows(bits, axes)
     order = np.lexsort(bits.T[::-1])
     ordered = bits[order]
     first = np.empty(len(order), dtype=bool)
@@ -197,6 +215,44 @@ def distinct_rows(points):
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return points[order[first]], inverse
+
+
+def _axis_values(bits, bound: int):
+    """Each column's sorted distinct bits, or None once their counts multiply past ``bound``.
+
+    The product is a Python int, so it cannot overflow.  Past 2048 rows, a
+    sample of about 1024 goes first: its counts are at most the whole's, so
+    a generic input is ruled out before any full column is sorted.
+    """
+    step = len(bits) >> 10
+    for rows in ((bits[::step], bits) if step > 1 else (bits,)):
+        axes, keys = [], 1
+        for a in range(bits.shape[1]):
+            ordered = np.sort(rows[:, a])
+            first = np.empty(ordered.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            axes.append(ordered[first])
+            keys *= len(axes[-1])
+            if keys > bound:
+                return None
+    return axes
+
+
+def _table_rows(bits, axes):
+    """``distinct_rows`` of (K, m) ``bits`` through a presence table over their rank keys."""
+    key = np.searchsorted(axes[0], bits[:, 0])
+    for a in range(1, len(axes)):
+        key *= len(axes[a])
+        key += np.searchsorted(axes[a], bits[:, a])
+    shape = [len(values) for values in axes]
+    present = np.zeros(np.prod(shape), dtype=bool)
+    present[key] = True
+    codes = np.unravel_index(np.flatnonzero(present), shape)
+    distinct = np.empty((len(codes[0]), len(axes)), dtype=np.uint64)
+    for a, (values, code) in enumerate(zip(axes, codes)):
+        distinct[:, a] = values[code]
+    return distinct.view(np.float64), (np.cumsum(present) - 1)[key]
 
 
 def admissible_mask(problem: DiscreteControlProblem, successors) -> np.ndarray:
@@ -282,7 +338,10 @@ def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLatti
     f is evaluated and admissibility tested once per block, through
     ``pair_grid``.  Each block's admissible successors are made distinct on
     their own and only those are merged, so no array the size of the
-    lattice is built but ``successor_of``.
+    lattice is built but ``successor_of``.  Both dedups are
+    ``distinct_rows``: successors on a lattice have few distinct values per
+    axis, so they take its key table (at most 4 K + 1024 keys for K rows)
+    and no row sort; scattered successors take its lexsort.
     """
     parts = []
     for rows in state_blocks(len(states), len(controls)):

@@ -467,6 +467,9 @@ def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]
                 and isinstance(atom[0], list) and isinstance(atom[1], list)):
             raise ValueError(f"the solution's atom {k} is not a [state, control, weight] "
                              "triple; run solve again")
+        if not all(map(_is_number, atom[0] + atom[1] + atom[2:])):
+            raise ValueError(f"the solution's atom {k} holds a value that is not a number; "
+                             "run solve again")
     states = np.array([a[0] for a in atoms], dtype=float)
     controls = np.array([a[1] for a in atoms], dtype=float)
     weights = np.array([a[2] for a in atoms], dtype=float)

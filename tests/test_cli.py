@@ -542,11 +542,18 @@ class TestErrorPaths:
          "the solution's lambda is not a list of numbers"),
         ({"atoms": [[[0.4], [0.0], 1.0]], "lambda": [0.0, "1"], "mu": 0.2},
          "the solution's lambda is not a list of numbers"),
+        ({"atoms": [[[0.4], [0.0], 0.5], [["0.0"], [0.0], 0.5]], "lambda": [0.0, 1.0],
+          "mu": 0.2}, "the solution's atom 1 holds a value that is not a number"),
+        ({"atoms": [[[0.4], ["0.0"], 1.0]], "lambda": [0.0, 1.0], "mu": 0.2},
+         "the solution's atom 0 holds a value that is not a number"),
+        ({"atoms": [[[0.4], [0.0], True]], "lambda": [0.0, 1.0], "mu": 0.2},
+         "the solution's atom 0 holds a value that is not a number"),
     ], ids=["top-level-list", "atoms-int", "atom-int", "control-scalar", "mu-list",
-            "mu-string", "mu-bool", "lambda-dict", "lambda-string"])
+            "mu-string", "mu-bool", "lambda-dict", "lambda-string", "state-string",
+            "control-string", "weight-bool"])
     def test_malformed_solution_is_refused(self, tmp_path, capsys, stage, doc, message):
         # the first three, mu-list and lambda-dict ended rollout and verify with a TypeError
-        # traceback; the strings and the bool were read as numbers
+        # traceback; the strings and the bools were read as numbers
         out = tmp_path / "run"
         base = ["--problem", "shift", "--out", str(out)]
         assert cli.main(["solve", *base]) == 0

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
-                       InadmissibleTransition, UnknownProblem, builtin_problem, step)
+                       InadmissibleTransition, UnknownProblem, builtin_problem, model, step)
 from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points,
                              distinct_rows, one_step, one_step_table, pair_grid,
                              require_admissible, state_blocks, state_grid_points, tensor_points)
@@ -261,15 +263,131 @@ class TestContainsKernel:
             self.box(2).contains(np.zeros(1))
 
 
+_LEXSORT = np.lexsort
+
+
+def lexsort_distinct_rows(points):
+    """Reference dedup by bit pattern: lexsort the rows' uint64 bits, first column first."""
+    bits = np.ascontiguousarray(points, dtype=float).view(np.uint64)
+    order = _LEXSORT(bits.T[::-1])
+    ordered = bits[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first].view(np.float64), inverse
+
+
+@pytest.fixture
+def lexsorts(monkeypatch):
+    """The number of ``np.lexsort`` calls made while the test runs."""
+    calls = []
+
+    def counted(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return _LEXSORT(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000,
+                         0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+SPECIAL = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 1e-300], NAN_PAYLOADS])
+
+
+def grid_rows(rng, m, k):
+    """``k`` rows drawn with repeats from a shuffled m-axis lattice holding the special values."""
+    axes = [np.concatenate([SPECIAL[rng.permutation(len(SPECIAL))[:6]], rng.uniform(-1, 1, 3)])
+            for _ in range(m)]
+    return tensor_points(axes)[rng.integers(0, 9 ** m, size=k)]
+
+
+def random_rows(rng, m, k):
+    """``k`` generic rows with a few special values, repeated rows and repeated columns."""
+    pts = rng.standard_normal((k, m))
+    pts[rng.integers(0, k, size=k // 8), rng.integers(0, m, size=k // 8)] = \
+        rng.choice(SPECIAL, size=k // 8)
+    return np.concatenate([pts, pts[rng.integers(0, k, size=k // 4)]])
+
+
+def sample_blind_rows(rng, m, k):
+    """Generic rows but for the ones ``distinct_rows`` samples, zero: a one-key sample."""
+    pts = rng.standard_normal((k, m))
+    pts[::k >> 10] = 0.0
+    return pts
+
+
 class TestDistinctRows:
-    def test_one_column_matches_the_lexsort_path(self):
-        # one column sorts its bits; beside a zero column the same values take the lexsort
-        # path, which must give the same distinct bits in the same order and the same inverse
+    def same(self, points):
+        distinct, inverse = distinct_rows(points)
+        ref_distinct, ref_inverse = lexsort_distinct_rows(points)
+        assert distinct.shape == ref_distinct.shape and distinct.dtype == np.float64
+        assert distinct.tobytes() == ref_distinct.tobytes()
+        assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
+        assert distinct[inverse].tobytes() == np.ascontiguousarray(points).tobytes()
+        return distinct
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("share", [0, 0.5, 4])
+    def test_grid_rows_take_the_key_table(self, lexsorts, m, share):
+        # at least 9**m / 2 rows (or one) from 9**m lattice points: within 4 K + 1024 keys
+        k = max(1, int(share * 9 ** m))
+        pts = grid_rows(np.random.default_rng(1200 + k + m), m, k)
+        self.same(pts)
+        self.same(pts[::-1])                   # a strided input
+        self.same(np.asfortranarray(pts))
+        assert lexsorts == []
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [random_rows, sample_blind_rows])
+    def test_generic_rows_take_the_lexsort(self, lexsorts, m, rows):
+        self.same(rows(np.random.default_rng(1300 + m), m, 4000))
+        assert lexsorts == [m]
+
+    def test_signed_zeros_and_nan_payloads_stay_apart(self, lexsorts):
+        nans = NAN_PAYLOADS.view(np.uint64)
+        column = np.resize(SPECIAL, 2000)
+        for pts in (tensor_points([SPECIAL, SPECIAL]),                       # the table
+                    np.stack([column, np.arange(2000) / 7.0], axis=1)):     # 22,000 keys
+            distinct = self.same(np.concatenate([pts, pts[::-1]]))
+            assert len(distinct) == len(pts)
+            first = distinct[:, 0]
+            assert set(np.signbit(first[first == 0.0])) == {False, True}
+            assert set(first.view(np.uint64)[np.isnan(first)]) == set(nans)
+        assert lexsorts == [2]
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_empty_rows(self, m):
+        distinct, inverse = distinct_rows(np.empty((0, m)))
+        assert distinct.shape == (0, m) and inverse.shape == (0,)
+        self.same(np.empty((0, m)))
+
+    def test_one_column(self):
+        rng = np.random.default_rng(1400)
+        x = np.concatenate([rng.choice(SPECIAL, 200), rng.uniform(-1, 1, 50)])
+        self.same(x[:, None])
+        self.same(np.stack([x, x], axis=1)[:, :1])   # a strided column
+
+    def test_four_axes_of_65536_values_take_the_lexsort(self, lexsorts):
+        # 65,536 distinct values per axis: a 2**64 key space, past any int64 key
+        rng = np.random.default_rng(1500)
+        pts = np.stack([rng.permutation(1 << 16) / 7.0 for _ in range(4)], axis=1)
+        self.same(pts)
+        assert lexsorts == [4]
+
+    @pytest.mark.parametrize("second", ["zeros", "itself"])
+    def test_one_column_matches_two_columns(self, lexsorts, second):
+        # one column sorts its bits; beside a zero column the same values take the key table,
+        # beside themselves (58**2 keys for 250 rows) the lexsort; each path must give the
+        # same distinct bits in the same order and the same inverse
         rng = np.random.default_rng(1100)
         special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 1e-300])
         x = np.concatenate([rng.choice(special, 200), rng.uniform(-1, 1, 50)])
         one, one_of = distinct_rows(x[:, None])
-        two, two_of = distinct_rows(np.stack([x, np.zeros_like(x)], axis=1))
+        two, two_of = distinct_rows(np.stack([x, np.zeros_like(x) if second == "zeros" else x],
+                                             axis=1))
+        assert lexsorts == ([] if second == "zeros" else [2])
         assert one.shape == (len(two), 1)
         assert one.tobytes() == np.ascontiguousarray(two[:, :1]).tobytes()
         assert np.array_equal(one_of, two_of) and one_of.dtype == two_of.dtype
@@ -280,6 +398,49 @@ class TestDistinctRows:
     def test_empty_column(self):
         distinct, inverse = distinct_rows(np.empty((0, 1)))
         assert distinct.shape == (0, 1) and inverse.shape == (0,)
+        self.same(np.empty((0, 1)))
+
+
+class TestPairLattice:
+    @pytest.mark.parametrize("chunk", [50, 1 << 16])
+    def test_successors_match_a_brute_force_dedup(self, monkeypatch, chunk):
+        # f(y, u) = y + u on [0, 1]^2: about half the pairs leave Y, and the sums round
+        p = DiscreteControlProblem(
+            state_dim=2, dynamics=lambda y, u: y + u, cost=lambda y, u: y[..., 0],
+            state_region=Box([0.0, 0.0], [1.0, 1.0]), control_region=Box([-0.5, -0.5], [0.5, 0.5]),
+            discount=0.5, initial_state=[0.5, 0.5])
+        states, controls = state_grid_points(p, (11, 7)), control_grid_points(p, (5, 9))
+        monkeypatch.setattr(model, "_SCAN_CHUNK", chunk)
+        lattice = model.pair_lattice(p, states, controls)
+        _, _, succ, mask = pair_grid(p, states, controls)
+        mask = mask.ravel()
+        bits, inverse = np.unique(succ[mask].view(np.uint64), axis=0, return_inverse=True)
+        s = len(bits)
+        assert 0 < mask.sum() < mask.size
+        assert lattice.successors.tobytes() == bits.view(np.float64).tobytes()
+        assert lattice.successor_of.dtype == np.min_scalar_type(s)
+        assert np.array_equal(lattice.successor_of[mask], inverse.ravel())
+        assert (lattice.successor_of[~mask] == s).all()
+
+    def test_peak_memory_on_example1_oracle_lattice(self):
+        # verify's oracle lattice, 41^2 nodes x 21^2 controls: 741,321 pairs, 36,100 distinct
+        # successors.  Its uint16 successor_of (1.4 MiB) is the one array the size of the
+        # lattice; the rest is the blocks' distinct successors and local indices, and one
+        # block's pair grid and dedup at a time.  With the lexsort merge it peaked at 13.2 MiB,
+        # with the key table at 10.2 MiB.
+        p = builtin_problem("example1")
+        nodes = state_grid_points(p, (41, 41))
+        controls = control_grid_points(p, (21, 21))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lattice = model.pair_lattice(p, nodes, controls)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert len(lattice.successors) == 36_100
+        assert lattice.successor_of.dtype == np.uint16
+        assert peak <= 13.2
 
 
 class TestStateBlocks:

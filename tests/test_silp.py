@@ -751,6 +751,19 @@ class TestSolutionFile:
         with pytest.raises(ValueError, match=f"solution's {name} is not finite"):
             solution_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("at, bad", [(0, "0.0"), (1, "0.0"), (2, "0.5"), (2, True),
+                                         (0, None), (1, [0.0])],
+                             ids=["state-string", "control-string", "weight-string",
+                                  "weight-bool", "state-null", "control-nested"])
+    def test_atom_entry_not_a_number_is_refused(self, at, bad):
+        # np.array(..., dtype=float) reads "0.5" as 0.5 and True as 1.0; a solve writes neither
+        doc = {"atoms": [[[0.4], [0.0], 0.5], [[0.0], [0.0], 0.5]], "lambda": [0.0, 1.0],
+               "mu": 0.2}
+        solution_from_json(json.dumps(doc))
+        doc["atoms"][1][at] = [bad] if at < 2 else bad
+        with pytest.raises(ValueError, match="atom 1 holds a value that is not a number"):
+            solution_from_json(json.dumps(doc))
+
     def test_no_atoms_is_refused(self):
         # every solve writes at least one atom, so an empty list is a broken file
         with pytest.raises(ValueError, match="no atoms"):

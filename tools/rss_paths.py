@@ -10,7 +10,7 @@ and ``perfbench/`` of each checkout into temporary directories whose paths
 have ``PATHS`` different lengths, runs one ``perfbench/child.py pipeline``
 per workload in each copy, one after the other, and prints the min, median
 and max ``peak_rss_mb`` per workload.  It uses the standard library only
-and is not part of the test suite; a checkout takes about 15 s on 2 vCPUs.
+and is not part of the test suite; a checkout takes about 35 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("example1", "shift-dense")
-PATHS = 6
+PATHS = 16
 PAD = 7  # characters added to the copy's path per step
 
 
