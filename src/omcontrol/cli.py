@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class RunConfig:
     pivot_tol: float = 1e-9
     epsilon: Optional[float] = None
     steps: Optional[int] = None
-    policy: str = "minimizer"
+    policy: Literal["minimizer", "heuristic"] = "minimizer"
     discard: float = 1e-2
     batch: int = 8
     max_rounds: int = 80
@@ -77,9 +77,16 @@ class RunConfig:
 
 
 def _parser(hint):
-    """Text -> value for one annotated field: a scalar type or a comma-separated tuple."""
+    """Text -> value for one annotated field: a scalar type, one of a ``Literal``'s
+    values or a comma-separated tuple."""
     if get_origin(hint) is Union:
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is Literal:
+        def choice(text, choices=get_args(hint)):
+            if text not in choices:
+                raise ValueError(f"expected one of {', '.join(choices)}: {text!r}")
+            return text
+        return choice
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         return lambda text: tuple(item(v) for v in text.split(","))
@@ -239,13 +246,8 @@ def cmd_rollout(cfg: RunConfig) -> int:
     measure, certificate = _load_solution(cfg, run)
     trimmed = silp.discard_small_atoms(measure, cfg.discard)  # refused before a file is written
 
-    if cfg.policy == "minimizer":
-        policy = synthesis.minimizer_policy(problem, basis, certificate,
-                                            cfg.rollout_control_grid)
-    elif cfg.policy == "heuristic":
-        policy = synthesis.heuristic_policy(trimmed)
-    else:
-        raise ValueError(f"unknown policy {cfg.policy!r}")
+    policy = (synthesis.minimizer_policy(problem, basis, certificate, cfg.rollout_control_grid)
+              if cfg.policy == "minimizer" else synthesis.heuristic_policy(trimmed))
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -356,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", help="dual feasibility tolerance")
         p.add_argument("--epsilon", help="truncation error target")
         p.add_argument("--steps", help="fixed rollout horizon")
-        p.add_argument("--policy", choices=["minimizer", "heuristic"])
+        p.add_argument("--policy", help="rollout feedback rule: minimizer or heuristic")
         p.add_argument("--discard", help="atom discard threshold")
         p.add_argument("--batch", help="columns added per refinement pass")
-        p.add_argument("--max-rounds")
+        p.add_argument("--max-rounds", help="refinement round limit")
         p.add_argument("--out", help="output directory")
 
     for name in ("solve", "rollout", "verify"):

@@ -111,8 +111,13 @@ class FiniteLP:
         self.states, self.controls, self.cost = self._states[:n], self._controls[:n], self._cost[:n]
         self.matrix = self._columns[:n].T
 
-    def _write(self, states, controls, cost, cols) -> None:
-        """Append columns to this LP: test-function rows ``cols``, then 1."""
+    def _write(self, problem, basis, states, controls, successors=None) -> None:
+        """Append the columns of admissible pairs: the nonconstant test functions' rows, then 1.
+
+        ``successors``, when given, are f(states, controls), already evaluated by the caller.
+        """
+        cost = problem.g(states, controls)  # both before any write: states first was slower
+        cols = constraint_columns(basis, problem, states, controls, successors)[1:]
         at, end = self.n_columns, self.n_columns + states.shape[0]
         self._states[at:end] = states
         self._controls[at:end] = controls
@@ -129,8 +134,7 @@ class FiniteLP:
         room = self._cost.shape[0] - self.n_columns
         if states.shape[0] > room:
             raise ValueError(f"{states.shape[0]} new columns do not fit the LP's room of {room}")
-        cols = constraint_columns(basis, problem, states, controls)[1:]
-        self._write(states, controls, problem.g(states, controls), cols)
+        self._write(problem, basis, states, controls)
         return self
 
 
@@ -175,10 +179,10 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
 
     The grid's pairs are taken a block of whole states at a time, cut by
     ``model.state_blocks`` from a state's LP entries, so a block's (pairs,
-    N) temporaries stay at 0.5 MB whatever N: one pass evaluates
-    f once per pair of a block, masks the block by those successors and
-    writes its admissible columns, built from the same successors, into
-    the LP, whose arrays are sized for every pair plus ``room`` columns for
+    N) temporaries stay at 0.5 MB whatever N: ``model.pair_grid``
+    evaluates f once per pair of a block and masks the block by those
+    successors, and ``FiniteLP._write`` writes its admissible columns,
+    built from the same successors, into the LP, whose arrays are sized for every pair plus ``room`` columns for
     ``FiniteLP.extended`` (columns never written take no resident memory).
     A column depends on its own pair alone, so the blocks give the bytes of
     one pass over every pair, and no array the size of the grid is built
@@ -192,11 +196,9 @@ def assemble(problem: DiscreteControlProblem, basis: MonomialBasis,
 
     lp = FiniteLP(len(s_pts) * kc + room, n_rows, s_pts.shape[1], c_pts.shape[1])
     for rows in model.state_blocks(len(s_pts), kc * n_rows):
-        ys, us = model.pairs(s_pts[rows], c_pts)
-        fs = problem.f(ys, us)
-        keep = model.admissible_mask(problem, fs)
-        ys, us, fs = ys[keep], us[keep], fs[keep]
-        lp._write(ys, us, problem.g(ys, us), constraint_columns(basis, problem, ys, us, fs)[1:])
+        ys, us, fs, keep = model.pair_grid(problem, s_pts[rows], c_pts)
+        keep = keep.ravel()
+        lp._write(problem, basis, ys[keep], us[keep], fs[keep])
     if lp.n_columns < n_rows:
         raise InsufficientGrid(f"{lp.n_columns} admissible grid points for {n_rows} LP rows")
     return lp

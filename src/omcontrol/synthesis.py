@@ -270,22 +270,14 @@ def write_trajectory_svg(path, roll: Rollout, measure: Optional[AtomicMeasure] =
     Two-dimensional states plot as (y1, y2); one-dimensional states plot
     against time with atoms pinned to the left edge.
     """
-    m = roll.states.shape[1]
-    if m >= 2:
-        xs, ys = roll.states[:, 0], roll.states[:, 1]
-        ax, ay = (None, None)
-        if measure is not None and len(measure):
-            ax, ay = measure.states[:, 0], measure.states[:, 1]
-    else:
-        xs = np.arange(roll.horizon + 1, dtype=float)
-        ys = roll.states[:, 0]
-        ax = ay = None
-        if measure is not None and len(measure):
-            ax = np.zeros(len(measure))
-            ay = measure.states[:, 0]
+    def plane(states, t):
+        return (states[:, 0], states[:, 1]) if states.shape[1] >= 2 else (t, states[:, 0])
 
-    all_x = xs if ax is None else np.concatenate([xs, ax])
-    all_y = ys if ay is None else np.concatenate([ys, ay])
+    atoms = roll.states[:0] if measure is None else measure.states
+    weights = np.empty(0) if measure is None else measure.weights
+    xs, ys = plane(roll.states, np.arange(roll.horizon + 1, dtype=float))
+    ax, ay = plane(atoms, np.zeros(len(atoms)))
+    all_x, all_y = np.concatenate([xs, ax]), np.concatenate([ys, ay])
     lo_x, hi_x = float(all_x.min()), float(all_x.max())
     lo_y, hi_y = float(all_y.min()), float(all_y.max())
     span_x = hi_x - lo_x or 1.0
@@ -306,11 +298,10 @@ def write_trajectory_svg(path, roll: Rollout, measure: Optional[AtomicMeasure] =
     ]
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>')
-    if ax is not None:
-        for x, y, w in zip(ax, ay, measure.weights):
-            r = max(50.0 * float(w), 0.6)
-            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r:.2f}" '
-                         f'fill="steelblue" fill-opacity="0.6"/>')
+    for x, y, w in zip(ax, ay, weights):
+        r = max(50.0 * float(w), 0.6)
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r:.2f}" '
+                     f'fill="steelblue" fill-opacity="0.6"/>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -23,7 +23,6 @@ the caller compares against slacks.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,35 +60,23 @@ class ValueFunctionGrid:
 
 
 def _interp_table(axes, pts):
-    """Flat corner indices and weights for batched multilinear interpolation."""
-    m = len(axes)
+    """Flat corner indices and weights for batched multilinear interpolation.
+
+    The 2^m cell corners run first axis slowest, and a corner's weight is
+    the product of its per-axis weights in axis order.  A point outside the
+    box takes its clipped face's values; a one-point axis weighs its one
+    node 1.
+    """
     k = pts.shape[0]
-    shape = tuple(len(ax) for ax in axes)
-    strides = np.ones(m, dtype=np.int64)
-    for a in range(m - 2, -1, -1):
-        strides[a] = strides[a + 1] * shape[a + 1]
-    base = np.empty((k, m), dtype=np.int64)
-    frac = np.empty((k, m))
+    idx, wgt = np.zeros((k, 1), dtype=np.int64), np.ones((k, 1))
     for a, ax in enumerate(axes):
+        n = len(ax)
         x = np.clip(pts[:, a], ax[0], ax[-1])
-        if len(ax) == 1:
-            base[:, a] = 0
-            frac[:, a] = 0.0
-            continue
-        j = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
-        base[:, a] = j
-        frac[:, a] = (x - ax[j]) / (ax[j + 1] - ax[j])
-    corners = list(itertools.product((0, 1), repeat=m))
-    idx = np.empty((k, len(corners)), dtype=np.int64)
-    wgt = np.empty((k, len(corners)))
-    for c, corner in enumerate(corners):
-        offs = np.array(corner, dtype=np.int64)
-        cell = np.minimum(base + offs, np.array(shape, dtype=np.int64) - 1)
-        idx[:, c] = (cell * strides).sum(axis=1)
-        w = np.ones(k)
-        for a in range(m):
-            w *= frac[:, a] if corner[a] else (1.0 - frac[:, a])
-        wgt[:, c] = w
+        j = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, max(n - 2, 0))
+        hi = np.minimum(j + 1, n - 1)
+        frac = (x - ax[j]) / (ax[hi] - ax[j]) if n > 1 else np.zeros(k)
+        idx = (idx[:, :, None] * n + np.stack([j, hi], axis=-1)[:, None]).reshape(k, -1)
+        wgt = (wgt[:, :, None] * np.stack([1.0 - frac, frac], axis=-1)[:, None]).reshape(k, -1)
     return idx, wgt
 
 

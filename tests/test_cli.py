@@ -52,6 +52,16 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             f"error: {path}:2: degree: invalid literal for int() with base 10: 'x'\n")
 
+    def test_config_policy_outside_its_choices_is_refused_by_solve(self, tmp_path, capsys):
+        # solve does not use the policy, and still refuses it before it writes a file
+        out = tmp_path / "o"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = shift\npolicy = foo\nout = {out}\n")
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: policy: expected one of minimizer, heuristic: 'foo'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage,flag,value,bad", [
         ("solve", "--state-grid", "2.5", "2.5"),
         ("rollout", "--control-grid", "2.5", "2.5"),  # sets rollout_control_grid
@@ -62,11 +72,13 @@ class TestConfigParsing:
         ("solve", "--batch", "x", "x"),
         ("solve", "--max-rounds", "1e3", "1e3"),
         ("solve", "--alpha", "abc", "abc"),
+        ("rollout", "--policy", "foo", "foo"),
     ])
     def test_unparsable_flag_names_the_flag(self, tmp_path, capsys, stage, flag, value, bad):
         assert cli.main([stage, flag, value, "--out", str(tmp_path / "o")]) == 1
-        failure = ("could not convert string to float" if flag == "--alpha"
-                   else "invalid literal for int() with base 10")
+        failure = {"--alpha": "could not convert string to float",
+                   "--policy": "expected one of minimizer, heuristic"}.get(
+            flag, "invalid literal for int() with base 10")
         assert capsys.readouterr().err == f"error: {flag}: {failure}: '{bad}'\n"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -79,8 +91,11 @@ class TestConfigParsing:
     def test_every_field_is_a_config_key(self, tmp_path, field):
         hint = typing.get_type_hints(cli.RunConfig)[field.name]
         scalar = {int: "7", float: "0.5", str: "shift"}
-        kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-        if typing.get_origin(kind) is tuple:
+        kind = (next(t for t in typing.get_args(hint) if t is not type(None))
+                if typing.get_origin(hint) is typing.Union else hint)
+        if typing.get_origin(kind) is typing.Literal:
+            text = expected = typing.get_args(kind)[-1]
+        elif typing.get_origin(kind) is tuple:
             item = typing.get_args(kind)[0]
             text, expected = f"{scalar[item]}, {scalar[item]}", (item(scalar[item]),) * 2
         else:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,35 @@ class TestExports:
         assert text.startswith("<svg")
         assert "<polyline" in text
         assert text.count("<circle") == len(ATOM_TABLE)
+
+    @pytest.mark.parametrize("m,atoms,digest", [
+        (1, "atoms", "e972d56f0c67b47a83bec0f34a1d08ddb33b27e64be2aba9aed71c4a10f412a7"),
+        (1, None, "cb981ea6bb24e9783959a07d08d9d9b5feaa6c53ff964d8522d9fe283a811e38"),
+        (1, "empty", "cb981ea6bb24e9783959a07d08d9d9b5feaa6c53ff964d8522d9fe283a811e38"),
+        (1, "still", "d2fe37fb78b10838b68eda1a91a8e3a7613343304f9201719d6b8dd441e0a721"),
+        (2, "atoms", "69b744e7219a42428d06de472b9c6638bda226025106c02a84b74e1b04cdb842"),
+        (2, None, "9f18a8e2ef029ec34550e0f152cde43ebe2fa284a3d9250e879894cfd29bf2d0"),
+        (2, "empty", "9f18a8e2ef029ec34550e0f152cde43ebe2fa284a3d9250e879894cfd29bf2d0"),
+        (2, "still", "c3e272ffba3b193437dd3bf2ea0860d92940fafb5d75b655b97b4b7e093b9977"),
+    ])
+    def test_svg_bytes(self, tmp_path, m, atoms, digest):
+        # "still": a trajectory that never moves and no atoms, so both spans are 0
+        paths = {1: [[0.4], [0.15], [-0.05], [-0.3], [0.2], [0.65]],
+                 2: [[0.5, 0.25], [0.1, -0.3], [-0.45, 0.05], [-0.2, 0.6], [0.3, 0.9],
+                     [0.85, -0.7]]}
+        states = np.array([[0.3, -0.2][:m]] * 4 if atoms == "still" else paths[m])
+        roll = Rollout(states=states, controls=np.zeros_like(states), truncated_value=0.0,
+                       truncation_bound=0.0, discount=0.5)
+        measure = {
+            "atoms": atom_fixture() if m == 2 else AtomicMeasure(
+                states=np.array([[0.2], [0.9], [-0.4]]), controls=np.zeros((3, 1)),
+                weights=np.array([0.5, 0.3, 0.2])),
+            "empty": AtomicMeasure(states=np.empty((0, m)), controls=np.empty((0, m)),
+                                   weights=np.empty(0)),
+        }.get(atoms)
+        path = tmp_path / "traj.svg"
+        write_trajectory_svg(path, roll, measure)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_svg_one_dimensional(self, tmp_path):
         p = builtin_problem("shift", alpha=0.5, y0=0.4)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,41 @@ def optimal_shift_rollout(p, steps=20):
     return rollout(p, lambda y: np.array([0.0]), steps=steps)
 
 
+def corner_loop_interp_table(axes, pts):
+    """Reference multilinear interpolation table: one pass over the 2^m cell corners,
+    listed with ``itertools.product`` (first axis slowest), each weight a product taken
+    in axis order."""
+    m = len(axes)
+    k = pts.shape[0]
+    shape = tuple(len(ax) for ax in axes)
+    strides = np.ones(m, dtype=np.int64)
+    for a in range(m - 2, -1, -1):
+        strides[a] = strides[a + 1] * shape[a + 1]
+    base = np.empty((k, m), dtype=np.int64)
+    frac = np.empty((k, m))
+    for a, ax in enumerate(axes):
+        x = np.clip(pts[:, a], ax[0], ax[-1])
+        if len(ax) == 1:
+            base[:, a] = 0
+            frac[:, a] = 0.0
+            continue
+        j = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+        base[:, a] = j
+        frac[:, a] = (x - ax[j]) / (ax[j + 1] - ax[j])
+    corners = list(itertools.product((0, 1), repeat=m))
+    idx = np.empty((k, len(corners)), dtype=np.int64)
+    wgt = np.empty((k, len(corners)))
+    for c, corner in enumerate(corners):
+        offs = np.array(corner, dtype=np.int64)
+        cell = np.minimum(base + offs, np.array(shape, dtype=np.int64) - 1)
+        idx[:, c] = (cell * strides).sum(axis=1)
+        w = np.ones(k)
+        for a in range(m):
+            w *= frac[:, a] if corner[a] else (1.0 - frac[:, a])
+        wgt[:, c] = w
+    return idx, wgt
+
+
 def per_pair_backup(p, state_grid, control_grid):
     """Reference full backup: every (node, control) pair interpolates its successor."""
     axes = tuple(p.state_region.axes(state_grid))
@@ -44,7 +80,7 @@ def per_pair_backup(p, state_grid, control_grid):
     pair_controls = np.tile(controls, (kn, 1))
     mask = admissible_mask(p, p.f(states, pair_controls)).reshape(kn, kc)
     stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
-    idx, wgt = verify._interp_table(axes, p.f(states, pair_controls))
+    idx, wgt = corner_loop_interp_table(axes, p.f(states, pair_controls))
 
     def backup(values):
         cont = (values[idx] * wgt).sum(axis=1).reshape(kn, kc)
@@ -80,7 +116,7 @@ def unblocked_value_iteration(p, state_grid, control_grid, tol, max_iter=20_000)
     stage = np.where(mask, p.g(states, pair_controls).reshape(kn, kc), np.inf)
     successor = np.zeros((kn, kc), dtype=np.intp)  # 0, under a +inf stage, off the graph
     successor[mask] = inverse
-    idx, wgt = verify._interp_table(axes, successors)
+    idx, wgt = corner_loop_interp_table(axes, successors)
     node, values, diffs = np.arange(kn), np.zeros(kn), []
     for _ in range(max_iter):
         cont = alpha * (values[idx] * wgt).sum(axis=1)
@@ -151,6 +187,53 @@ def per_pair_optimality_residuals(p, roll, cert, value_grid, basis, control_grid
     cg = control_grid_points(p, control_grid)
     ham = hamiltonian_min(p, psi, roll.states, cg) - (1.0 - alpha) * psi(roll.states) - target
     return stationarity, np.abs(ham)
+
+
+class TestInterpolation:
+    SIZES = (1, 2, 5, 41)
+
+    @staticmethod
+    def probe_points(axes, rng):
+        """Interior points, the nodes, points on each face and points outside the box."""
+        lo, hi = np.array([ax[0] for ax in axes]), np.array([ax[-1] for ax in axes])
+        interior = lo + (hi - lo) * rng.random((50, len(axes)))
+        faces = []
+        for a in range(len(axes)):
+            for end in (lo[a], hi[a]):
+                face = lo + (hi - lo) * rng.random((10, len(axes)))
+                face[:, a] = end
+                faces.append(face)
+        outside = lo + (hi - lo) * rng.uniform(-1.0, 2.0, (50, len(axes)))
+        return np.concatenate([interior, tensor_points(axes), *faces, outside])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("first", range(4))
+    def test_matches_the_corner_loop_bitwise(self, m, first):
+        # axis a has SIZES[(first + a) % 4] points, unevenly spaced (cubes of a linspace)
+        axes = tuple(np.linspace(-1.0, 1.0 + a, self.SIZES[(first + a) % 4]) ** 3
+                     for a in range(m))
+        pts = self.probe_points(axes, np.random.default_rng(10 * m + first))
+        idx, wgt = verify._interp_table(axes, pts)
+        ref_idx, ref_wgt = corner_loop_interp_table(axes, pts)
+        assert idx.dtype == ref_idx.dtype and wgt.dtype == ref_wgt.dtype
+        assert idx.shape == ref_idx.shape == (len(pts), 2 ** m)
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert wgt.tobytes() == ref_wgt.tobytes()
+
+    def test_reproduces_a_multilinear_function(self):
+        a, b, c, d = 0.3, -1.2, 0.7, 2.0
+
+        def bilinear(y):
+            return a + b * y[..., 0] + c * y[..., 1] + d * y[..., 0] * y[..., 1]
+
+        axes = (np.linspace(-1.0, 1.0, 5) ** 3, np.linspace(0.0, 2.0, 7) ** 2)
+        values = bilinear(tensor_points(axes)).reshape(5, 7)
+        grid = verify.ValueFunctionGrid(axes=axes, values=values, lattice=None, threshold=0.0)
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(-1.0, 1.0, 200), rng.uniform(0.0, 4.0, 200)])
+        np.testing.assert_allclose(grid(pts), bilinear(pts), rtol=0.0, atol=1e-14)
+        assert isinstance(grid(pts[0]), float)
+        assert abs(grid(pts[0]) - bilinear(pts[0])) <= 1e-14
 
 
 class TestValueIteration:

@@ -4,12 +4,12 @@
     python3 tools/golden.py --update   # rewrite tools/golden.json
 
 Runs ``solve -> rollout -> verify`` through ``omcontrol.cli.main`` on
-``example1.cfg``, ``shift-dense.cfg`` and the CLI-default shift, each in a
-temporary directory, and compares the sha256 of every output file with the
-manifest.  It prints ``same`` or ``DIFF`` per file and exits 1 on any
-``DIFF``.  BLAS/OpenMP thread counts are pinned to one before numpy is
-imported, as ``perfbench/child.py`` pins them.  The bytes can still follow
-the BLAS build, so this check stays out of the test suite.
+``example1.cfg`` (with each policy), ``shift-dense.cfg`` and the CLI-default
+shift, each in a temporary directory, and compares the sha256 of every
+output file with the manifest.  It prints ``same`` or ``DIFF`` per file and
+exits 1 on any ``DIFF``.  BLAS/OpenMP thread counts are pinned to one before
+numpy is imported, as ``perfbench/child.py`` pins them.  The bytes can still
+follow the BLAS build, so this check stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ from omcontrol import cli  # noqa: E402
 
 MANIFEST = Path(__file__).resolve().parent / "golden.json"
 FILES = ("solution.json", "summary.txt", "trajectory.csv", "trajectory.svg", "report.txt")
+EXAMPLE1 = ["--config", str(ROOT / "perfbench" / "workloads" / "example1.cfg")]
 RUNS = {
-    "example1": ["--config", str(ROOT / "perfbench" / "workloads" / "example1.cfg")],
+    "example1": EXAMPLE1,
+    "example1-heuristic": [*EXAMPLE1, "--policy", "heuristic"],
     "shift-dense": ["--config", str(ROOT / "perfbench" / "workloads" / "shift-dense.cfg")],
     "shift": ["--problem", "shift"],
 }
