@@ -226,8 +226,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_solution(cfg: RunConfig, run: dict):
-    """The solution under ``cfg.out``, refused if its stamp differs from ``run``'s."""
+def _load_solution(cfg: RunConfig, run: dict, problem, basis):
+    """The solution under ``cfg.out``, refused if its stamp differs from ``run``'s or its
+    atoms and lambda do not fit ``problem`` and ``basis``."""
     path = Path(cfg.out) / "solution.json"
     if not path.exists():
         raise FileNotFoundError(f"no solution file at {path}; run solve first")
@@ -236,6 +237,12 @@ def _load_solution(cfg: RunConfig, run: dict):
     except KeyError as exc:
         raise ValueError(f"{path} has no field {exc}; run solve again") from None
     _check_stamp(path, doc, run, "solved", "solve")
+    for name, size, needed in (("atom states", measure.states.shape[1], problem.state_dim),
+                               ("atom controls", measure.controls.shape[1], problem.control_dim),
+                               ("lambda", len(certificate.lam), basis.count)):
+        if size != needed:
+            raise ValueError(f"{path} holds {name} of length {size}, this run needs {needed}; "
+                             "run solve again")
     return measure, certificate
 
 
@@ -243,7 +250,7 @@ def cmd_rollout(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
     run = _run_stamp(problem, basis)
-    measure, certificate = _load_solution(cfg, run)
+    measure, certificate = _load_solution(cfg, run, problem, basis)
     trimmed = silp.discard_small_atoms(measure, cfg.discard)  # refused before a file is written
 
     policy = (synthesis.minimizer_policy(problem, basis, certificate, cfg.rollout_control_grid)
@@ -269,7 +276,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
     run = _run_stamp(problem, basis)
-    measure, certificate = _load_solution(cfg, run)
+    measure, certificate = _load_solution(cfg, run, problem, basis)
     path = Path(cfg.out) / "trajectory.csv"
     states, controls, meta = synthesis.read_trajectory_csv(path)
     _check_stamp(path, meta.get("run", {}), run, "rolled out", "rollout")

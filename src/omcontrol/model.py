@@ -24,6 +24,7 @@ numpy expressions satisfy this automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,76 +184,55 @@ def distinct_rows(points):
 
     Comparing bits keeps -0.0 apart from 0.0 (and NaN payloads apart), so
     ``distinct[inverse]`` has exactly the bytes of ``points``.  The rows come
-    in ascending lexicographic order of their uint64 bit patterns, by one of
-    three paths that agree bit for bit:
+    in ascending lexicographic order of their uint64 bit patterns.  Each
+    column, a uint64 view (also of a strided or Fortran-ordered input), is
+    sorted once for its distinct bits, and one of three finishes agree bit
+    for bit:
 
-    - one column sorts its bits and searches them;
-    - a lattice-like input, whose per-axis distinct counts multiply to at
-      most 4 K + 1024 keys (``_KEYS_PER_ROW``, ``_KEYS_FREE``), ranks each
-      column among its sorted distinct bits, folds the ranks into one key
-      (first column slowest) and marks the keys in a presence table, so no
-      row is sorted;
-    - any other input takes ``np.lexsort`` over the columns' bits.
+    - one column: searching its distinct bits gives the inverse;
+    - columns whose distinct counts multiply to at most 4 K + 1024 keys
+      (``_KEYS_PER_ROW``, ``_KEYS_FREE``), as on a lattice: each column's
+      ranks among its distinct bits fold into one key (first column
+      slowest), marked in a presence table, so no row is sorted;
+    - any other input: ``np.lexsort`` over the columns.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape[1] == 1:  # sorting the bits and searching them is faster than lexsort
-        bits = points[:, 0].view(np.uint64)  # a view, also of a strided column
-        ordered = np.sort(bits)
-        first = np.empty(ordered.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        distinct = ordered[first]
-        return distinct.view(np.float64)[:, None], np.searchsorted(distinct, bits)
-    bits = np.ascontiguousarray(points).view(np.uint64)
-    axes = _axis_values(bits, _KEYS_PER_ROW * len(bits) + _KEYS_FREE)
-    if axes is not None:
-        return _table_rows(bits, axes)
-    order = np.lexsort(bits.T[::-1])
-    ordered = bits[order]
-    first = np.empty(len(order), dtype=bool)
+    columns = [points[:, a].view(np.uint64) for a in range(points.shape[1])]
+    axes = [_sorted_distinct(bits) for bits in columns]
+    shape = [len(values) for values in axes]
+    if math.prod(shape) <= _KEYS_PER_ROW * len(points) + _KEYS_FREE:  # a Python int: no overflow
+        key = np.searchsorted(axes[0], columns[0])
+        if len(axes) == 1:
+            return axes[0].view(np.float64)[:, None], key
+        for values, bits in zip(axes[1:], columns[1:]):
+            key *= len(values)
+            key += np.searchsorted(values, bits)
+        present = np.zeros(math.prod(shape), dtype=bool)
+        present[key] = True
+        codes = np.unravel_index(np.flatnonzero(present), shape)
+        distinct = np.empty((len(codes[0]), len(axes)), dtype=np.uint64)
+        for a, (values, code) in enumerate(zip(axes, codes)):
+            distinct[:, a] = values[code]
+        return distinct.view(np.float64), (np.cumsum(present) - 1)[key]
+    del axes
+    order = np.lexsort(columns[::-1])
+    first = np.zeros(len(order), dtype=bool)
     first[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    for bits in columns:
+        ordered = bits[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
     return points[order[first]], inverse
 
 
-def _axis_values(bits, bound: int):
-    """Each column's sorted distinct bits, or None once their counts multiply past ``bound``.
-
-    The product is a Python int, so it cannot overflow.  Past 2048 rows, a
-    sample of about 1024 goes first: its counts are at most the whole's, so
-    a generic input is ruled out before any full column is sorted.
-    """
-    step = len(bits) >> 10
-    for rows in ((bits[::step], bits) if step > 1 else (bits,)):
-        axes, keys = [], 1
-        for a in range(bits.shape[1]):
-            ordered = np.sort(rows[:, a])
-            first = np.empty(ordered.size, dtype=bool)
-            first[:1] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-            axes.append(ordered[first])
-            keys *= len(axes[-1])
-            if keys > bound:
-                return None
-    return axes
-
-
-def _table_rows(bits, axes):
-    """``distinct_rows`` of (K, m) ``bits`` through a presence table over their rank keys."""
-    key = np.searchsorted(axes[0], bits[:, 0])
-    for a in range(1, len(axes)):
-        key *= len(axes[a])
-        key += np.searchsorted(axes[a], bits[:, a])
-    shape = [len(values) for values in axes]
-    present = np.zeros(np.prod(shape), dtype=bool)
-    present[key] = True
-    codes = np.unravel_index(np.flatnonzero(present), shape)
-    distinct = np.empty((len(codes[0]), len(axes)), dtype=np.uint64)
-    for a, (values, code) in enumerate(zip(axes, codes)):
-        distinct[:, a] = values[code]
-    return distinct.view(np.float64), (np.cumsum(present) - 1)[key]
+def _sorted_distinct(bits):
+    """The sorted distinct values of a 1-D array; its sort buffers die with the call."""
+    ordered = np.sort(bits)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def admissible_mask(problem: DiscreteControlProblem, successors) -> np.ndarray:
@@ -352,15 +332,16 @@ def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLatti
         local = np.full(mask.size, len(distinct), dtype=np.min_scalar_type(len(distinct)))
         local[mask] = inverse
         parts.append((distinct, local))
-    successors, merged = distinct_rows(
-        np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts]))
+    merge = np.concatenate([np.empty((0, problem.state_dim))] + [d for d, _ in parts])
+    parts = [(len(d), local) for d, local in parts]  # the rows live once, in merge
+    successors, merged = distinct_rows(merge)
     s = len(successors)
     successor_of = np.empty(len(states) * len(controls), dtype=np.min_scalar_type(s))
     at = base = 0
-    for distinct, local in parts:
-        to_lattice = np.append(merged[base:base + len(distinct)], s)  # the block's S reads S
+    for count, local in parts:
+        to_lattice = np.append(merged[base:base + count], s)  # the block's S reads S
         successor_of[at:at + local.size] = to_lattice.take(local)
-        at, base = at + local.size, base + len(distinct)
+        at, base = at + local.size, base + count
     return PairLattice(states=states, controls=controls, successors=successors,
                        successor_of=successor_of)
 

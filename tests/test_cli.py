@@ -475,6 +475,43 @@ class TestErrorPaths:
             f"error: the solution's {key} is not finite; run solve again\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("problem, field, length, message", [
+        ("example1", 0, 1, "atom states of length 1, this run needs 2"),
+        ("shift", 0, 2, "atom states of length 2, this run needs 1"),
+        ("shift", 1, 2, "atom controls of length 2, this run needs 1"),
+        ("shift", "lambda", 3, "lambda of length 3, this run needs 4"),
+    ], ids=["example1-state-cut", "shift-state-doubled", "shift-control-doubled",
+            "shift-lambda-cut"])
+    def test_solution_of_the_wrong_dimension_is_refused(self, tmp_path, capsys, problem, field,
+                                                        length, message):
+        # verify ended example1's cut atoms with an IndexError traceback in g, a cut lambda
+        # with "coefficient vector of shape ...", and rollout read either without a word
+        out = tmp_path / "run"
+        if problem == "example1":  # a small example1 run: the refusal needs no large solve
+            cfg = tmp_path / "e1.cfg"
+            cfg.write_text("problem = example1\ndegree = 3\nstate_grid = 7\ncontrol_grid = 7\n"
+                           "candidate_state = 9\ncandidate_control = 7\n"
+                           f"rollout_control_grid = 21\nsteps = 10\nout = {out}\n")
+            base = ["--config", str(cfg)]
+        else:
+            base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        if field == "lambda":
+            doc["lambda"] = doc["lambda"][:length]
+        else:  # every atom's state (0) or control (1), cut or repeated to ``length``
+            for atom in doc["atoms"]:
+                atom[field] = (atom[field] * 2)[:length]
+        (out / "solution.json").write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        for stage in (["rollout"], ["rollout", "--policy", "heuristic"], ["verify"]):
+            assert cli.main([*stage, *base]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {out / 'solution.json'} holds {message}; run solve again\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("discard, message", [
         ("1.5", "threshold must lie in [0, 1)"),
         ("0.999", "every atom weighs less than 0.999"),
