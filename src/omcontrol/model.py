@@ -25,7 +25,7 @@ numpy expressions satisfy this automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -291,10 +291,28 @@ class PairLattice:
     controls: np.ndarray       # (C, d)
     successors: np.ndarray     # (S, m)
     successor_of: np.ndarray   # (Ks * C,) unsigned, S off the graph
+    # the scan's pair and psi buffers, kept for the lattice's lifetime: as per-scan
+    # temporaries, glibc could return their pages after a scan, and each round then
+    # faulted them in again
+    _buffers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def blocks(self):
         """Yield each block's slice of ``states``: whole states, about ``_SCAN_CHUNK`` pairs."""
         return state_blocks(len(self.states), len(self.controls))
+
+    def _block_buffers(self, states: int) -> list:
+        """(pair states, pair controls, psi_y, psi_f) buffers for blocks of ``states`` states.
+
+        The pair controls are ``controls`` repeated, the same for every block,
+        so they are written once.
+        """
+        size = states * len(self.controls)
+        if not self._buffers or len(self._buffers[2]) < size:
+            us = np.empty((size, self.controls.shape[1]))
+            us.reshape(states, *self.controls.shape)[:] = self.controls
+            self._buffers[:] = [np.empty((size, self.states.shape[1])), us, np.empty(size),
+                                np.empty(size)]
+        return self._buffers
 
     def scan(self, psi: Callable):
         """Yield (rows, states, controls, psi(states), psi(successors)) per block of pairs,
@@ -303,13 +321,20 @@ class PairLattice:
         psi is evaluated once per lattice state and once per distinct
         successor, and read as +inf at an inadmissible pair's S, so every
         one-step value and reduced cost there is +inf, as in ``one_step_table``.
+        The yielded arrays are the lattice's buffers, which the next block
+        overwrites: a caller keeps a block's values by copying them.
         """
         psi_s, psi_f = psi(self.states), np.append(psi(self.successors), np.inf)
         successor = self.successor_of.reshape(len(self.states), -1)
+        c = len(self.controls)
         for rows in self.blocks():
-            ys, us = pairs(self.states[rows], self.controls)
-            yield (rows, ys, us, np.repeat(psi_s[rows], len(self.controls)),
-                   psi_f.take(successor[rows].ravel()))
+            k = rows.stop - rows.start
+            ys, us, at_y, at_f = (buf[:k * c] for buf in self._block_buffers(k))
+            ys.reshape(k, c, -1)[:] = self.states[rows, None, :]
+            at_y.reshape(k, c)[:] = psi_s[rows, None]
+            # every index is at most S, so "clip" clips nothing; it spares "raise"'s buffer
+            psi_f.take(successor[rows].ravel(), out=at_f, mode="clip")
+            yield rows, ys, us, at_y, at_f
 
 
 def pair_lattice(problem: DiscreteControlProblem, states, controls) -> PairLattice:

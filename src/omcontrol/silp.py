@@ -84,14 +84,16 @@ class FiniteLP:
     An LP extends in place, within its room: ``extended`` writes the new
     columns into the room and returns this LP, now longer, so no column is
     copied.  An extension past the room raises ``ValueError`` and writes
-    nothing.
+    nothing.  Past the room, ``_columns`` keeps ``rows + 1`` spare matrix
+    columns, which no extension reaches: ``select_certificate`` writes its
+    own columns right after the LP's, so that its matrix is a view too.
     """
 
     def __init__(self, capacity: int, rows: int, state_dim: int, control_dim: int):
         """An LP of no columns with room for ``capacity`` of them."""
         # matrix columns as rows; allocated before the small arrays, so that this block can
         # take a free region of the heap that they would otherwise split
-        self._columns = np.empty((capacity, rows))
+        self._columns = np.empty((capacity + rows + 1, rows))
         self._states = np.empty((capacity, state_dim))
         self._controls = np.empty((capacity, control_dim))
         self._cost = np.empty(capacity)
@@ -250,13 +252,18 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     normalization row becomes the row of t.  Its columns are the LP's
     columns (coefficient 1 in the t row off S, 0 on S), a negated copy of
     the S columns (the free multipliers of the equalities) and a column w
-    for t <= 1.  Every variable at 0 except w = 1 is feasible, so it starts
-    from the LP's basis with its heaviest column swapped for w, with no
-    Phase I.  That swap keeps the basis nonsingular: the normalization row
-    is the LP's only nonzero right-hand side, so a basic weight is the
-    column's cofactor in that row over det B, nonzero when positive.  Its
-    Phase II is the simplex's sifted one, like every other LP here: t* is
-    certified over all n + s + 1 columns.
+    for t <= 1.  No matrix of that size is built: the S entries of the
+    normalization row are zeroed for the solve and restored after it, even
+    when it raises, and the s + 1 extra columns go into the columns that
+    follow the LP's, its room or its spare columns, so the solve reads a
+    Fortran-ordered view of the LP's own storage.  Every variable at 0
+    except w = 1 is feasible, so it starts from the LP's basis with its
+    heaviest column swapped for w, with no Phase I.  That swap keeps the
+    basis nonsingular: the normalization row is the LP's only nonzero
+    right-hand side, so a basic weight is the column's cofactor in that row
+    over det B, nonzero when positive.  Its Phase II is the simplex's sifted
+    one, like every other LP here: t* is certified over all n + s + 1
+    columns.
     """
     support = np.nonzero(res.x > _SUPPORT_TOL)[0]
     rows, n, s = lp.n_rows, lp.n_columns, support.size
@@ -266,17 +273,20 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     np.subtract(lp.cost, certificate.mu * lp.matrix[-1], out=cost[:n])  # the LP's shifted costs
     cost[n:n + s] = -cost[support]
     cost[-1] = 1.0
-    matrix = np.empty((rows, n + s + 1))
-    matrix[:-1, :n] = lp.matrix[:-1]
-    matrix[-1, :n] = 1.0
-    matrix[-1, support] = 0.0
-    matrix[:-1, n:n + s] = -lp.matrix[:-1, support]
-    matrix[:-1, -1] = 0.0
-    matrix[-1, n:] = 0.0
-    matrix[-1, -1] = 1.0
+    columns = lp._columns  # its row j is matrix column j, for the LP and after it
+    columns[n:n + s, :-1] = -columns[support, :-1]
+    columns[n:n + s + 1, -1] = 0.0
+    columns[n + s, :-1] = 0.0
+    columns[n + s, -1] = 1.0
+    normalization = columns[support, -1].copy()
     start = res.basis.copy()
     start[np.argmax(res.x[start])] = n + s
-    sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, start=start)
+    columns[support, -1] = 0.0
+    try:
+        sel = solve_equality_lp(columns[:n + s + 1].T, lp.rhs, cost, pivot_tol=pivot_tol,
+                                start=start)
+    finally:
+        columns[support, -1] = normalization
     lam = np.concatenate([[0.0], -sel.duals[:-1]])
     return DualCertificate(lam=lam, mu=certificate.mu), float(sel.duals[-1]), sel.pivots
 
@@ -472,6 +482,11 @@ def solution_from_json(text: str) -> tuple[AtomicMeasure, DualCertificate, dict]
         if not all(map(_is_number, atom[0] + atom[1] + atom[2:])):
             raise ValueError(f"the solution's atom {k} holds a value that is not a number; "
                              "run solve again")
+        for part, j in (("state", 0), ("control", 1)):
+            if len(atom[j]) != len(atoms[0][j]):
+                raise ValueError(f"the solution's atom {k} has a {part} of length "
+                                 f"{len(atom[j])}, atom 0 one of length {len(atoms[0][j])}; "
+                                 "run solve again")
     states = np.array([a[0] for a in atoms], dtype=float)
     controls = np.array([a[1] for a in atoms], dtype=float)
     weights = np.array([a[2] for a in atoms], dtype=float)

@@ -4,16 +4,20 @@ Solves  min c @ x  subject to  A @ x = b, x >= 0  with A dense and small:
 tens of rows and up to a few 1e5 columns, such as the 160,801-160,812 of
 the degree-8 shift LPs on 401-point grids.  Feasibility comes from a
 Phase-I with artificial variables over [A | I]; an artificial column can
-leave the basis but never enters it.  Redundant rows discovered there are
-dropped and get zero duals.  Pricing is Dantzig's rule with smallest-index
-tie-breaks; a degeneracy counter switches to Bland's rule after
-``_STALL_LIMIT`` pivots without objective progress, which guarantees
-termination, and switches back once the objective moves again.  The
-pivots work from one explicit basis inverse, updated by a rank-one (eta)
-update per pivot (product form; Dantzig and Orchard-Hays, 1954) and
-refactorized every m pivots for an LP of m rows.  Optimality is confirmed
+leave the basis but never enters it.  [A | I] is read by column and never
+built: ``_WithIdentity`` gathers its basis and working-set columns, and
+Phase I prices A itself, so no copy of an LP's matrix is made.  Redundant
+rows discovered there are dropped and get zero duals.  Pricing is
+Dantzig's rule with smallest-index tie-breaks; a degeneracy counter
+switches to Bland's rule after ``_STALL_LIMIT`` pivots without objective
+progress, which guarantees termination, and switches back once the
+objective moves again.  The pivots work from one explicit basis inverse,
+updated by a rank-one (eta) update per pivot (product form; Dantzig and
+Orchard-Hays, 1954) and refactorized every m pivots for an LP of m rows.  Optimality is confirmed
 on x_B and duals re-solved from the basis matrix, so the result of a
-final basis does not depend on the updates that led to it.
+final basis does not depend on the updates that led to it.  A final point
+whose residual |B x_B - b| exceeds ``_RESIDUAL_TOL`` is refused with
+``SolverStalled``, never returned as optimal.
 
 The pivot loop keeps one invariant: each value that decides a pivot or
 reaches an output (x_B = B^-1 b, y = c_B B^-1, the objective, the reduced
@@ -30,7 +34,10 @@ Both phases run by sifting (working-set pricing; Bixby et al., Oper. Res.
 column is priced each time the working set is optimal, and the most
 negative ones join it.  A phase stops when no reduced cost is below
 ``-pivot_tol``, so its optimum is certified over all columns while a
-pivot prices a few columns per row instead of the whole LP.  A caller's
+pivot prices a few columns per row instead of the whole LP.  With BLAS
+pinned to one thread, a pricing of at least ``_SPLIT_COLUMNS`` columns runs
+on two threads, split at a multiple of ``_SPLIT_ALIGN`` columns, and gives
+the bytes of one ``np.matmul``.  A caller's
 ``seed`` lists columns in order of preference, and its first
 ``_SIFT_WIDTH`` per row start the working sets of both phases.  Without
 one, Phase I prices every column of [A | I] with no working set, and
@@ -47,6 +54,8 @@ two-phase solve, which returns exactly what it would without a start.
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +65,11 @@ from .errors import LpInfeasible, LpUnbounded, SolverStalled
 _PROGRESS_TOL = 1e-12
 _STALL_LIMIT = 1000  # pivots without progress before Bland's rule engages
 _SIFT_WIDTH = 4      # sifting: columns per row seeded into and added to the working set
+_RESIDUAL_TOL = 1e-9  # |B x_B - b| of a returned point, verify's measure-residual bound
+_SPLIT_COLUMNS = 1 << 16  # pricings this wide run on two threads
+_SPLIT_ALIGN = 64         # their split point is a multiple of this many columns
+# OpenBLAS reads its thread count from the first of these that is set
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -71,6 +85,84 @@ class LpResult:
 def seed_length(rows: int) -> int:
     """How many leading columns of a seed ``solve_equality_lp`` reads for an LP of ``rows`` rows."""
     return _SIFT_WIDTH * rows
+
+
+def _distinct(*parts):
+    """The sorted distinct values of 1-D index arrays, as ``np.union1d`` gives them, without
+    the ``numpy.ma`` import that ``np.unique`` makes on its first call."""
+    merged = np.sort(np.concatenate(parts))
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
+@functools.cache
+def _pricing_thread():
+    """The worker of split pricings, made on first use, or None when pricings do not split.
+
+    The split stands in for BLAS's own threads: it runs only when OpenBLAS
+    is pinned to one thread (its first set variable of ``_BLAS_THREADS`` reads
+    1, as ``perfbench`` and ``tools/golden.py`` pin it) and this process may
+    run on two CPUs.  A threaded BLAS splits a product its own way, and its
+    bytes would differ from a split's.
+    """
+    threads = next((os.environ[v].strip() for v in _BLAS_THREADS if os.environ.get(v)), "")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if threads != "1" or cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor  # imported only when pricings split
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="pricing")
+
+
+def _matvec(y, A, out):
+    """``np.matmul(y, A, out=out)``, the two halves of a wide ``A`` on two threads.
+
+    Each entry is one column's own dot product, and the split falls on a
+    multiple of ``_SPLIT_ALIGN`` columns, a boundary of BLAS's column
+    blocks, so the halves give the bytes of one product (single-threaded
+    OpenBLAS; ``tests/test_simplex.py`` checks it).  numpy releases the GIL
+    in the product, so the halves overlap.
+    """
+    n = A.shape[1]
+    helper = _pricing_thread() if n >= _SPLIT_COLUMNS else None
+    if helper is None:
+        return np.matmul(y, A, out=out)
+    half = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+    upper = helper.submit(np.matmul, y, A[:, half:], out=out[half:])
+    np.matmul(y, A[:, :half], out=out[:half])
+    upper.result()
+    return out
+
+
+class _WithIdentity:
+    """[A | I] of Phase I, read by column and never built.
+
+    ``[:, cols]`` gives columns of [A | I]: A's own below n and identity
+    columns from n on.  A slice within A is a view of A, and an index array
+    gathers a Fortran-ordered matrix, the layout numpy gives a column gather.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.shape = (A.shape[0], A.shape[0] + A.shape[1])
+
+    def __getitem__(self, key):
+        _, cols = key
+        m, n = self.A.shape
+        if isinstance(cols, slice):  # the pricing's enterable columns, all of them in A
+            if cols.indices(n + m)[1] > n:
+                raise IndexError("a slice of [A | I] reaches the identity block")
+            return self.A[:, cols]
+        if np.ndim(cols) == 0:  # the entering column, which is A's
+            return self.A[:, cols]
+        idx = np.asarray(cols)
+        gathered = np.zeros((idx.size, m))  # transposed, so the result is Fortran-ordered
+        own = idx < n
+        gathered[own] = self.A.T[idx[own]]
+        unit = np.nonzero(~own)[0]
+        gathered[unit, idx[unit] - n] = 1.0
+        return gathered.T
 
 
 def _inverse(B):
@@ -118,7 +210,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     eta = np.empty((m, m))
 
     def price(y):
-        np.matmul(y, A_in, out=rc)
+        _matvec(y, A_in, rc)
         np.subtract(c_in, rc, out=rc)
         rc[basis if every else basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
         return rc
@@ -216,13 +308,13 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
                                       int(np.searchsorted(work, n_enterable)),
                                       pivot_tol, max_pivots, pivots_done)
         basis = work[local]
-        np.matmul(y, A[:, :n_enterable], out=rc)
+        _matvec(y, A[:, :n_enterable], rc)
         np.subtract(c[:n_enterable], rc, out=rc)
         rc[work[work < n_enterable]] = 0.0
         entering = lowest_below(rc, width, -pivot_tol)
         if entering is None:
             return xB, y, basis, pivots_done
-        work = np.union1d(work, entering)
+        work = _distinct(work, entering)
 
 
 def _feasible_start(A, b, start, pivot_tol):
@@ -233,7 +325,7 @@ def _feasible_start(A, b, start, pivot_tol):
     """
     m, n = A.shape
     basis = np.asarray(start, dtype=np.int64).ravel()
-    if basis.size != m or np.unique(basis).size != m or basis.min() < 0 or basis.max() >= n:
+    if basis.size != m or _distinct(basis).size != m or basis.min() < 0 or basis.max() >= n:
         return None
     B = A[:, basis]
     if np.linalg.matrix_rank(B) < m:
@@ -247,19 +339,20 @@ def _phase_one(A, b, seed, pivot_tol, max_pivots):
 
     From the artificial basis it sifts over a working set of the columns in
     ``seed``, or, when ``seed`` is None, pivots on [A | I] itself, pricing
-    every structural column; the artificial columns never enter.  The basis
-    holds structural columns only.  Rows that no structural column can be
-    pivoted on are redundant; they are dropped, with their basis positions,
-    and get zero duals.
+    every structural column; the artificial columns never enter.  [A | I]
+    is a ``_WithIdentity``, so its pricing reads A and no copy is made.  The
+    basis it returns holds structural columns only.  Rows that no structural
+    column can be pivoted on are redundant; they are dropped, with their
+    basis positions, and get zero duals.
     """
     m, n = A.shape
-    A1 = np.hstack([A, np.eye(m)])
+    A1 = _WithIdentity(A)
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
     if seed is None:
         xB, _, pivots = _iterate(A1, b, c1, basis, n, pivot_tol, max_pivots, 0)
     else:
-        xB, _, basis, pivots = _sift(A1, b, c1, basis, np.union1d(seed, basis), n, pivot_tol,
+        xB, _, basis, pivots = _sift(A1, b, c1, basis, _distinct(seed, basis), n, pivot_tol,
                                      max_pivots, 0)
     infeas = float(c1[basis] @ xB)
     if infeas > 1e-8 * (1.0 + float(np.abs(b).sum())):
@@ -270,11 +363,11 @@ def _phase_one(A, b, seed, pivot_tol, max_pivots):
     for k in range(m):
         if basis[k] < n:
             continue
-        B = A1[:, basis]
-        u = np.linalg.solve(B.T, np.eye(m)[:, k])
-        weights = u @ A  # row k of B^{-1} A over structural columns
-        candidates = np.nonzero(np.abs(weights) > pivot_tol)[0]
-        candidates = candidates[~np.isin(candidates, basis)]
+        u = np.linalg.solve(A1[:, basis].T, np.eye(m)[:, k])
+        # row k of B^{-1} A over structural columns; a basic column is no candidate
+        weights = _matvec(u, A, np.empty(n))
+        weights[basis[basis < n]] = 0.0
+        candidates = np.flatnonzero(np.abs(weights) > pivot_tol)
         if candidates.size:
             basis[k] = int(candidates[0])
         else:
@@ -325,13 +418,18 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     # Phase II on structural columns only.
     if seed is None:
         seed = np.linspace(0, n - 1, min(n, _SIFT_WIDTH * A.shape[0]), dtype=np.int64)
-    xB, y, basis, pivots = _sift(A, b, c, basis, np.union1d(basis, seed), n, pivot_tol,
+    xB, y, basis, pivots = _sift(A, b, c, basis, _distinct(basis, seed), n, pivot_tol,
                                  max_pivots, pivots)
 
-    # One step of iterative refinement for the final basic solution.
+    # One step of iterative refinement for the final basic solution, which must then
+    # satisfy the rows: the clip to x >= 0 can hide an infeasible basis.
     B = A[:, basis]
     xB = xB + np.linalg.solve(B, b - B @ xB)
     xB = np.maximum(xB, 0.0)
+    residual = float(np.abs(B @ xB - b).max())
+    if not residual <= _RESIDUAL_TOL:
+        raise SolverStalled(f"infeasible final basis: |B x_B - b| = {residual:.3e} after "
+                            f"{pivots} pivots")
 
     x = np.zeros(n)
     x[basis] = xB

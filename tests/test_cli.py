@@ -512,6 +512,28 @@ class TestErrorPaths:
                 f"error: {out / 'solution.json'} holds {message}; run solve again\n")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize("field, part", [(0, "state"), (1, "control")])
+    def test_ragged_atoms_are_refused(self, tmp_path, capsys, field, part):
+        # the last atom's state or control doubled: rollout ended with numpy's
+        # "inhomogeneous shape" error; now every stage names the atom and writes nothing
+        out = tmp_path / "run"
+        base = ["--problem", "shift", "--out", str(out)]
+        assert cli.main(["solve", *base]) == 0
+        assert cli.main(["rollout", *base]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        k = len(doc["atoms"]) - 1
+        assert k >= 1
+        doc["atoms"][k][field] *= 2
+        (out / "solution.json").write_text(json.dumps(doc))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        for stage in (["rollout"], ["rollout", "--policy", "heuristic"], ["verify"]):
+            assert cli.main([*stage, *base]) == 1
+            assert capsys.readouterr().err == (
+                f"error: the solution's atom {k} has a {part} of length 2, atom 0 one of "
+                "length 1; run solve again\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("discard, message", [
         ("1.5", "threshold must lie in [0, 1)"),
         ("0.999", "every atom weighs less than 0.999"),

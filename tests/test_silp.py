@@ -401,11 +401,12 @@ class TestColumnBuffer:
         self.refused(roomy, lambda: roomy.extended(p, b, ys[0], us[0]), "room of 0")
 
     def test_inadmissible_pairs_leave_room_in_place(self):
-        # the arrays are sized for every pair of the grid; drift's inadmissible pairs leave
-        # columns that are never written by assemble, and extended fills them in place
+        # the arrays are sized for every pair of the grid, the matrix's with the selection's
+        # rows + 1 spare columns after it; drift's inadmissible pairs leave columns that are
+        # never written by assemble, and extended fills them in place
         p, b = drift_problem(), MonomialBasis(1, 3)
         lp = assemble(p, b, GridSpec(state=(21,), control=(21,)))
-        assert lp.matrix.base.shape[0] == 21 * 21 and lp.n_columns < 21 * 21
+        assert lp.matrix.base.shape[0] == 21 * 21 + lp.n_rows + 1 and lp.n_columns < 21 * 21
         pick = np.nonzero(lp.controls[:, 0] >= 0.0)[0][::7]
         ys, us = lp.states[pick] * 0.9, lp.controls[pick]
         self.extended_in_place(lp, p, b, ys, us)
@@ -554,7 +555,8 @@ class TestScan:
         def psi(pts):
             return np.sin(3.0 * pts[:, 0])
 
-        parts = list(lattice.scan(psi))
+        # the scan yields its buffers, which the next block overwrites: keep copies
+        parts = [(rows, *(a.copy() for a in arrays)) for rows, *arrays in lattice.scan(psi)]
         assert [rows for rows, *_ in parts] == list(lattice.blocks())
         ys, us, psi_y, psi_f = (np.concatenate([part[k] for part in parts]) for k in range(1, 5))
         assert ys.tobytes() == states.tobytes() and us.tobytes() == controls.tobytes()
@@ -685,6 +687,71 @@ class TestSelectCertificate:
                       bounds=[(None, None)] * (lp.n_rows - 1) + [(None, 1.0)], method="highs")
         assert ref.status == 0
         assert margin == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def shift_dense_lp():
+    """shift-dense's base LP: degree 8 on 401-point grids, 9 rows and 160,801 columns."""
+    p = builtin_problem("shift", alpha=0.5, y0=0.4)
+    return assemble(p, MonomialBasis(1, 8), GridSpec(state=(401,), control=(401,)))
+
+
+class TestNoLpSizedCopy:
+    """Neither the round-1 solve nor the selection copies the LP's matrix (11.6 MiB here):
+    Phase I reads [A | I] by column, and the selection solves in the LP's own store.  Each
+    bound is a measured peak plus 10%; a matrix-sized copy breaks it."""
+
+    def test_round_one_solve(self):
+        lp = shift_dense_lp()
+        assert lp.matrix.nbytes > 11 * 2**20
+        _, peak = traced_peak_mib(lambda: solve(lp))
+        assert peak <= 4.0
+
+    def test_selection(self):
+        lp = shift_dense_lp()
+        res, cert = solved(lp)
+        (_, margin, pivots), peak = traced_peak_mib(lambda: select_certificate(lp, res, cert))
+        assert margin is not None and pivots > 0
+        assert peak <= 3.3
+
+    def test_selection_leaves_the_lp_as_it_was(self, monkeypatch):
+        # the selection writes the LP's normalization row and the columns after the LP; the
+        # LP's arrays read the same afterwards, also when the selection's solve raises
+        p = shift_problem()
+        lp = assemble(p, MonomialBasis(1, 3), GridSpec(state=(21,), control=(21,)), room=2)
+        res, cert = solved(lp)
+        before = (lp.matrix.tobytes(), lp.cost.tobytes(), lp.states.tobytes(),
+                  lp.controls.tobytes())
+        selected, margin, _ = select_certificate(lp, res, cert)
+        assert margin is not None
+        after = (lp.matrix.tobytes(), lp.cost.tobytes(), lp.states.tobytes(),
+                 lp.controls.tobytes())
+        assert after == before and lp.matrix.flags.f_contiguous
+        assert select_certificate(lp, res, cert)[0].lam.tobytes() == selected.lam.tobytes()
+
+        seen = []
+
+        def stalled(A, b, c, **kwargs):
+            seen.append(A[-1, :lp.n_columns].copy())  # the t row, zero on the support
+            raise SolverStalled("pivot budget exhausted")
+
+        monkeypatch.setattr(silp, "solve_equality_lp", stalled)
+        with pytest.raises(SolverStalled):
+            select_certificate(lp, res, cert)
+        assert np.array_equal(seen[0] == 0.0, res.x > silp._SUPPORT_TOL)
+        assert (lp.matrix.tobytes(), lp.cost.tobytes()) == before[:2]
+
+    def test_selection_fits_a_full_room(self):
+        # the last round leaves no room, and the selection's columns go into the spare ones
+        p = shift_problem()
+        b = MonomialBasis(1, 3)
+        lp = assemble(p, b, GridSpec(state=(21,), control=(21,)), room=3)
+        lp.extended(p, b, [[0.11], [0.12], [0.13]], [[0.2], [0.3], [0.4]])
+        with pytest.raises(ValueError):
+            lp.extended(p, b, [[0.14]], [[0.5]])
+        res, cert = solved(lp)
+        before = lp.matrix.tobytes()
+        _, margin, _ = select_certificate(lp, res, cert)
+        assert margin is not None and lp.matrix.tobytes() == before
 
 
 class TestDiscard:

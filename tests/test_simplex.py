@@ -1,12 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from omcontrol import (CandidateSpec, GridSpec, MonomialBasis, assemble, builtin_problem,
-                       model, silp, simplex, solve, solve_refined)
+from omcontrol import (Box, CandidateSpec, DiscreteControlProblem, GridSpec, MonomialBasis,
+                       assemble, builtin_problem, model, silp, simplex, solve, solve_refined)
 from omcontrol.errors import LpInfeasible, LpUnbounded, SolverError, SolverStalled
 from omcontrol.simplex import solve_equality_lp
 
@@ -816,3 +819,88 @@ class TestLeanLoop:
         solve(lp.extended(p, b, ys, us), start=results[0].basis, results=results)
         assert results[1].warm and results[1].pivots > 0
         assert len(check.calls) > cold_calls
+
+
+def random_problem_lp():
+    """A 7 x 462 LP from a generated 1-D problem (ROADMAP item 17): its 21 x 21 base grid,
+    which alone is infeasible, and the 21 admissible (y0, u) columns over the control grid."""
+    a = (-0.401977, 0.0788521, -0.134976, 0.613478)
+    q = (-0.831994, -0.264774, -0.114569, 0.194828, 0.815816)
+
+    def f(y, u):
+        y, u = y[..., :1], u[..., :1]
+        return 0.5 + 0.5 * (a[0] + a[1] * y + a[2] * u + a[3] * y * u)
+
+    def g(y, u):
+        y, u = y[..., 0], u[..., 0]
+        return q[0] * y + q[1] * u + q[2] * y ** 2 + q[3] * u ** 2 + q[4] * y * u
+
+    y0 = 0.345537
+    p = DiscreteControlProblem(state_dim=1, dynamics=f, cost=g, state_region=Box([0.0], [1.0]),
+                               control_region=Box([-1.0], [1.0]), discount=0.495974,
+                               initial_state=[y0])
+    b = MonomialBasis(1, 6)
+    lp = assemble(p, b, GridSpec(state=(21,), control=(21,)), room=21)
+    us = model.control_grid_points(p, (21,))
+    ys = np.full((len(us), 1), y0)
+    admissible = p.state_region.contains(p.f(ys, us))
+    assert admissible.sum() == 21
+    return lp.extended(p, b, ys[admissible], us[admissible])
+
+
+class TestFinalResidual:
+    def test_no_infeasible_point_is_returned_as_optimal(self):
+        # its sifting ended at a basis with x_B down to -0.4, which the clip to x >= 0 hid:
+        # value -0.41393556756 with |Ax - b| = 0.707.  The reference is HiGHS on
+        # orthonormalized rows, at residual 7e-15 on these rows.
+        lp = random_problem_lp()
+        assert lp.matrix.shape == (7, 462)
+        try:
+            res = solve_equality_lp(lp.matrix, lp.rhs, lp.cost)
+        except SolverStalled as exc:
+            assert str(exc).startswith("infeasible final basis: |B x_B - b| = ")
+            return
+        assert np.abs(lp.matrix @ res.x - lp.rhs).max() <= 1e-9
+        assert res.value == pytest.approx(-0.2536318365, abs=1e-8)
+
+
+def run_python(code, *args, **env):
+    """Run ``code`` in a fresh interpreter that imports this omcontrol; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(simplex.__file__))
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=environ,
+                          check=True, capture_output=True, text=True).stdout
+
+
+class TestSplitPricing:
+    # BLAS's thread count is fixed when it loads, so the split runs in a fresh interpreter
+    # with BLAS at one thread, the setting under which pricings split
+    CHECK = """
+import numpy as np
+from omcontrol import simplex
+assert simplex._pricing_thread() is not None
+rng = np.random.default_rng(0)
+for rows in (9, 10, 64):
+    for extra in (0, 1, 63, 64, 65):
+        n = (1 << 16) + extra
+        for order in "FC":
+            A = np.asarray(rng.normal(size=(rows, n)), order=order)
+            y = rng.normal(size=rows)
+            assert simplex._matvec(y, A, np.empty(n)).tobytes() == np.matmul(y, A).tobytes()
+print("same")
+"""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="pricings split only when the process may use two CPUs")
+    def test_split_is_one_matmul_bitwise(self):
+        assert run_python(self.CHECK, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1") == "same\n"
+
+
+class TestImports:
+    def test_solve_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, 10-20 ms and 1.3 MB a process
+        code = ("import sys\nfrom omcontrol import cli\n"
+                "assert cli.main(['solve', '--problem', 'shift', '--out', sys.argv[1]]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        assert run_python(code, tmp_path / "run").splitlines()[-1] == "False"

@@ -739,3 +739,22 @@ class TestKappa:
         full = (max(0.0, ref.fun - cert.mu)
                 + max(0.0, (1.0 - p.discount) * oracle_value - ref.fun))
         assert sifted == pytest.approx(full, abs=1e-9)
+
+    def test_shift_dense_resolve_copies_no_lp(self):
+        # the degree-9 re-solve of shift-dense (10 rows, 160,801 columns: 12.3 MiB) under the
+        # workload's refined certificate: its LP and one (columns,) array per pricing, but no
+        # [A | I] beside the LP.  The bound is a measured peak plus 10%.
+        p = shift_problem()
+        b = MonomialBasis(1, 8)
+        grid = GridSpec(state=(401,), control=(401,))
+        _, cert, _ = solve_refined(p, b, grid, CandidateSpec(state=(801,), control=(801,)),
+                                   tol=1e-6, max_rounds=80)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kappa = estimate_kappa(p, b, grid, cert, p.initial_state[0])
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= kappa <= 1e-9
+        assert peak <= 21.6
