@@ -321,8 +321,10 @@ class PairLattice:
         psi is evaluated once per lattice state and once per distinct
         successor, and read as +inf at an inadmissible pair's S, so every
         one-step value and reduced cost there is +inf, as in ``one_step_table``.
-        The yielded arrays are the lattice's buffers, which the next block
-        overwrites: a caller keeps a block's values by copying them.
+        The yielded arrays are read-only views of the lattice's buffers,
+        which the next block overwrites: a caller keeps a block's values by
+        copying them, and an in-place write, which would reach later scans
+        through the pair controls written once, raises.
         """
         psi_s, psi_f = psi(self.states), np.append(psi(self.successors), np.inf)
         successor = self.successor_of.reshape(len(self.states), -1)
@@ -334,6 +336,8 @@ class PairLattice:
             at_y.reshape(k, c)[:] = psi_s[rows, None]
             # every index is at most S, so "clip" clips nothing; it spares "raise"'s buffer
             psi_f.take(successor[rows].ravel(), out=at_f, mode="clip")
+            for view in (ys, us, at_y, at_f):
+                view.flags.writeable = False
             yield rows, ys, us, at_y, at_f
 
 

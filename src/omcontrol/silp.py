@@ -31,6 +31,7 @@ priced again against that choice before it is accepted.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ class FiniteLP:
     columns into the room and returns this LP, now longer, so no column is
     copied.  An extension past the room raises ``ValueError`` and writes
     nothing.  Past the room, ``_columns`` keeps ``rows + 1`` spare matrix
-    columns, which no extension reaches: ``select_certificate`` writes its
+    columns, which no extension reaches: ``selection_matrix`` writes its
     own columns right after the LP's, so that its matrix is a view too.
     """
 
@@ -138,6 +139,30 @@ class FiniteLP:
             raise ValueError(f"{states.shape[0]} new columns do not fit the LP's room of {room}")
         self._write(problem, basis, states, controls)
         return self
+
+    @contextlib.contextmanager
+    def selection_matrix(self, support):
+        """The (rows, n + s + 1) matrix of ``select_certificate`` for the ``with`` block, a
+        Fortran-ordered view of this LP's storage.
+
+        Its columns are the LP's, with the normalization entries of the s
+        columns in ``support`` zeroed, then those columns negated with 0 in
+        the normalization row, then the unit column of that row.  The extra
+        columns go after the LP's, into its room or its spare columns, and
+        the zeroed entries are restored on exit, also when the block raises.
+        """
+        n, s = self.n_columns, support.size
+        columns = self._columns  # its row j is matrix column j, for the LP and after it
+        columns[n:n + s, :-1] = -columns[support, :-1]
+        columns[n:n + s + 1, -1] = 0.0
+        columns[n + s, :-1] = 0.0
+        columns[n + s, -1] = 1.0
+        normalization = columns[support, -1].copy()
+        columns[support, -1] = 0.0
+        try:
+            yield columns[:n + s + 1].T
+        finally:
+            columns[support, -1] = normalization
 
 
 @dataclass
@@ -252,18 +277,15 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     normalization row becomes the row of t.  Its columns are the LP's
     columns (coefficient 1 in the t row off S, 0 on S), a negated copy of
     the S columns (the free multipliers of the equalities) and a column w
-    for t <= 1.  No matrix of that size is built: the S entries of the
-    normalization row are zeroed for the solve and restored after it, even
-    when it raises, and the s + 1 extra columns go into the columns that
-    follow the LP's, its room or its spare columns, so the solve reads a
-    Fortran-ordered view of the LP's own storage.  Every variable at 0
-    except w = 1 is feasible, so it starts from the LP's basis with its
-    heaviest column swapped for w, with no Phase I.  That swap keeps the
-    basis nonsingular: the normalization row is the LP's only nonzero
-    right-hand side, so a basic weight is the column's cofactor in that row
-    over det B, nonzero when positive.  Its Phase II is the simplex's sifted
-    one, like every other LP here: t* is certified over all n + s + 1
-    columns.
+    for t <= 1.  No matrix of that size is built: the solve reads
+    ``lp.selection_matrix``, a view of the LP's own storage.  Every
+    variable at 0 except w = 1 is feasible, so it starts from the LP's
+    basis with its heaviest column swapped for w, with no Phase I.  That
+    swap keeps the basis nonsingular: the normalization row is the LP's
+    only nonzero right-hand side, so a basic weight is the column's cofactor
+    in that row over det B, nonzero when positive.  Its Phase II is the
+    simplex's sifted one, like every other LP here: t* is certified over all
+    n + s + 1 columns.
     """
     support = np.nonzero(res.x > _SUPPORT_TOL)[0]
     rows, n, s = lp.n_rows, lp.n_columns, support.size
@@ -273,20 +295,10 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
     np.subtract(lp.cost, certificate.mu * lp.matrix[-1], out=cost[:n])  # the LP's shifted costs
     cost[n:n + s] = -cost[support]
     cost[-1] = 1.0
-    columns = lp._columns  # its row j is matrix column j, for the LP and after it
-    columns[n:n + s, :-1] = -columns[support, :-1]
-    columns[n:n + s + 1, -1] = 0.0
-    columns[n + s, :-1] = 0.0
-    columns[n + s, -1] = 1.0
-    normalization = columns[support, -1].copy()
     start = res.basis.copy()
     start[np.argmax(res.x[start])] = n + s
-    columns[support, -1] = 0.0
-    try:
-        sel = solve_equality_lp(columns[:n + s + 1].T, lp.rhs, cost, pivot_tol=pivot_tol,
-                                start=start)
-    finally:
-        columns[support, -1] = normalization
+    with lp.selection_matrix(support) as matrix:
+        sel = solve_equality_lp(matrix, lp.rhs, cost, pivot_tol=pivot_tol, start=start)
     lam = np.concatenate([[0.0], -sel.duals[:-1]])
     return DualCertificate(lam=lam, mu=certificate.mu), float(sel.duals[-1]), sel.pivots
 

@@ -13,11 +13,11 @@ switches to Bland's rule after ``_STALL_LIMIT`` pivots without objective
 progress, which guarantees termination, and switches back once the
 objective moves again.  The pivots work from one explicit basis inverse,
 updated by a rank-one (eta) update per pivot (product form; Dantzig and
-Orchard-Hays, 1954) and refactorized every m pivots for an LP of m rows.  Optimality is confirmed
-on x_B and duals re-solved from the basis matrix, so the result of a
-final basis does not depend on the updates that led to it.  A final point
-whose residual |B x_B - b| exceeds ``_RESIDUAL_TOL`` is refused with
-``SolverStalled``, never returned as optimal.
+Orchard-Hays, 1954) and refactorized every m pivots for an LP of m rows.
+Optimality is confirmed on x_B and duals re-solved from the basis matrix,
+so the result of a final basis does not depend on the updates that led to
+it.  A final point whose residual |B x_B - b| exceeds ``_RESIDUAL_TOL`` is
+refused with ``SolverStalled``, never returned as optimal.
 
 The pivot loop keeps one invariant: each value that decides a pivot or
 reaches an output (x_B = B^-1 b, y = c_B B^-1, the objective, the reduced
@@ -34,10 +34,7 @@ Both phases run by sifting (working-set pricing; Bixby et al., Oper. Res.
 column is priced each time the working set is optimal, and the most
 negative ones join it.  A phase stops when no reduced cost is below
 ``-pivot_tol``, so its optimum is certified over all columns while a
-pivot prices a few columns per row instead of the whole LP.  With BLAS
-pinned to one thread, a pricing of at least ``_SPLIT_COLUMNS`` columns runs
-on two threads, split at a multiple of ``_SPLIT_ALIGN`` columns, and gives
-the bytes of one ``np.matmul``.  A caller's
+pivot prices a few columns per row instead of the whole LP.  A caller's
 ``seed`` lists columns in order of preference, and its first
 ``_SIFT_WIDTH`` per row start the working sets of both phases.  Without
 one, Phase I prices every column of [A | I] with no working set, and
@@ -54,8 +51,6 @@ two-phase solve, which returns exactly what it would without a start.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +61,6 @@ _PROGRESS_TOL = 1e-12
 _STALL_LIMIT = 1000  # pivots without progress before Bland's rule engages
 _SIFT_WIDTH = 4      # sifting: columns per row seeded into and added to the working set
 _RESIDUAL_TOL = 1e-9  # |B x_B - b| of a returned point, verify's measure-residual bound
-_SPLIT_COLUMNS = 1 << 16  # pricings this wide run on two threads
-_SPLIT_ALIGN = 64         # their split point is a multiple of this many columns
-# OpenBLAS reads its thread count from the first of these that is set
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass
@@ -95,44 +86,6 @@ def _distinct(*parts):
     keep[:1] = True
     np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     return merged[keep]
-
-
-@functools.cache
-def _pricing_thread():
-    """The worker of split pricings, made on first use, or None when pricings do not split.
-
-    The split stands in for BLAS's own threads: it runs only when OpenBLAS
-    is pinned to one thread (its first set variable of ``_BLAS_THREADS`` reads
-    1, as ``perfbench`` and ``tools/golden.py`` pin it) and this process may
-    run on two CPUs.  A threaded BLAS splits a product its own way, and its
-    bytes would differ from a split's.
-    """
-    threads = next((os.environ[v].strip() for v in _BLAS_THREADS if os.environ.get(v)), "")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if threads != "1" or cpus < 2:
-        return None
-    from concurrent.futures import ThreadPoolExecutor  # imported only when pricings split
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="pricing")
-
-
-def _matvec(y, A, out):
-    """``np.matmul(y, A, out=out)``, the two halves of a wide ``A`` on two threads.
-
-    Each entry is one column's own dot product, and the split falls on a
-    multiple of ``_SPLIT_ALIGN`` columns, a boundary of BLAS's column
-    blocks, so the halves give the bytes of one product (single-threaded
-    OpenBLAS; ``tests/test_simplex.py`` checks it).  numpy releases the GIL
-    in the product, so the halves overlap.
-    """
-    n = A.shape[1]
-    helper = _pricing_thread() if n >= _SPLIT_COLUMNS else None
-    if helper is None:
-        return np.matmul(y, A, out=out)
-    half = n // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
-    upper = helper.submit(np.matmul, y, A[:, half:], out=out[half:])
-    np.matmul(y, A[:, :half], out=out[:half])
-    upper.result()
-    return out
 
 
 class _WithIdentity:
@@ -210,7 +163,7 @@ def _iterate(A, b, c, basis, n_enterable, pivot_tol, max_pivots, pivots_done):
     eta = np.empty((m, m))
 
     def price(y):
-        _matvec(y, A_in, rc)
+        np.matmul(y, A_in, out=rc)
         np.subtract(c_in, rc, out=rc)
         rc[basis if every else basis[basis < n_enterable]] = 0.0  # basic columns never re-enter
         return rc
@@ -308,7 +261,7 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
                                       int(np.searchsorted(work, n_enterable)),
                                       pivot_tol, max_pivots, pivots_done)
         basis = work[local]
-        _matvec(y, A[:, :n_enterable], rc)
+        np.matmul(y, A[:, :n_enterable], out=rc)
         np.subtract(c[:n_enterable], rc, out=rc)
         rc[work[work < n_enterable]] = 0.0
         entering = lowest_below(rc, width, -pivot_tol)
@@ -317,11 +270,22 @@ def _sift(A, b, c, basis, work, n_enterable, pivot_tol, max_pivots, pivots_done)
         work = _distinct(work, entering)
 
 
+def _refined(B, b, xB):
+    """``x_B`` after one step of iterative refinement, clipped to x >= 0, and its residual
+    |B x_B - b|."""
+    xB = np.maximum(xB + np.linalg.solve(B, b - B @ xB), 0.0)
+    return xB, float(np.abs(B @ xB - b).max())
+
+
 def _feasible_start(A, b, start, pivot_tol):
     """``start`` as an index array if it is a usable Phase-II start, else None.
 
     Usable means one distinct column per row, a numerically nonsingular
-    basis matrix and basic values no lower than ``-pivot_tol``.
+    basis matrix and basic values no lower than ``-pivot_tol``, or lower
+    only by round-off: after one step of refinement, the clipped point meets
+    the rows to ``_RESIDUAL_TOL``, as a returned point must.  A basis that
+    ended the previous round can read slightly negative x_B in the next, and
+    refusing it sends that round to a cold solve.
     """
     m, n = A.shape
     basis = np.asarray(start, dtype=np.int64).ravel()
@@ -331,7 +295,9 @@ def _feasible_start(A, b, start, pivot_tol):
     if np.linalg.matrix_rank(B) < m:
         return None
     xB = np.linalg.solve(B, b)
-    return basis.copy() if xB.min() >= -pivot_tol else None
+    if xB.min() < -pivot_tol and not _refined(B, b, xB)[1] <= _RESIDUAL_TOL:
+        return None
+    return basis.copy()
 
 
 def _phase_one(A, b, seed, pivot_tol, max_pivots):
@@ -365,7 +331,7 @@ def _phase_one(A, b, seed, pivot_tol, max_pivots):
             continue
         u = np.linalg.solve(A1[:, basis].T, np.eye(m)[:, k])
         # row k of B^{-1} A over structural columns; a basic column is no candidate
-        weights = _matvec(u, A, np.empty(n))
+        weights = u @ A
         weights[basis[basis < n]] = 0.0
         candidates = np.flatnonzero(np.abs(weights) > pivot_tol)
         if candidates.size:
@@ -424,9 +390,7 @@ def solve_equality_lp(A, b, c, pivot_tol: float = 1e-9, max_pivots: int = 200_00
     # One step of iterative refinement for the final basic solution, which must then
     # satisfy the rows: the clip to x >= 0 can hide an infeasible basis.
     B = A[:, basis]
-    xB = xB + np.linalg.solve(B, b - B @ xB)
-    xB = np.maximum(xB, 0.0)
-    residual = float(np.abs(B @ xB - b).max())
+    xB, residual = _refined(B, b, xB)
     if not residual <= _RESIDUAL_TOL:
         raise SolverStalled(f"infeasible final basis: |B x_B - b| = {residual:.3e} after "
                             f"{pivots} pivots")

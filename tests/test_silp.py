@@ -259,6 +259,20 @@ class TestRefine:
         assert all(isinstance(r["pivots"], int) for r in history)
         assert history[-1]["margin"] > 0.0  # two atoms for four rows: selection ran
 
+    def test_round_off_below_the_floor_keeps_the_start_warm(self):
+        # shift at degree 9 on 401-point grids from y0 = 0.7: round 2's basis reads x_B
+        # down to -1.1e-9 in round 3, past -pivot_tol by round-off alone.  Refused as a
+        # start, round 3 went cold and ended on a basis whose point missed its rows by
+        # 3.7e-9, so the final residual check stopped the solve there
+        history = []
+        _, certificate, _ = solve_refined(
+            builtin_problem("shift", alpha=0.5, y0=0.7), MonomialBasis(1, 9),
+            GridSpec(state=(401,), control=(401,)),
+            CandidateSpec(state=(801,), control=(801,), max_new_columns=8),
+            tol=1e-6, max_rounds=80, pivot_tol=1e-9, history=history)
+        assert [r["warm"] for r in history] == [False] + [True] * (len(history) - 1)
+        assert certificate.mu / 0.5 == pytest.approx(0.7, abs=1e-9)
+
     def test_lp_failure_in_a_later_round_keeps_the_last_round(self, monkeypatch):
         args = several_rounds()
         p = args[0]
@@ -563,6 +577,25 @@ class TestScan:
         assert psi_y.tobytes() == psi(states).tobytes()
         np.testing.assert_array_equal(np.isposinf(psi_f), ~admissible)
         assert psi_f[admissible].tobytes() == psi(succ[admissible]).tobytes()
+
+    def test_rescan_reads_the_same_bytes_and_blocks_are_read_only(self, monkeypatch):
+        # the scan reuses the lattice's buffers, the pair controls written once: a block
+        # refuses in-place writes, so a second scan yields what the first did
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
+        lattice = candidate_lattice(drift_problem(), CandidateSpec(state=(41,), control=(41,)))
+
+        def psi(pts):
+            return np.cos(2.0 * pts[:, 0])
+
+        def scanned():
+            return [b"".join(a.tobytes() for a in arrays) for _, *arrays in lattice.scan(psi)]
+
+        first = scanned()
+        for _, *arrays in lattice.scan(psi):
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:1] = 0.0
+        assert scanned() == first
 
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through

@@ -864,37 +864,13 @@ class TestFinalResidual:
         assert res.value == pytest.approx(-0.2536318365, abs=1e-8)
 
 
-def run_python(code, *args, **env):
+def run_python(code, *args):
     """Run ``code`` in a fresh interpreter that imports this omcontrol; returns its stdout."""
     src = os.path.dirname(os.path.dirname(simplex.__file__))
-    environ = dict(os.environ, **env)
+    environ = dict(os.environ)
     environ["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [environ.get("PYTHONPATH")])])
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=environ,
                           check=True, capture_output=True, text=True).stdout
-
-
-class TestSplitPricing:
-    # BLAS's thread count is fixed when it loads, so the split runs in a fresh interpreter
-    # with BLAS at one thread, the setting under which pricings split
-    CHECK = """
-import numpy as np
-from omcontrol import simplex
-assert simplex._pricing_thread() is not None
-rng = np.random.default_rng(0)
-for rows in (9, 10, 64):
-    for extra in (0, 1, 63, 64, 65):
-        n = (1 << 16) + extra
-        for order in "FC":
-            A = np.asarray(rng.normal(size=(rows, n)), order=order)
-            y = rng.normal(size=rows)
-            assert simplex._matvec(y, A, np.empty(n)).tobytes() == np.matmul(y, A).tobytes()
-print("same")
-"""
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="pricings split only when the process may use two CPUs")
-    def test_split_is_one_matmul_bitwise(self):
-        assert run_python(self.CHECK, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1") == "same\n"
 
 
 class TestImports:
