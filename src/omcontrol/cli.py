@@ -19,7 +19,8 @@ import numpy as np
 
 from . import silp, synthesis, verify
 from .basis import MonomialBasis
-from .errors import NonConverged, NotConverged, RolloutAborted, SolverError
+from .errors import (LpInfeasible, LpUnbounded, NonConverged, NotConverged, RolloutAborted,
+                     SolverError, SolverStalled)
 from .model import builtin_problem
 from .silp import CandidateSpec, GridSpec
 
@@ -176,6 +177,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     cfg = cfg.resolved()
     problem, basis = _build(cfg)
     grid, cand = _grid_specs(cfg)
+    out = Path(cfg.out)
+    lines = [
+        f"problem            {problem.name}",
+        f"discount           {problem.discount:.6g}",
+        f"initial state      {tuple(float(v) for v in problem.initial_state)}",
+        f"basis functions    {basis.count} (degree cap {basis.max_degree})",
+    ]
     history: list = []
     try:
         measure, certificate, rounds = silp.solve_refined(
@@ -185,12 +193,18 @@ def cmd_solve(cfg: RunConfig) -> int:
     except NonConverged as exc:
         measure, certificate, rounds = exc.measure, exc.certificate, exc.rounds
         failure = exc
+    except (LpInfeasible, LpUnbounded, SolverStalled) as exc:  # round 1 failed: no result
+        out.mkdir(parents=True, exist_ok=True)
+        # an earlier run's solution would pass for this one's: rollout says "run solve first"
+        (out / "solution.json").unlink(missing_ok=True)
+        lines.append(f"converged          no (round 1 failed: {type(exc).__name__}: {exc})")
+        _write_summary(out, lines)
+        raise
     value = measure.value(problem)
     violation = history[-1]["max_violation"]
     margin = history[-1]["margin"]
     pivots = sum(record["pivots"] + record["selection_pivots"] for record in history)
 
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = _run_stamp(problem, basis)
     if failure is not None:
@@ -199,11 +213,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         silp.solution_to_json(measure, certificate, value, rounds, violation, meta) + "\n")
 
     scale = 1.0 / (1.0 - problem.discount)
-    lines = [
-        f"problem            {problem.name}",
-        f"discount           {problem.discount:.6g}",
-        f"initial state      {tuple(float(v) for v in problem.initial_state)}",
-        f"basis functions    {basis.count} (degree cap {basis.max_degree})",
+    lines += [
         f"lp columns         {history[-1]['columns']}",
         f"refinement rounds  {rounds}",
         f"primal value       {value:.6f}",
@@ -219,11 +229,16 @@ def cmd_solve(cfg: RunConfig) -> int:
         lines.append("converged          no (" + (
             f"round limit of {rounds} reached" if cause is None
             else f"round {rounds + 1} failed: {type(cause).__name__}: {cause}") + ")")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(out, lines)
     if failure is not None:
         raise failure
     return 0
+
+
+def _write_summary(out: Path, lines: list) -> None:
+    """``summary.txt`` under ``out``, echoed to stdout."""
+    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
 
 
 def _load_solution(cfg: RunConfig, run: dict, problem, basis):

@@ -12,14 +12,19 @@ with a control array, states varying slowest: the one pair order.
 at the same successors.  ``pair_lattice`` indexes every pair of a lattice
 too large to cross at once (the candidates of ``solve``, the oracle grid of
 ``verify``) by its distinct successors, built and scanned in blocks of
-whole states whose size this module alone sets.  Off the graph is always
-+inf: the table, and the lattice's scan, price an inadmissible pair at
-+inf.  ``require_admissible`` is the one check of Assumption I, that every
-state has an admissible control.
+whole states whose size this module alone sets; a scan yields a block's
+states and the controls as views that broadcast against each other.  Off
+the graph is always +inf: the table, and the lattice's scan, price an
+inadmissible pair at +inf.  ``require_admissible`` is the one check of
+Assumption I, that every state has an admissible control.
 
 Dynamics and cost callables must accept batched inputs: arrays of shape
-``(K, m)`` / ``(K, d)`` in, ``(K, m)`` / ``(K,)`` out.  Plain elementwise
-numpy expressions satisfy this automatically.
+``(K, m)`` / ``(K, d)`` in, ``(K, m)`` / ``(K,)`` out.  The cost callable
+is elementwise over leading axes, and its result is broadcast to the
+block: a lattice scan prices a (k, 1, m) block of states against (1, C, d)
+controls, and a cost of y alone may return (k, 1).  Plain elementwise
+numpy expressions in ``y[..., i]`` and ``u[..., j]`` satisfy both
+automatically.
 """
 
 from __future__ import annotations
@@ -117,8 +122,11 @@ class DiscreteControlProblem:
     Attributes
     ----------
     state_dim : dimension m of the state space.
-    dynamics : batched map (y, u) -> next state.
-    cost : batched running cost (y, u) -> scalar.
+    dynamics : batched map (y, u) -> next state, (K, m) and (K, d) in, (K, m) out.
+    cost : batched running cost (y, u) -> scalar, elementwise over leading
+        axes: (K, m) and (K, d) in, (K,) out, and for a block of states
+        against controls, (k, 1, m) and (1, C, d) in, a result that
+        broadcasts to (k, C) out.
     state_region : box Y the trajectory must stay in.
     control_region : box U of raw controls.
     discount : discount factor in (0, 1).
@@ -291,52 +299,43 @@ class PairLattice:
     controls: np.ndarray       # (C, d)
     successors: np.ndarray     # (S, m)
     successor_of: np.ndarray   # (Ks * C,) unsigned, S off the graph
-    # the scan's pair and psi buffers, kept for the lattice's lifetime: as per-scan
-    # temporaries, glibc could return their pages after a scan, and each round then
-    # faulted them in again
-    _buffers: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # psi at a block's successors, kept for the lattice's lifetime: as a per-scan temporary,
+    # glibc could return its pages after a scan, and each round then faulted them in again
+    _psi_f: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def blocks(self):
         """Yield each block's slice of ``states``: whole states, about ``_SCAN_CHUNK`` pairs."""
         return state_blocks(len(self.states), len(self.controls))
 
-    def _block_buffers(self, states: int) -> list:
-        """(pair states, pair controls, psi_y, psi_f) buffers for blocks of ``states`` states.
-
-        The pair controls are ``controls`` repeated, the same for every block,
-        so they are written once.
-        """
-        size = states * len(self.controls)
-        if not self._buffers or len(self._buffers[2]) < size:
-            us = np.empty((size, self.controls.shape[1]))
-            us.reshape(states, *self.controls.shape)[:] = self.controls
-            self._buffers[:] = [np.empty((size, self.states.shape[1])), us, np.empty(size),
-                                np.empty(size)]
-        return self._buffers
-
     def scan(self, psi: Callable):
         """Yield (rows, states, controls, psi(states), psi(successors)) per block of pairs,
         ``rows`` the block's slice of ``states``.
 
+        A block of k states and the C controls is yielded as broadcast
+        operands, so no pair is materialized: the states as a (k, 1, m) view
+        and the controls as a (1, C, d) view, psi at the states as (k, 1)
+        and psi at the successors as (k, C), pair (i, j) at row i, column j.
         psi is evaluated once per lattice state and once per distinct
         successor, and read as +inf at an inadmissible pair's S, so every
         one-step value and reduced cost there is +inf, as in ``one_step_table``.
-        The yielded arrays are read-only views of the lattice's buffers,
-        which the next block overwrites: a caller keeps a block's values by
-        copying them, and an in-place write, which would reach later scans
-        through the pair controls written once, raises.
+        The yielded arrays are read-only; psi at the successors is a view of
+        the lattice's one buffer, which the next block overwrites, so a
+        caller keeps a block's values by copying them.
         """
         psi_s, psi_f = psi(self.states), np.append(psi(self.successors), np.inf)
-        successor = self.successor_of.reshape(len(self.states), -1)
         c = len(self.controls)
+        successor = self.successor_of.reshape(len(self.states), c)
+        size = next(self.blocks(), slice(0)).stop  # the first block is the largest
+        if not self._psi_f or len(self._psi_f[0]) < size:
+            self._psi_f[:] = [np.empty((size, c))]
+        us = self.controls[None]
+        us.flags.writeable = False
         for rows in self.blocks():
-            k = rows.stop - rows.start
-            ys, us, at_y, at_f = (buf[:k * c] for buf in self._block_buffers(k))
-            ys.reshape(k, c, -1)[:] = self.states[rows, None, :]
-            at_y.reshape(k, c)[:] = psi_s[rows, None]
+            ys, at_y = self.states[rows, None], psi_s[rows, None]
+            at_f = self._psi_f[0][:rows.stop - rows.start]
             # every index is at most S, so "clip" clips nothing; it spares "raise"'s buffer
-            psi_f.take(successor[rows].ravel(), out=at_f, mode="clip")
-            for view in (ys, us, at_y, at_f):
+            psi_f.take(successor[rows], out=at_f, mode="clip")
+            for view in (ys, at_y, at_f):
                 view.flags.writeable = False
             yield rows, ys, us, at_y, at_f
 
@@ -384,16 +383,33 @@ def require_admissible(states, mask) -> None:
 
 def one_step(problem: DiscreteControlProblem, psi: Callable, states, controls,
              psi_y=0.0, psi_f=None) -> np.ndarray:
-    """g(y, u) + alpha * (psi(f(y, u)) - psi_y) at aligned pairs, psi a batched callable.
+    """g(y, u) + alpha * (psi(f(y, u)) - psi_y) at pairs, psi a batched callable.
 
     The one-step integrand of the max-min dual: minimal on the support of
     an optimal measure, and its argmin over u is the near-optimal control.
-    ``psi_f``, when given, is psi at the successors f(y, u), already
-    evaluated by the caller.
+    ``states`` (..., m), ``controls`` (..., d), ``psi_y`` and ``psi_f``
+    broadcast against each other over their leading axes: aligned (K, m)
+    and (K, d) pairs, or a (k, 1, m) block of states against (1, C, d)
+    controls.  ``psi_f``, when given, is psi at the successors f(y, u),
+    already evaluated by the caller.  The result has the broadcast shape,
+    priced in place as (psi_f - psi_y) * alpha + g: each pair gets the
+    operands and operations of the aligned call, bit for bit.
     """
     if psi_f is None:
-        psi_f = psi(problem.f(states, controls))
-    return problem.g(states, controls) + problem.discount * (psi_f - psi_y)
+        psi_f = at_points(psi, problem.f(states, controls))
+    out = np.subtract(psi_f, psi_y)
+    out *= problem.discount
+    cost = problem.g(states, controls)
+    if np.broadcast_shapes(out.shape, cost.shape) != out.shape:  # g has an axis psi lacks
+        return out + cost
+    out += cost
+    return out
+
+
+def at_points(psi: Callable, points) -> np.ndarray:
+    """A batched callable at (..., m) points: its (K, m) call over the leading axes, reshaped."""
+    points = np.asarray(points, dtype=float)
+    return psi(points.reshape(-1, points.shape[-1])).reshape(points.shape[:-1])
 
 
 def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, controls,
@@ -406,12 +422,12 @@ def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, contr
     :class:`AssumptionIViolation` at the first state with no admissible
     control.  f is evaluated once per pair, for the mask and psi.
     """
-    pair_states, pair_controls, successors, mask = pair_grid(problem, states, controls)
+    _, _, successors, mask = pair_grid(problem, states, controls)
     require_admissible(states, mask)
-    if np.ndim(psi_y):
-        psi_y = np.repeat(psi_y, len(controls))
-    vals = one_step(problem, psi, pair_states, pair_controls, psi_y, psi(successors))
-    return np.where(mask, vals.reshape(mask.shape), np.inf)
+    vals = one_step(problem, psi, states[:, None], controls[None],
+                    np.reshape(psi_y, (-1, 1)) if np.ndim(psi_y) else psi_y,
+                    psi(successors).reshape(mask.shape))
+    return np.where(mask, vals, np.inf)
 
 
 def step(problem: DiscreteControlProblem, y, u) -> np.ndarray:

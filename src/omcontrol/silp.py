@@ -18,8 +18,10 @@ and controls.  It does not change between rounds, so ``solve_refined``
 builds it once per solve with ``model.pair_lattice``: for every lattice
 pair, the row of its successor f(y, u) among the distinct successors.  A
 scan then evaluates psi once per lattice state and once per distinct
-successor and gathers both per pair; an inadmissible pair's reduced cost
-is +inf, so it is never a violator.
+successor, gathers the latter per pair and prices a block of states
+against every control by broadcasting, so no per-pair state, control or
+psi(y) is written; an inadmissible pair's reduced cost is +inf, so it is
+never a violator.
 
 When the dual is degenerate, the vertex the simplex stops at is one of
 many optimal duals, and its surrogate can be dually infeasible between
@@ -306,21 +308,29 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
 def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
                   certificate: DualCertificate, states, controls, psi_y=None,
                   psi_f=None) -> np.ndarray:
-    """g + shifted surrogate terms - mu at aligned admissible pairs.
+    """g + shifted surrogate terms - mu, one value per pair as a flat array.
 
     Negative values identify points the current certificate misprices;
-    at atoms of the optimal measure the value is zero.  ``psi_y`` and
-    ``psi_f``, when given, are psi at ``states`` and at the successors
-    f(states, controls), already evaluated by the caller.
+    at atoms of the optimal measure the value is zero.  The inputs
+    broadcast as in ``model.one_step``: aligned (K, m) states and (K, d)
+    controls give K values, a scan block's (k, 1, m) states and (1, C, d)
+    controls k * C, state-major.  ``psi_y`` and ``psi_f``, when given,
+    are psi at ``states`` and at the successors f(states, controls),
+    already evaluated by the caller.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     psi = functools.partial(certificate.psi, basis)
-    if psi_y is None:
-        psi_y = psi(states)
+    own = psi_y is None  # then psi_y is this call's, and the anchor term reuses it
+    if own:
+        psi_y = model.at_points(psi, states)
     a = problem.discount
-    return (model.one_step(problem, psi, states, controls, psi_y, psi_f)
-            + (1.0 - a) * (psi(problem.initial_state) - psi_y) - certificate.mu)
+    rc = model.one_step(problem, psi, states, controls, psi_y, psi_f)
+    anchor = np.subtract(psi(problem.initial_state), psi_y, out=psi_y if own else None)
+    anchor *= 1.0 - a
+    rc += anchor
+    rc -= certificate.mu
+    return rc.reshape(-1)
 
 
 def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
@@ -329,22 +339,25 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     """Price the admissible pairs of ``lattice``; return (min reduced cost, worst violators).
 
     ``lattice`` is a ``model.pair_lattice`` built once per solve or per
-    verify; its scan prices the inadmissible pairs at +inf.  The violators
-    are the at most ``cap`` pairs with reduced cost below -tol, most
-    violating first, ties broken lexicographically on (y, u); with tol = inf
-    there are none, and only the minimum is priced.
+    verify; its scan prices the inadmissible pairs at +inf, a block of
+    states against every control at once.  The violators are the at most
+    ``cap`` pairs with reduced cost below -tol, most violating first, ties
+    broken lexicographically on (y, u); with tol = inf there are none, and
+    only the minimum is priced.
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
     psi = functools.partial(certificate.psi, basis)
-    for _, ys, us, psi_y, psi_f in lattice.scan(psi):
+    c = len(lattice.controls)
+    for rows, ys, us, psi_y, psi_f in lattice.scan(psi):
         rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f)
         min_rc = min(min_rc, float(rc.min()))
         keep = lowest_below(rc, cap, -tol)
         if keep is not None:
+            state, control = np.divmod(keep, c)
             best_rc.append(rc[keep])
-            best_y.append(ys[keep])
-            best_u.append(us[keep])
+            best_y.append(lattice.states[rows][state])
+            best_u.append(lattice.controls[control])
     if not best_rc:
         return min_rc, np.empty((0, problem.state_dim)), np.empty((0, problem.control_dim))
     rc = np.concatenate(best_rc)

@@ -122,8 +122,7 @@ def value_iteration(problem: DiscreteControlProblem, state_grid, control_grid,
     idx, wgt = _interp_table(axes, lattice.successors)  # before the stage, to keep the peak low
     stage = np.empty((kn, kc))
     for rows in lattice.blocks():
-        ys, us = model.pairs(nodes[rows], controls)
-        stage[rows] = problem.g(ys, us).reshape(-1, kc)
+        stage[rows] = problem.g(nodes[rows, None], controls[None])  # the block's nodes x controls
         stage[rows][successor[rows] == len(lattice.successors)] = np.inf
     model.require_admissible(nodes, stage < np.inf)
 

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -756,6 +757,30 @@ class TestErrorPaths:
         assert "round limit" not in summary
         assert (summary.splitlines()[:-1]
                 == (ref / "summary.txt").read_text().splitlines()[:-1])
+
+    def test_lp_failure_in_round_one_writes_marked_summary(self, tmp_path, capsys):
+        # example1's degree-8 base LP is infeasible at (0.91, 0.9): round 1 has no result, so
+        # the summary says why and an earlier run's solution is removed
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "solution.json").write_text("{}\n")
+        config = str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+                     / "example1.cfg")
+        assert cli.main(["solve", "--config", config, "--y0=0.91,0.9", "--degree", "8",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phase-I residual ") and err.count("\n") == 1
+        assert not (out / "solution.json").exists()
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[:4] == ["problem            example1", "discount           0.9",
+                               "initial state      (0.91, 0.9)",
+                               "basis functions    81 (degree cap 8)"]
+        assert summary[4].startswith(
+            "converged          no (round 1 failed: LpInfeasible: phase-I residual ")
+        assert len(summary) == 5
+        assert cli.main(["rollout", "--config", config, "--y0=0.91,0.9", "--degree", "8",
+                         "--out", str(out)]) == 1
+        assert "run solve first" in capsys.readouterr().err
 
     def test_failed_kappa_resolve_keeps_report(self, tmp_path, monkeypatch):
         def infeasible(*args, **kwargs):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import inspect
 import json
 import tracemalloc
@@ -11,7 +12,7 @@ from omcontrol import (AtomicMeasure, Box, CandidateSpec, DiscreteControlProblem
                        EmptyMeasure, GridSpec, InsufficientGrid, MonomialBasis,
                        NonConverged, assemble, builtin_problem, discard_small_atoms,
                        reduced_costs, solve, solve_refined)
-from omcontrol import LpInfeasible, LpUnbounded, SolverStalled, model, silp
+from omcontrol import AssumptionIViolation, LpInfeasible, LpUnbounded, SolverStalled, model, silp, verify
 from omcontrol.basis import constraint_columns
 from omcontrol.silp import select_certificate, solution_from_json, solution_to_json
 
@@ -479,6 +480,12 @@ def per_pair_reduced_costs(problem, basis, certificate, states, controls, psi_y=
             + (1.0 - a) * (psi_y0 - psi_y) - certificate.mu)
 
 
+def block_pairs(states, controls):
+    """The (k * C, m) states and (k * C, d) controls of a scan block's broadcast operands."""
+    ys, us = np.broadcast_arrays(states, controls)
+    return ys.reshape(-1, ys.shape[-1]), us.reshape(-1, us.shape[-1])
+
+
 def candidate_lattice(problem, spec):
     """The lattice ``solve_refined`` scans for a candidate spec."""
     return model.pair_lattice(problem, model.state_grid_points(problem, spec.state),
@@ -521,6 +528,8 @@ class TestScan:
         priced = []
 
         def reference(problem, basis, certificate, states, controls, *given):
+            # a block of states against the controls: materialize its pairs, state-major
+            states, controls = block_pairs(states, controls)
             priced.append(len(states))
             rc = per_pair_reduced_costs(problem, basis, certificate, states, controls)
             # off the graph is +inf: an inadmissible pair is never a violator
@@ -569,18 +578,26 @@ class TestScan:
         def psi(pts):
             return np.sin(3.0 * pts[:, 0])
 
-        # the scan yields its buffers, which the next block overwrites: keep copies
-        parts = [(rows, *(a.copy() for a in arrays)) for rows, *arrays in lattice.scan(psi)]
-        assert [rows for rows, *_ in parts] == list(lattice.blocks())
-        ys, us, psi_y, psi_f = (np.concatenate([part[k] for part in parts]) for k in range(1, 5))
+        # a block is its states against every control, broadcast; psi at the successors is
+        # the lattice's buffer, which the next block overwrites: keep flattened copies
+        blocks, parts = [], []
+        for rows, ys, us, psi_y, psi_f in lattice.scan(psi):
+            k, c = rows.stop - rows.start, len(lattice.controls)
+            assert ys.shape == (k, 1, 1) and us.shape == (1, c, 1)
+            assert psi_y.shape == (k, 1) and psi_f.shape == (k, c)
+            blocks.append(rows)
+            parts.append((*block_pairs(ys, us), np.broadcast_to(psi_y, (k, c)).flatten(),
+                          psi_f.flatten()))
+        assert blocks == list(lattice.blocks())
+        ys, us, psi_y, psi_f = (np.concatenate(arrays) for arrays in zip(*parts))
         assert ys.tobytes() == states.tobytes() and us.tobytes() == controls.tobytes()
         assert psi_y.tobytes() == psi(states).tobytes()
         np.testing.assert_array_equal(np.isposinf(psi_f), ~admissible)
         assert psi_f[admissible].tobytes() == psi(succ[admissible]).tobytes()
 
     def test_rescan_reads_the_same_bytes_and_blocks_are_read_only(self, monkeypatch):
-        # the scan reuses the lattice's buffers, the pair controls written once: a block
-        # refuses in-place writes, so a second scan yields what the first did
+        # the scan yields views of the lattice's states and controls and of its one psi
+        # buffer: a block refuses in-place writes, so a second scan yields what the first did
         monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
         lattice = candidate_lattice(drift_problem(), CandidateSpec(state=(41,), control=(41,)))
 
@@ -596,6 +613,25 @@ class TestScan:
                 with pytest.raises(ValueError, match="read-only"):
                     a[:1] = 0.0
         assert scanned() == first
+
+    def test_scan_memory_on_example1_candidates(self):
+        # a block is priced by broadcasting its states against the controls, so a scan writes
+        # no per-pair state, control or psi(y): one scan of example1's 33^2 x 9^2 lattice
+        # peaked at 2.17 MiB and the lattice kept its one (k, C) psi buffer, 0.50 MiB.  Per-pair
+        # buffers read 4.06 MiB and 3.0 MiB.
+        p = builtin_problem("example1")
+        b = MonomialBasis(2, 7)
+        _, cert = solve(assemble(p, b, GridSpec(state=(9, 9), control=(9, 9))))
+        lattice = candidate_lattice(p, CandidateSpec(state=(33, 33), control=(9, 9)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            silp.scan_candidates(p, b, cert, lattice, 8, 1e-6)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 2**20 < 2.5
+        assert (kept - base) / 2**20 <= 0.6
 
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through
@@ -628,6 +664,133 @@ class TestScan:
         # LP's 5 * 5 pairs in one assembly block
         assert sizes == [492, 492, 492, 205, 25]
         assert evaluated == sizes + [1] * (len(history) - 1)
+
+
+def random_problem(seed):
+    """A seeded problem of the random-problem generator: even seeds are 1-D,
+    f = 0.5 + 0.5 (a0 + a1 y + a2 u + a3 y u) on Y = [0, 1], U = [-1, 1], whose
+    successors leave Y at some pairs; odd seeds are 2-D, f = M y + N u on [-1, 1]^2.
+    Every fourth problem's cost reads y alone, as shift's does."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, 6)
+    if seed % 2 == 0:
+        a = rng.uniform(-1.0, 1.0, 4)
+
+        def f(y, u):
+            return 0.5 + 0.5 * (a[0] + a[1] * y + a[2] * u + a[3] * y * u)
+
+        def g(y, u):
+            return c[0] * y[..., 0] ** 2 + c[1] * y[..., 0] * u[..., 0] + c[2] * u[..., 0]
+
+        states, controls, y0 = Box([0.0], [1.0]), Box([-1.0], [1.0]), [rng.uniform()]
+    else:
+        m, n = rng.uniform(-0.7, 0.7, (2, 2, 2))
+
+        def f(y, u):  # elementwise, so every leading shape takes the same operations
+            return np.stack([m[i, 0] * y[..., 0] + m[i, 1] * y[..., 1]
+                             + n[i, 0] * u[..., 0] + n[i, 1] * u[..., 1] for i in range(2)],
+                            axis=-1)
+
+        def g(y, u):
+            return (c[0] * y[..., 0] * u[..., 1] + c[1] * y[..., 1] ** 2
+                    + c[2] * u[..., 0] ** 2 + c[3] * y[..., 0])
+
+        states = controls = Box([-1.0, -1.0], [1.0, 1.0])
+        y0 = rng.uniform(-1.0, 1.0, 2)
+    if seed % 4 == 3:
+        def g(y, u):
+            return y[..., 0]
+    return DiscreteControlProblem(state_dim=states.dim, dynamics=f, cost=g,
+                                  state_region=states, control_region=controls,
+                                  discount=rng.uniform(0.3, 0.95), initial_state=y0,
+                                  name=f"random{seed}")
+
+
+def pair_cost(problem):
+    """``problem`` with its cost called on the materialized pairs of its broadcast operands."""
+    def cost(y, u):
+        ys, us = block_pairs(y, u)
+        return problem.cost(ys, us).reshape(np.broadcast_shapes(y.shape[:-1], u.shape[:-1]))
+    return dataclasses.replace(problem, cost=cost)
+
+
+PROPERTY_PROBLEMS = {
+    **{f"random{seed}": functools.partial(random_problem, seed) for seed in range(10)},
+    "example1": lambda: builtin_problem("example1"),
+    "shift": shift_problem,
+    "drift": drift_problem,
+}
+
+
+class TestBroadcastPricing:
+    """Pricing a block of states against every control by broadcasting gives every
+    pair the bits of the aligned per-pair call, on seeded random problems (some with
+    inadmissible pairs, some with a cost of y alone) and the built-ins."""
+
+    @staticmethod
+    def setup(name, monkeypatch):
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 100)  # several blocks per lattice
+        p = PROPERTY_PROBLEMS[name]()
+        counts = (21, 21) if p.state_dim == 1 else ((9, 9), (5, 5))
+        lattice = model.pair_lattice(p, p.state_region.grid(counts[0]),
+                                     model.control_grid_points(p, counts[1]))
+        basis = MonomialBasis(p.state_dim, 3)
+        rng = np.random.default_rng(len(name))
+        cert = silp.DualCertificate(lam=rng.uniform(-1.0, 1.0, basis.count), mu=rng.normal())
+        return p, lattice, basis, cert
+
+    @pytest.mark.parametrize("name", PROPERTY_PROBLEMS)
+    def test_blocks_price_as_aligned_pairs(self, monkeypatch, name):
+        p, lattice, basis, cert = self.setup(name, monkeypatch)
+        psi = functools.partial(cert.psi, basis)
+        for rows, ys, us, psi_y, psi_f in lattice.scan(psi):
+            assert ys.shape == (rows.stop - rows.start, 1, p.state_dim)
+            assert us.shape == (1, len(lattice.controls), p.control_dim)
+            pair_y, pair_u = block_pairs(ys, us)
+            admissible = silp.admissible_mask(p, p.f(pair_y, pair_u))
+            rc = reduced_costs(p, basis, cert, ys, us, psi_y, psi_f)
+            # one value per pair, flat: perfbench counts points priced as its length
+            assert rc.shape == (len(pair_y),)
+            aligned = reduced_costs(p, basis, cert, pair_y, pair_u)
+            assert rc[admissible].tobytes() == aligned[admissible].tobytes()
+            assert np.isposinf(rc[~admissible]).all()
+            # psi evaluated here, also at the successors that leave Y
+            assert reduced_costs(p, basis, cert, ys, us).tobytes() == aligned.tobytes()
+            assert model.one_step(p, psi, ys, us).ravel().tobytes() \
+                == model.one_step(p, psi, pair_y, pair_u).tobytes()
+
+    @pytest.mark.parametrize("name", PROPERTY_PROBLEMS)
+    def test_scan_matches_materialized_pairs(self, monkeypatch, name):
+        p, lattice, basis, cert = self.setup(name, monkeypatch)
+        found = silp.scan_candidates(p, basis, cert, lattice, 8, 1e-9)
+        assert len(found[1]) == 8  # every problem has violators at this certificate
+
+        def aligned(problem, basis, certificate, states, controls, *given):
+            states, controls = block_pairs(states, controls)
+            rc = reduced_costs(problem, basis, certificate, states, controls)
+            return np.where(silp.admissible_mask(problem, problem.f(states, controls)), rc,
+                            np.inf)
+
+        monkeypatch.setattr(silp, "reduced_costs", aligned)
+        expected = silp.scan_candidates(p, basis, cert, lattice, 8, 1e-9)
+        assert np.float64(found[0]).tobytes() == np.float64(expected[0]).tobytes()
+        assert found[1].tobytes() == expected[1].tobytes()
+        assert found[2].tobytes() == expected[2].tobytes()
+
+    @pytest.mark.parametrize("name", PROPERTY_PROBLEMS)
+    def test_value_iteration_matches_a_stage_of_materialized_pairs(self, monkeypatch, name):
+        p, lattice, _, _ = self.setup(name, monkeypatch)
+        counts = (21, 21) if p.state_dim == 1 else ((9, 9), (5, 5))
+        try:
+            grid = verify.value_iteration(p, *counts)
+        except AssumptionIViolation as exc:  # a node with no admissible control: both agree
+            with pytest.raises(AssumptionIViolation) as again:
+                verify.value_iteration(pair_cost(p), *counts)
+            assert again.value.state == exc.state
+            return
+        expected = verify.value_iteration(pair_cost(p), *counts)
+        assert grid.values.tobytes() == expected.values.tobytes()
+        assert grid.sweep_diffs == expected.sweep_diffs
 
 
 class TestOneEvaluationPerPair:
