@@ -84,37 +84,75 @@ class MonomialBasis:
         rows.  The last axis is contracted first; the widest intermediate is
         ((d+1)**(m-1), K), and only multiplications and additions are used.
         For m >= 2 that first contraction depends on the last coordinate
-        alone, so when at most half the points have distinct bit patterns
-        there it runs once per distinct value and its columns are gathered
-        per point: the same operations on the same operands, bit for bit.
+        alone, so it ends in one of three finishes, each the same operations
+        on the same operands per point, bit for bit:
+
+        - periodic: when the last coordinate is its first P values repeated
+          bit for bit (P <= K/2, as on a tensor grid with that axis fastest),
+          it is contracted once at those P values, and the next axis runs
+          on its coordinates as (K/P, P) with the (., P) coefficients
+          broadcast over the repeats.  P is where x[0]'s bits first recur,
+          so the test is two O(K) comparisons and no sort;
+        - distinct values: when at most half the points have distinct bit
+          patterns there, it runs once per distinct value and its columns
+          are gathered per point;
+        - otherwise it runs at every point.
         """
         if coef.shape != (self.count,):
             raise ValueError(f"coefficient vector of shape {coef.shape}, basis has {self.count}")
         acc = np.zeros((self.count, 1))
         acc[self._tensor_index, 0] = coef
         x = pts[:, -1]
-        values, inverse = model.distinct_rows(x[:, None]) if self.dim > 1 else (x, None)
-        if inverse is not None and 2 * len(values) <= len(x):  # gathering saves more than it costs
-            acc = self._contract(acc, values[:, 0]).take(inverse, axis=1)
+        period = _period(x) if self.dim > 1 else 0
+        if period:
+            acc = self._contract(acc, x[:period])
+            acc = self._contract(acc, pts[:, -2].reshape(-1, period)).reshape(-1, len(x))
+            rest = self.dim - 3
         else:
-            acc = self._contract(acc, x)
-        for a in range(self.dim - 2, -1, -1):
+            values, inverse = model.distinct_rows(x[:, None]) if self.dim > 1 else (x, None)
+            if inverse is not None and 2 * len(values) <= len(x):  # gathering saves more than it costs
+                acc = self._contract(acc, values[:, 0]).take(inverse, axis=1)
+            else:
+                acc = self._contract(acc, x)
+            rest = self.dim - 2
+        for a in range(rest, -1, -1):
             acc = self._contract(acc, pts[:, a])
         return acc[0]
 
     def _contract(self, acc: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Horner's rule along the fastest tensor axis of ``acc`` at the points ``x``."""
+        """Horner's rule along the fastest tensor axis of ``acc`` at the points ``x``.
+
+        ``acc`` is (entries, W) and ``x`` is (W,) or (R, W); a 2-D ``x``
+        shares each column of ``acc`` across its R rows, and the result is
+        (entries / (d+1),) + x.shape.
+        """
         n = self.max_degree + 1
-        terms = acc.reshape(acc.shape[0] // n, n, acc.shape[1])
-        out = np.empty((terms.shape[0], x.shape[0]))
-        out[...] = terms[:, n - 1, :]
+        terms = acc.reshape((acc.shape[0] // n, n) + (1,) * (x.ndim - 1) + acc.shape[1:])
+        out = np.empty((terms.shape[0],) + x.shape)
+        out[...] = terms[:, n - 1]
         for j in range(n - 2, -1, -1):
             out *= x
-            out += terms[:, j, :]
+            out += terms[:, j]
         return out
 
     def __repr__(self) -> str:
         return f"MonomialBasis(dim={self.dim}, max_degree={self.max_degree}, count={self.count})"
+
+
+def _period(x: np.ndarray) -> int:
+    """The least P <= K/2 with x the repeat of its first P values bit for bit, else 0.
+
+    P is where x[0]'s bits first recur; a batch of fewer than 4 points is
+    not tested.
+    """
+    k = len(x)
+    if k < 4:
+        return 0
+    bits = x.view(np.uint64)
+    period = 1 + int(np.argmax(bits[1:k // 2 + 1] == bits[0]))
+    if k % period or bits[period] != bits[0]:  # no recurrence in the first half, or K not a multiple
+        return 0
+    return period if (bits.reshape(-1, period) == bits[:period]).all() else 0
 
 
 def constraint_columns(basis: MonomialBasis, problem: DiscreteControlProblem,

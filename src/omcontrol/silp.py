@@ -307,16 +307,16 @@ def select_certificate(lp: FiniteLP, res: LpResult, certificate: DualCertificate
 
 def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
                   certificate: DualCertificate, states, controls, psi_y=None,
-                  psi_f=None) -> np.ndarray:
+                  psi_f=None, psi_y0=None) -> np.ndarray:
     """g + shifted surrogate terms - mu, one value per pair as a flat array.
 
     Negative values identify points the current certificate misprices;
     at atoms of the optimal measure the value is zero.  The inputs
     broadcast as in ``model.one_step``: aligned (K, m) states and (K, d)
     controls give K values, a scan block's (k, 1, m) states and (1, C, d)
-    controls k * C, state-major.  ``psi_y`` and ``psi_f``, when given,
-    are psi at ``states`` and at the successors f(states, controls),
-    already evaluated by the caller.
+    controls k * C, state-major.  ``psi_y``, ``psi_f`` and ``psi_y0``,
+    when given, are psi at ``states``, at the successors f(states,
+    controls) and at the initial state, already evaluated by the caller.
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -326,7 +326,9 @@ def reduced_costs(problem: DiscreteControlProblem, basis: MonomialBasis,
         psi_y = model.at_points(psi, states)
     a = problem.discount
     rc = model.one_step(problem, psi, states, controls, psi_y, psi_f)
-    anchor = np.subtract(psi(problem.initial_state), psi_y, out=psi_y if own else None)
+    if psi_y0 is None:
+        psi_y0 = psi(problem.initial_state)
+    anchor = np.subtract(psi_y0, psi_y, out=psi_y if own else None)
     anchor *= 1.0 - a
     rc += anchor
     rc -= certificate.mu
@@ -343,14 +345,15 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     states against every control at once.  The violators are the at most
     ``cap`` pairs with reduced cost below -tol, most violating first, ties
     broken lexicographically on (y, u); with tol = inf there are none, and
-    only the minimum is priced.
+    only the minimum is priced.  psi(y0) is evaluated once per scan.
     """
     best_rc, best_y, best_u = [], [], []
     min_rc = np.inf
     psi = functools.partial(certificate.psi, basis)
+    psi_y0 = psi(problem.initial_state)
     c = len(lattice.controls)
     for rows, ys, us, psi_y, psi_f in lattice.scan(psi):
-        rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f)
+        rc = reduced_costs(problem, basis, certificate, ys, us, psi_y, psi_f, psi_y0)
         min_rc = min(min_rc, float(rc.min()))
         keep = lowest_below(rc, cap, -tol)
         if keep is not None:

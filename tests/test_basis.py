@@ -261,24 +261,69 @@ class TestHornerKernel:
         assert type(one) is np.float64
         assert one.tobytes() == reference_horner(b, pt[None, :], coef)[0].tobytes()
 
+    @staticmethod
+    def contracted_shapes(monkeypatch, b):
+        """The shape of the points of each ``_contract`` call on ``b``, in order."""
+        shapes, contract = [], b._contract
+
+        def spy(acc, x):
+            shapes.append(x.shape)
+            return contract(acc, x)
+
+        monkeypatch.setattr(b, "_contract", spy)
+        return shapes
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 3, 7])
+    @pytest.mark.parametrize("head", [
+        # -0.0 and 0.0 are different bits, so x[0] does not recur at 0.0
+        np.array([-0.0, 0.0, np.nan, 0.5, -1.0, 1 - 5e-13, 0.25]),
+        np.array([0.3]),
+    ], ids=["signed-zeros-and-nan", "P=1"])
+    def test_periodic_last_coordinate(self, monkeypatch, dim, degree, head):
+        rng = np.random.default_rng(600 + 10 * dim + degree)
+        b = MonomialBasis(dim, degree)
+        coef = rng.standard_normal(b.count)
+        shapes = self.contracted_shapes(monkeypatch, b)
+        period = len(head)
+        for reps in (2, 3, 50) if period > 1 else (4, 5, 50):  # batches under 4 are not tested
+            pts = rng.uniform(-1, 1, (period * reps, dim))
+            pts[:, -1] = np.tile(head, reps)
+            shapes.clear()
+            assert self.same(b, pts, coef)
+            # the last axis at the P head values, the next at (K/P, P), the rest at every point
+            assert shapes == [(period,), (reps, period)] + [(period * reps,)] * (dim - 2)
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_both_sides_of_the_distinct_value_fallback(self, monkeypatch, dim):
         rng = np.random.default_rng(500 + dim)
         b = MonomialBasis(dim, 7)
         coef = rng.standard_normal(b.count)
         pts = rng.uniform(-1, 1, (200, dim))
-        widths, contract = [], b._contract  # the points of each contraction
-
-        def spy(acc, x):
-            widths.append(len(x))
-            return contract(acc, x)
-
-        monkeypatch.setattr(b, "_contract", spy)
-        for distinct, gathered in ((100, True), (101, False)):
-            pts[:, -1] = np.concatenate([np.arange(distinct) / distinct,
-                                         np.zeros(200 - distinct)])
-            assert len(model.distinct_rows(pts[:, -1][:, None])[0]) == distinct
-            widths.clear()
-            assert self.same(b, pts, coef)
-            # the last axis is contracted at the distinct values only when at most half are
-            assert widths[0] == (distinct if gathered else 200)
+        shapes = self.contracted_shapes(monkeypatch, b)
+        head = np.arange(50) / 50
+        one_bit_off = np.tile(head, 4)
+        one_bit_off.view(np.uint64)[-1] ^= 1  # the last period's last value, in its last bit
+        recurs = head.copy()
+        recurs[25] = recurs[0]  # x[0] recurs at 25, but 25 values are no period
+        for last, points, period in (
+                # x[0] = 0.0 recurs at 100 (or at 101, past K/2), but the rows differ
+                (np.concatenate([np.arange(100) / 100, np.zeros(100)]), 200, None),
+                (np.concatenate([np.arange(101) / 101, np.zeros(99)]), 200, None),
+                (np.tile(head, 4), 200, 50),
+                (np.full(200, 0.5), 200, 1),
+                (one_bit_off, 200, None),
+                (np.tile(head, 4), 190, None),  # K not a multiple of P
+                (np.tile(recurs, 4), 200, None),
+                (np.full(200, 0.5), 3, None),  # K < 4 is not tested
+        ):
+            pts[:, -1] = last
+            shapes.clear()
+            assert self.same(b, pts[:points], coef)
+            distinct = len(model.distinct_rows(last[:points, None])[0])
+            if period:
+                assert shapes == [(period,), (200 // period, period)] + [(200,)] * (dim - 2)
+            else:
+                # the last axis is contracted at the distinct values only when at most half are
+                width = distinct if 2 * distinct <= points else points
+                assert shapes == [(width,)] + [(points,)] * (dim - 1)

@@ -633,6 +633,34 @@ class TestScan:
         assert (peak - base) / 2**20 < 2.5
         assert (kept - base) / 2**20 <= 0.6
 
+    def test_psi_at_y0_once_per_scan(self, monkeypatch):
+        # the anchor term's psi(y0) is the same for every block, so the scan evaluates it once
+        # and hands it to reduced_costs, which prices each block as with its own psi(y0)
+        monkeypatch.setattr(model, "_SCAN_CHUNK", 100)
+        p, b = shift_problem(), MonomialBasis(1, 3)
+        _, cert = solve(assemble(p, b, GridSpec(state=COARSE, control=COARSE)))
+        lattice = candidate_lattice(p, CandidateSpec(state=(41,), control=(41,)))
+        assert len(list(lattice.blocks())) == 21  # 41 states, 2 a block
+        y0, at_y0 = p.initial_state.tobytes(), []
+        psi, reduced_costs = silp.DualCertificate.psi, silp.reduced_costs
+
+        def counted(self, basis, y):
+            at_y0.append(np.asarray(y, dtype=float).tobytes() == y0)
+            return psi(self, basis, y)
+
+        def own_psi_y0(*args):  # drops the scan's psi(y0): each block evaluates its own
+            return reduced_costs(*args[:-1])
+
+        monkeypatch.setattr(silp.DualCertificate, "psi", counted)
+        scanned = silp.scan_candidates(p, b, cert, lattice, 2, 1e-9)
+        assert sum(at_y0) == 1
+        monkeypatch.setattr(silp, "reduced_costs", own_psi_y0)
+        at_y0.clear()
+        own = silp.scan_candidates(p, b, cert, lattice, 2, 1e-9)
+        assert sum(at_y0) == 22
+        assert [np.asarray(v).tobytes() for v in scanned] == [np.asarray(v).tobytes() for v in own]
+        assert len(scanned[1]) == 2  # the compared violators are not empty
+
     def test_lattice_admissibility_tested_once_per_solve(self, monkeypatch):
         # the lattice is built once per solve: each of its blocks goes through
         # admissible_mask once, and no round's scan masks anything again; f is
