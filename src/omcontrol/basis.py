@@ -90,9 +90,10 @@ class MonomialBasis:
         - periodic: when the last coordinate is its first P values repeated
           bit for bit (P <= K/2, as on a tensor grid with that axis fastest),
           it is contracted once at those P values, and the next axis runs
-          on its coordinates as (K/P, P) with the (., P) coefficients
-          broadcast over the repeats.  P is where x[0]'s bits first recur,
-          so the test is two O(K) comparisons and no sort;
+          on a contiguous copy of its coordinates as (K/P, P), with the
+          (., P) coefficients broadcast over the repeats.  P is where
+          x[0]'s bits first recur, so the test is two O(K) comparisons and
+          no sort;
         - distinct values: when at most half the points have distinct bit
           patterns there, it runs once per distinct value and its columns
           are gathered per point;
@@ -106,7 +107,8 @@ class MonomialBasis:
         period = _period(x) if self.dim > 1 else 0
         if period:
             acc = self._contract(acc, x[:period])
-            acc = self._contract(acc, pts[:, -2].reshape(-1, period)).reshape(-1, len(x))
+            acc = self._contract(acc, np.ascontiguousarray(pts[:, -2]).reshape(-1, period))
+            acc = acc.reshape(-1, len(x))
             rest = self.dim - 3
         else:
             values, inverse = model.distinct_rows(x[:, None]) if self.dim > 1 else (x, None)

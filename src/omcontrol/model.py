@@ -72,19 +72,22 @@ class Box:
     def contains(self, points, tol: float = MEMBERSHIP_TOL):
         """Membership mask; scalar for a single point, (K,) for a batch.
 
-        Tested one axis at a time, so no (K, m) boolean array is built.
+        Tested one axis at a time on a contiguous (m, K) copy of the points
+        (for m = 1 a view of C-ordered points), so every comparison reads
+        contiguous memory and no (K, m) boolean array is built.
         """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dim:
             raise ValueError(f"points of dimension {pts.shape[1]}, box has {self.dim}")
+        axes = np.ascontiguousarray(pts.T)
         lo, hi = self.lower - tol, self.upper + tol
-        ok = pts[:, 0] >= lo[0]
-        ok &= pts[:, 0] <= hi[0]
+        ok = axes[0] >= lo[0]
+        ok &= axes[0] <= hi[0]
         for a in range(1, self.dim):
-            ok &= pts[:, a] >= lo[a]
-            ok &= pts[:, a] <= hi[a]
+            ok &= axes[a] >= lo[a]
+            ok &= axes[a] <= hi[a]
         return bool(ok[0]) if single else ok
 
     def axes(self, counts) -> list[np.ndarray]:
@@ -252,11 +255,13 @@ def pairs(states, controls):
     """Every (state, control) pair of a (K, m) state and (C, d) control array.
 
     Returns the (K*C, m) pair states and the (K*C, d) pair controls, states
-    varying slowest, the one pair order of every walk over a grid.  For one
-    state both are views (of the state row and of ``controls``), not copies.
+    varying slowest, the one pair order of every walk over a grid.  The pair
+    states are contiguous rows, each state repeated C times, so f reads
+    them as it reads any batch; for one state the pair controls are
+    ``controls`` itself, a view, not a copy.
     """
-    (k, m), (c, d) = states.shape, controls.shape
-    return (np.broadcast_to(states[:, None, :], (k, c, m)).reshape(k * c, m),
+    k, (c, d) = len(states), controls.shape
+    return (np.repeat(states, c, axis=0),
             np.broadcast_to(controls[None, :, :], (k, c, d)).reshape(k * c, d))
 
 
@@ -427,7 +432,8 @@ def one_step_table(problem: DiscreteControlProblem, psi: Callable, states, contr
     vals = one_step(problem, psi, states[:, None], controls[None],
                     np.reshape(psi_y, (-1, 1)) if np.ndim(psi_y) else psi_y,
                     psi(successors).reshape(mask.shape))
-    return np.where(mask, vals, np.inf)
+    np.copyto(vals, np.inf, where=~mask)
+    return vals
 
 
 def step(problem: DiscreteControlProblem, y, u) -> np.ndarray:

@@ -372,6 +372,21 @@ def scan_candidates(problem: DiscreteControlProblem, basis: MonomialBasis,
     return min_rc, ys[picked], us[picked]
 
 
+def _solve_round(lp: FiniteLP, pivot_tol: float, start):
+    """``solve`` from ``start``, then once cold if that warm solve stalls.
+
+    Returns (measure, certificate, the ``LpResult`` kept, whether it was retried).  When
+    the cold solve fails too, its error propagates with the warm stall as its context.
+    """
+    results: list = []
+    try:
+        return (*solve(lp, pivot_tol=pivot_tol, start=start, results=results), results[0], False)
+    except SolverStalled:
+        if start is None:
+            raise
+        return (*solve(lp, pivot_tol=pivot_tol, results=results), results[0], True)
+
+
 def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                   grid_spec: GridSpec, candidate_spec: CandidateSpec,
                   tol: float = 1e-6, max_rounds: int = 50,
@@ -386,11 +401,17 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     it; violators found then are appended and the loop goes on, so the
     certificate returned is always one the scan passed.
 
+    A round whose warm solve raises ``SolverStalled`` (a singular working
+    basis, or a final basis whose refined point misses the rows) is solved
+    once more, cold, before the stall counts as a failure.
+
     ``history``, when given, collects one record per round: the primal
     value, dual value, atom count, LP columns, the worst violation of the
     last scan, the LP's pivots, whether its start basis was accepted
-    (``warm``), and the selection's ``margin`` t* and ``selection_pivots``
-    (None and 0 when no selection ran or the dual was unique).
+    (``warm``), whether its warm solve stalled and it was solved cold
+    (``retried``; ``pivots`` and ``warm`` are then the cold solve's), and
+    the selection's ``margin`` t* and ``selection_pivots`` (None and 0 when
+    no selection ran or the dual was unique).
 
     ``NonConverged`` carries the last finished round's measure, certificate
     and round count, both when the rounds run out and when the simplex
@@ -412,10 +433,8 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
     lp = assemble(problem, basis, grid_spec, (max_rounds - 1) * candidate_spec.max_new_columns)
     measure = certificate = start = done = None
     for rounds in range(1, max_rounds + 1):
-        results: list = []
         try:
-            measure, certificate = solve(lp, pivot_tol=pivot_tol, start=start, results=results)
-            res = results[0]
+            measure, certificate, res, retried = _solve_round(lp, pivot_tol, start)
             min_rc, ys, us = scan_candidates(problem, basis, certificate, lattice,
                                              candidate_spec.max_new_columns, tol)
             margin, selection_pivots = None, 0
@@ -440,6 +459,7 @@ def solve_refined(problem: DiscreteControlProblem, basis: MonomialBasis,
                 "max_violation": max(0.0, -min_rc),
                 "pivots": res.pivots,
                 "warm": res.warm,
+                "retried": retried,
                 "margin": margin,
                 "selection_pivots": selection_pivots,
             })

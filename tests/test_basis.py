@@ -295,6 +295,31 @@ class TestHornerKernel:
             assert shapes == [(period,), (reps, period)] + [(period * reps,)] * (dim - 2)
 
     @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("layout", ["C", "F", "column-slice", "reversed-rows"])
+    def test_periodic_finish_reads_a_strided_coordinate(self, monkeypatch, dim, layout):
+        # the next axis is contracted on a contiguous copy of its coordinate, whatever
+        # the points' layout: stride 8 m in C order (the rollout's successors), stride 8
+        # in Fortran order, a column of a wider array, or rows read backwards
+        rng = np.random.default_rng(700 + 10 * dim + len(layout))
+        b = MonomialBasis(dim, 7)
+        coef = rng.standard_normal(b.count)
+        period, reps = 13, 6
+        pts = rng.uniform(-1, 1, (period * reps, dim))
+        pts[:, -1] = np.tile(rng.uniform(-1, 1, period), reps)
+        if layout == "F":
+            pts = np.asfortranarray(pts)
+        elif layout == "column-slice":
+            wide = np.full((len(pts), 2 * dim), np.nan)
+            wide[:, 1::2] = pts
+            pts = wide[:, 1::2]
+        elif layout == "reversed-rows":
+            pts = pts[::-1]
+        assert not pts[:, -2].flags.c_contiguous or layout == "F"
+        shapes = self.contracted_shapes(monkeypatch, b)
+        assert self.same(b, pts, coef)
+        assert shapes == [(period,), (reps, period)] + [(period * reps,)] * (dim - 2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
     def test_both_sides_of_the_distinct_value_fallback(self, monkeypatch, dim):
         rng = np.random.default_rng(500 + dim)
         b = MonomialBasis(dim, 7)

@@ -729,7 +729,8 @@ class TestErrorPaths:
 
     def test_lp_failure_mid_refinement_writes_marked_solution(self, tmp_path, capsys,
                                                               monkeypatch):
-        # the 5-point base grid takes several rounds; the third LP, round 3's, stalls
+        # the 5-point base grid takes several rounds; from the third LP on, every solve
+        # stalls: round 3's warm solve and its cold retry
         out, ref = tmp_path / "run", tmp_path / "ref"
         cfg_path = shift_config(tmp_path, out)
         flags = ["--state-grid", "5", "--control-grid", "5", "--batch", "2"]
@@ -737,15 +738,16 @@ class TestErrorPaths:
                          "--out", str(ref)]) == 1
         lp_solve, calls = silp.solve_equality_lp, []
 
-        def stalls_third(*args, **kwargs):
+        def stalls_from_third(*args, **kwargs):
             calls.append(None)
-            if len(calls) == 3:
+            if len(calls) >= 3:
                 raise SolverStalled("pivot budget 7 exhausted")
             return lp_solve(*args, **kwargs)
 
-        monkeypatch.setattr(silp, "solve_equality_lp", stalls_third)
+        monkeypatch.setattr(silp, "solve_equality_lp", stalls_from_third)
         capsys.readouterr()
         assert cli.main(["solve", "--config", cfg_path, *flags]) == 1
+        assert len(calls) == 4
         assert "round 3: SolverStalled: pivot budget 7 exhausted" in capsys.readouterr().err
         doc = json.loads((out / "solution.json").read_text())
         assert doc["converged"] is False and doc["rounds"] == 2

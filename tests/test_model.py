@@ -1,10 +1,12 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from omcontrol import (AssumptionIViolation, Box, DiscreteControlProblem,
-                       InadmissibleTransition, UnknownProblem, builtin_problem, model, step)
+                       InadmissibleTransition, MonomialBasis, UnknownProblem, builtin_problem,
+                       model, step)
 from omcontrol.model import (MEMBERSHIP_TOL, admissible_mask, control_grid_points,
                              distinct_rows, one_step, one_step_table, pair_grid,
                              require_admissible, state_blocks, state_grid_points, tensor_points)
@@ -123,11 +125,15 @@ class TestAdmissibility:
         assert (problem == "add") == (not mask.all())
 
     def test_one_state_pairs_are_views(self):
+        # f reads the pair states as contiguous rows, not as a stride-0 broadcast of the
+        # state; the controls of one state are still the grid itself
         p = builtin_problem("example1")
         y = np.array([[0.5, 0.25]])
         grid = control_grid_points(p, (9, 9))
         states, controls, _, _ = pair_grid(p, y, grid)
-        assert np.shares_memory(controls, grid) and np.shares_memory(states, y)
+        assert states.flags.c_contiguous and not np.shares_memory(states, y)
+        assert np.array_equal(states, np.repeat(y, len(grid), axis=0))
+        assert np.shares_memory(controls, grid) and controls.base is not None
 
 
 class TestOneStepTable:
@@ -149,6 +155,47 @@ class TestOneStepTable:
                             np.inf)
         assert table.shape == mask.shape and table.tobytes() == expected.tobytes()
         assert (problem == "add") == bool(np.isinf(table).any())
+
+    @staticmethod
+    def per_pair_table(p, psi, states, controls, psi_y):
+        """The table one pair at a time: f, the box test axis by axis, psi and g at one row."""
+        lo = p.state_region.lower - MEMBERSHIP_TOL
+        hi = p.state_region.upper + MEMBERSHIP_TOL
+        table = np.empty((len(states), len(controls)))
+        for i, y in enumerate(states):
+            for j, u in enumerate(controls):
+                succ = p.f(y[None], u[None])
+                inside = all(lo[a] <= succ[0, a] <= hi[a] for a in range(p.state_dim))
+                table[i, j] = (one_step(p, psi, y[None], u[None], psi_y[i], psi(succ))[0]
+                               if inside else np.inf)
+        return table
+
+    @pytest.mark.parametrize("problem", ["example1", "shift", "add", "small-box"])
+    @pytest.mark.parametrize("psi", ["sin", "polynomial"])
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_matches_a_per_pair_reference_bitwise(self, problem, psi, anchored):
+        if problem == "add":
+            p = make_add_problem()
+        elif problem == "small-box":  # example1's f and g on a state box f leaves
+            e1 = builtin_problem("example1")
+            p = DiscreteControlProblem(2, e1.dynamics, e1.cost, Box([-0.5, -0.5], [0.5, 0.5]),
+                                       e1.control_region, 0.9, [0.25, 0.125])
+        else:
+            p = builtin_problem(problem)
+        if psi == "polynomial":  # Horner's rule, periodic on a tensor grid of controls
+            basis = MonomialBasis(p.state_dim, 7)
+            lam = np.random.default_rng(900 + p.state_dim).standard_normal(basis.count)
+            psi = functools.partial(basis.evaluate, coef=lam)
+        else:
+            psi = self.psi
+        states = p.state_region.grid(5)
+        controls = control_grid_points(p, 7)
+        for ys in (states[7:8], states):  # one state and several
+            psi_y = psi(ys) if anchored else np.zeros(len(ys))
+            table = one_step_table(p, psi, ys, controls, psi_y if anchored else 0.0)
+            expected = self.per_pair_table(p, psi, ys, controls, psi_y)
+            assert table.shape == expected.shape and table.tobytes() == expected.tobytes()
+        assert (problem in ("add", "small-box")) == bool(np.isinf(table).any())
 
     def test_state_without_admissible_control_raises(self):
         p = make_add_problem()
@@ -255,6 +302,38 @@ class TestContainsKernel:
         assert box.contains(np.empty((0, dim))).shape == (0,)
         assert self.same(box, np.zeros(dim)) and self.same(box, np.full(dim, 3.0))
         assert self.same(box, np.zeros((1, dim)))
+
+    @BOXES
+    def test_layouts_within_the_tolerance_of_a_face(self, dim):
+        # C-ordered, Fortran-ordered, strided and 1-D points on, just inside and just
+        # outside the MEMBERSHIP_TOL band around the faces of the unit box
+        rng = np.random.default_rng(800 + dim)
+        box = Box(np.zeros(dim), np.ones(dim))
+        near = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * MEMBERSHIP_TOL
+        pts = rng.choice(np.concatenate([near, 1.0 + near, [0.5]]), size=(400, dim))
+        wide = np.full((len(pts), 2 * dim), np.nan)
+        wide[:, ::2] = pts
+        for layout in (pts, np.asfortranarray(pts), wide[:, ::2], pts[::-3], pts[:, ::-1]):
+            assert self.same(box, layout)
+            assert self.same(box, layout, tol=0.0)
+        for pt in (pts[0], pts[1], wide[2, ::2], pts[:, ::-1][3]):
+            assert self.same(box, pt)
+        assert self.same(box, wide[:, ::2][:1])
+
+    def test_one_axis_is_read_in_place(self):
+        # for m = 1 the (m, K) copy of C-ordered points is a view: the test's only
+        # allocations are the (K,) mask and one (K,) comparison
+        pts = np.linspace(-0.5, 1.5, 1 << 16)[:, None]
+        box = Box([0.0], [1.0])
+        box.contains(pts)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            box.contains(pts)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(pts)  # a copy of the points alone would be 8 K bytes
 
     def test_wrong_point_dimension_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@
     python3 tools/outcomes.py                  # this checkout
     python3 tools/outcomes.py --against OTHER  # this checkout and OTHER, compared
 
-The census is 46 configs at the workloads' settings (tol 1e-6, pivot_tol
+The census is 49 configs at the workloads' settings (tol 1e-6, pivot_tol
 1e-9, batch 8, 80 rounds):
 
 - shift (alpha 0.5) at degrees 4, 6, 8 and 9, on base grids of 41, 201 and
   401 points, candidates 2g - 1, from y0 0.2, 0.4 and 0.7;
+- shift-dense.cfg (degree 8, y0 0.4, candidates 801) on base grids of 101,
+  41 and 21 points, where warm rounds of the simplex have stalled;
 - example1 at degrees 6 and 7 on example1.cfg's grids (9 x 9 base, 33 x 33
   states and 9 x 9 controls as candidates), from five y0.
 
@@ -50,6 +52,8 @@ def configs():
             for y0 in (0.2, 0.4, 0.7):
                 yield (f"shift d{degree} g{grid} y0={y0}", "shift", (y0,), degree, (grid,),
                        (2 * grid - 1,), (2 * grid - 1,))
+    for grid in (101, 41, 21):
+        yield (f"shift d8 g{grid} c801 y0=0.4", "shift", (0.4,), 8, (grid,), (801,), (801,))
     for degree in (6, 7):
         for y0 in EXAMPLE1_Y0:
             yield (f"example1 d{degree} y0={y0[0]},{y0[1]}", "example1", y0, degree, (9, 9),
